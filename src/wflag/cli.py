@@ -232,8 +232,13 @@ def _run_sweep(
     """Execute a sweep with optional record output and resume cache."""
     cached: list[Candidate] = []
     completed: set[records.SweepKey] = set()
+    write_path = out_path or resume_path
     if resume_path and os.path.exists(resume_path):
         cache = records.load_cache(resume_path)
+        if write_path == resume_path:
+            # a sweep killed mid-write leaves a torn last line; appending
+            # after it would bury it in the middle of the file
+            records.drop_torn_tail(resume_path)
         cached = cache.candidates
         completed = cache.completed
         progress.write(
@@ -245,7 +250,6 @@ def _run_sweep(
         for p in params
         if (config.format_name, p.mu, p.u, config.k, config.n) not in completed
     )
-    write_path = out_path or resume_path
     writer_stream: IO[str] | None = None
     fresh: list[Candidate] = []
     try:
@@ -283,7 +287,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         u_min=args.u_min,
         u_max=args.u_max,
         q_max=args.q_max,
-        strict_geometry=args.strict_geometry,
         jobs=args.jobs,
     )
     merged = _run_sweep(config, args.out, args.resume, sys.stderr)
@@ -434,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-min", type=int, default=None)
     p.add_argument("--u-max", type=int, default=None)
     p.add_argument("--q-max", type=int, default=None)
-    p.add_argument("--strict-geometry", action="store_true")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--out", default=None, help="append records to this file")
     p.add_argument(
@@ -484,7 +486,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_normalize_argv(argv))
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, records.RecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -17,6 +17,16 @@ valid when no root is orthogonal to ``mu``.  When some are, numerator and
 denominator both vanish identically; we then expand both along a second
 auxiliary direction delta (regular, so the degeneracy is resolved), s = 1+eps,
 and take the first nonvanishing coefficient of each, which recovers P exactly.
+
+Every term of that Weyl sum is an integer: a sign times a generalized
+binomial coefficient C(<w rho, delta>, j).  So the closed form is summed in
+integer polynomials over the common denominator prod (1 - t^g)^{j+1}, the g
+running over the distinct <w lam, mu> + u, and no gcd is ever taken.  The
+result is certified instead: the lower-order sums must vanish, and the
+numerator times prod (1 - t^w) must divide exactly over Z by the
+denominator, every quotient step an integer division.  The quotient is the
+Hilbert numerator H, which must also have H(0) = 1, degree q and Gorenstein
+(anti)symmetry.
 """
 from __future__ import annotations
 
@@ -26,11 +36,13 @@ from itertools import combinations_with_replacement
 
 from .ratfun import (
     DomainError,
-    P_ONE,
-    P_ZERO,
     RationalFunction,
-    RF_ZERO,
     UniPolynomial,
+    denominator_poly,
+    div_one_minus_t,
+    int_exact_div,
+    int_mul,
+    mul_one_minus_t_pow,
 )
 from .weyl import (
     Matrix,
@@ -80,9 +92,14 @@ class EmbeddingData:
     weights: tuple[int, ...]  # ambient weights, sorted
     numerator: UniPolynomial  # H with P = H / prod(1 - t^w)
     numerator_reduced: UniPolynomial  # H / (1-t)^codimension
-    series: RationalFunction  # P itself
     adjunction_number: int  # q = deg H
     sigma: int  # canonical degree of the image, q - sum(weights)
+
+    @property
+    def series(self) -> RationalFunction:
+        """P itself, H / prod(1 - t^w), built on demand."""
+        den = denominator_poly(self.weights, sum(self.weights))
+        return RationalFunction(self.numerator, UniPolynomial(den))
 
 
 def _transposition_matrix(n: int, i: int) -> Matrix:
@@ -193,111 +210,154 @@ def _gbinom(h: int, j: int) -> int:
     return num // den
 
 
-def _closed_form_series(fmt: FormatSpec, param: CocharacterParam) -> RationalFunction:
-    mu, u = param.mu, param.u
+@cache
+def _weyl_orbit_data(fmt: FormatSpec) -> tuple[tuple, ...]:
+    """Per Weyl element w: sgn w, w rho, the row C(<w rho, delta>, j),
+    w lam and the row C(<w lam, delta>, j).
+
+    None of it depends on the parameter.  The rows run up to j = the number
+    of positive roots, the highest expansion order the closed form can need.
+    """
     delta = fmt.auxiliary_cocharacter
-    elements = weyl_elements(fmt.weyl_generators)
-    data = []
-    for m, s in elements:
+    top = len(fmt.positive_roots) + 1
+    out = []
+    for m, s in weyl_elements(fmt.weyl_generators):
         wr = mat_vec(m, fmt.weyl_vector)
         wl = mat_vec(m, fmt.highest_weight)
-        data.append((s, dot(wr, mu), dot(wr, delta), dot(wl, mu) + u, dot(wl, delta)))
-    fmin = min(f for _, f, _, _, _ in data)
+        h, e = dot(wr, delta), dot(wl, delta)
+        out.append((
+            s,
+            wr,
+            tuple(_gbinom(h, j) for j in range(top)),
+            wl,
+            tuple(_gbinom(e, j) for j in range(top)),
+        ))
+    return tuple(out)
 
-    def denominator_coefficient(j: int) -> UniPolynomial:
-        p = P_ZERO
-        for s, f, h, _, _ in data:
-            c = s * _gbinom(h, j)
-            if c:
-                p = p + UniPolynomial.monomial(f - fmin, c)
+
+def _add_into(acc: list[int], p: list[int]) -> None:
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, c in enumerate(p):
+        acc[i] += c
+
+
+def _closed_form_numerator(
+    fmt: FormatSpec, param: CocharacterParam, weights: tuple[int, ...]
+) -> list[int]:
+    """H with P = H / prod(1 - t^w), from the closed form, in integers.
+
+    Expanding numerator and denominator of the closed form along delta,
+    order j of the denominator is b_j = sum sgn(w) C(<w rho, delta>, j)
+    t^{<w rho, mu>} and order j of the numerator is N_j / D_j over
+    D_j = prod over the distinct g = <w lam, mu> + u of (1 - t^g)^{j+1}.
+    With k the first order where b_k != 0, the sums N_j (j < k) must vanish
+    and N_k prod(1 - t^w) must divide exactly over Z by b_k D_k; the quotient
+    is H.  Both are certified, raising ArithmeticError otherwise.
+    """
+    mu, u = param.mu, param.u
+    terms = [
+        (s, dot(wr, mu), hb, dot(wl, mu) + u, eb)
+        for s, wr, hb, wl, eb in _weyl_orbit_data(fmt)
+    ]
+    fmin = min(f for _, f, _, _, _ in terms)
+    span = max(f for _, f, _, _, _ in terms) - fmin + 1
+
+    def rho_part(members, j: int) -> list[int]:
+        # sum of sgn(w) C(<w rho, delta>, j) t^{<w rho, mu> - fmin}
+        p = [0] * span
+        for s, f, hb in members:
+            p[f - fmin] += s * hb[j]
+        while p and not p[-1]:
+            p.pop()
         return p
 
-    k = None
-    for j in range(len(fmt.positive_roots) + 1):
-        bj = denominator_coefficient(j)
-        if not bj.is_zero():
-            k = j
+    everything = [(s, f, hb) for s, f, hb, _, _ in terms]
+    for k in range(len(fmt.positive_roots) + 1):
+        b_k = rho_part(everything, k)
+        if b_k:
             break
-    if k is None:
+    else:
         raise ArithmeticError(_CERT_MESSAGE)
-    b_k = bj
 
     # group the Weyl sum by the orbit point of the highest weight; every term
-    # in a group shares the same geometric-series denominator
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for s, f, h, g, e in data:
-        groups.setdefault((g, e), []).append((s, f, h))
+    # in a group shares the same geometric-series denominator (1 - t^g)^{j+1}
+    groups: dict[tuple[int, tuple[int, ...]], list] = {}
+    for s, f, hb, g, eb in terms:
+        groups.setdefault((g, eb), []).append((s, f, hb))
 
-    numerator_coeffs = [RF_ZERO] * (k + 1)
-    for (g, e), members in groups.items():
-        d0 = UniPolynomial.one_minus_t_pow(g)
-        d0_pows = [P_ONE]
-        for _ in range(k + 1):
-            d0_pows.append(d0_pows[-1] * d0)
-        # inverse of the denominator expansion: coefficient i is n[i]/d0^(i+1)
-        n = [P_ONE]
+    # by_g[g][j]: order-j numerator of all groups with that g, over (1 - t^g)^{j+1}
+    by_g: dict[int, list[list[int]]] = {}
+    for (g, eb), members in groups.items():
+        # 1 / (1 - t^g (1+eps)^e) = sum_j n[j] eps^j / (1 - t^g)^{j+1}
+        n = [[1]]
         for j in range(1, k + 1):
-            acc = P_ZERO
+            acc: list[int] = []
             for i in range(1, j + 1):
-                di = UniPolynomial.monomial(g, -_gbinom(e, i))
-                acc = acc + di * n[j - i] * d0_pows[i - 1]
-            n.append(-acc)
-        pref = []
+                if eb[i]:
+                    term = mul_one_minus_t_pow(n[j - i], g, i - 1)
+                    _add_into(acc, [0] * g + [eb[i] * c for c in term])
+            n.append(acc)
+        pref = [rho_part(members, j) for j in range(k + 1)]
+        sums = by_g.setdefault(g, [[] for _ in range(k + 1)])
         for j in range(k + 1):
-            p = P_ZERO
-            for s, f, h in members:
-                c = s * _gbinom(h, j)
-                if c:
-                    p = p + UniPolynomial.monomial(f - fmin, c)
-            pref.append(p)
-        for j in range(k + 1):
-            cj = P_ZERO
             for i in range(j + 1):
-                cj = cj + pref[j - i] * n[i] * d0_pows[j - i]
-            if not cj.is_zero():
-                numerator_coeffs[j] = numerator_coeffs[j] + RationalFunction(
-                    cj, d0_pows[j + 1]
+                _add_into(
+                    sums[j], mul_one_minus_t_pow(int_mul(pref[j - i], n[i]), g, j - i)
                 )
-    for j in range(k):
-        if not numerator_coeffs[j].is_zero():
+
+    for j in range(k + 1):
+        # N_j = sum_g by_g[g][j] * prod_{g' != g} (1 - t^{g'})^{j+1}
+        total: list[int] = []
+        for g, sums in by_g.items():
+            p = sums[j]
+            for g2 in by_g:
+                if g2 != g:
+                    p = mul_one_minus_t_pow(p, g2, j + 1)
+            _add_into(total, p)
+        if j < k and any(total):
             raise ArithmeticError(_CERT_MESSAGE)
-    return numerator_coeffs[k] / RationalFunction(b_k)
+
+    for w in weights:
+        total = mul_one_minus_t_pow(total, w)
+    divisor = b_k
+    for g in by_g:
+        divisor = mul_one_minus_t_pow(divisor, g, k + 1)
+    try:
+        return int_exact_div(total, divisor)
+    except ArithmeticError:
+        raise ArithmeticError(_CERT_MESSAGE) from None
 
 
 @cache
 def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
     """The weighted embedding attached to (format, parameter), fully certified.
 
-    The numerator H (with P = H / prod(1 - t^w) over the ambient weights) is
-    checked to be a polynomial with H(0) = 1, of the degree predicted by the
-    adjunction coefficients, and (anti)palindromic as Gorenstein symmetry
-    demands.
+    The numerator H (with P = H / prod(1 - t^w) over the ambient weights)
+    comes out of one exact division over Z, and is checked to have H(0) = 1,
+    the degree predicted by the adjunction coefficients, and the
+    (anti)palindromic symmetry Gorenstein duality demands.
     """
     weights = ambient_weights(fmt, param)
-    series = _closed_form_series(fmt, param)
-    den = P_ONE
-    for w in weights:
-        den = den * UniPolynomial.one_minus_t_pow(w)
-    h_rf = series * den
-    if h_rf.den != P_ONE:
-        raise ArithmeticError(_CERT_MESSAGE)
-    h = h_rf.num
+    h = _closed_form_numerator(fmt, param, weights)
     cu, cm = fmt.adjunction_coefficients
     q = cu * param.u + cm * sum(param.mu)
     e = fmt.codimension
-    if h[0] != 1 or h.degree != q:
+    sign = (-1) ** e
+    if len(h) != q + 1 or h[0] != 1 or h[::-1] != [sign * c for c in h]:
         raise ArithmeticError(_CERT_MESSAGE)
-    if h.reciprocal(q) != h * ((-1) ** e):
-        raise ArithmeticError(_CERT_MESSAGE)
-    reduced = h.exact_div(UniPolynomial([1, -1]) ** e)
+    reduced = h
+    for _ in range(e):
+        if sum(reduced):
+            raise ArithmeticError(_CERT_MESSAGE)
+        reduced = div_one_minus_t(reduced)
     return EmbeddingData(
         format_name=fmt.name,
         mu=param.mu,
         u=param.u,
         weights=weights,
-        numerator=h,
-        numerator_reduced=reduced,
-        series=series,
+        numerator=UniPolynomial(h),
+        numerator_reduced=UniPolynomial(reduced),
         adjunction_number=q,
         sigma=q - sum(weights),
     )

@@ -1,9 +1,11 @@
 """Exact arithmetic for univariate polynomials and rational functions over Q.
 
-Everything in this package is computed with `fractions.Fraction`; there is no
-floating point anywhere.  Rational functions are kept in a canonical form
-(numerator and denominator coprime, denominator monic) so that equality is
-plain structural equality.
+There is no floating point anywhere.  `UniPolynomial` and `RationalFunction`
+compute over Q with `fractions.Fraction`; rational functions are kept in a
+canonical form (numerator and denominator coprime, denominator monic) so that
+equality is plain structural equality.  The hot paths instead use the helpers
+on plain integer coefficient lists below (product, multiplication by
+(1 − t^r), exact division), which never take a gcd.
 """
 from __future__ import annotations
 
@@ -245,6 +247,104 @@ class UniPolynomial:
 P_ZERO = UniPolynomial()
 P_ONE = UniPolynomial([1])
 T = UniPolynomial([0, 1])
+
+
+# -- integer coefficient lists ---------------------------------------------
+#
+# The hot paths (the closed-form Hilbert series, the per-tuple scan) work on
+# plain ``list[int]`` coefficient lists, index i holding the coefficient of
+# t^i.  No gcd is ever taken; divisions are exact or they fail.
+
+
+def int_coeffs(poly: UniPolynomial) -> list[int]:
+    """The coefficients of an integral polynomial as a list of ints."""
+    out = []
+    for c in poly.coeffs:
+        if c.denominator != 1:
+            raise ArithmeticError("expected integer coefficients")
+        out.append(c.numerator)
+    return out
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def mul_one_minus_t_pow(a: Sequence[int], r: int, times: int = 1) -> list[int]:
+    """a · (1 − t^r)^times, one sparse pass per factor."""
+    out = list(a) + [0] * (r * times)
+    deg = len(a) - 1
+    for _ in range(times):
+        deg += r
+        for i in range(deg, r - 1, -1):
+            out[i] -= out[i - r]
+    return out
+
+
+def denominator_poly(parts: Sequence[int], total: int) -> list[int]:
+    """Coefficients of ∏(1 − t^{p_i}) as an integer list of length total+1."""
+    den = [0] * (total + 1)
+    den[0] = 1
+    deg = 0
+    for w in parts:
+        deg += w
+        for i in range(deg, w - 1, -1):
+            den[i] -= den[i - w]
+    return den
+
+
+def div_one_minus_t(coeffs: Sequence[int]) -> list[int]:
+    """Quotient of a polynomial by (1 − t); the remainder, which is the sum of
+    all coefficients, is dropped, so the caller guarantees divisibility."""
+    acc = 0
+    out = []
+    for v in coeffs[:-1]:
+        acc += v
+        out.append(acc)
+    return out
+
+
+def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b in ℤ[t] by long division.
+
+    Every quotient step must be an exact integer division and the remainder
+    must vanish; otherwise ArithmeticError is raised.
+    """
+    a = _int_trim(a)
+    b = _int_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("polynomial quotient is not integral")
+            quot[i] = q
+            for j, bj in enumerate(b):
+                if bj:
+                    rem[i + j] -= q * bj
+    if any(rem):
+        raise ArithmeticError("polynomial division is not exact")
+    return quot
+
+
+def _int_trim(a: Sequence[int]) -> list[int]:
+    out = list(a)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # -- gcd machinery ---------------------------------------------------------

@@ -173,21 +173,41 @@ class ResultWriter:
         self.write_sweep_done(result)
 
 
-def read_records(stream: IO[str]) -> Iterator[dict]:
-    """Yield the raw record objects of a line-delimited JSON stream."""
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
+class RecordError(ValueError):
+    """A record file that cannot be read: a malformed or unknown record."""
+
+
+def _numbered_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed record on line {line_no}: {exc}") from exc
+            if not raw.endswith("\n"):
+                # the final line of a writer killed mid-record: it never
+                # counted, and the rescan of its key rewrites it
+                return
+            raise RecordError(f"malformed record on line {line_no}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise RecordError(f"malformed record on line {line_no}: not an object")
         version = obj.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise ValueError(
+            raise RecordError(
                 f"unsupported schema_version {version!r} on line {line_no}"
             )
+        yield line_no, obj
+
+
+def read_records(stream: IO[str]) -> Iterator[dict]:
+    """Yield the raw record objects of a line-delimited JSON stream.
+
+    A final line that lacks its newline and does not parse is the torn tail
+    of a killed writer and is dropped; any other malformed line raises
+    RecordError.
+    """
+    for _, obj in _numbered_records(stream):
         yield obj
 
 
@@ -203,19 +223,22 @@ class RecordCache:
         completed: set[SweepKey] = set()
         staged: dict[SweepKey, list[Candidate]] = {}
         ordered: list[Candidate] = []
-        for obj in read_records(stream):
-            key = _sweep_key_from_json(obj["sweep_key"])
-            kind = obj.get("record")
-            if kind == "candidate":
-                staged.setdefault(key, []).append(
-                    candidate_from_json(obj["candidate"])
-                )
-            elif kind == "sweep_done":
-                if key not in completed:
-                    completed.add(key)
-                    ordered.extend(staged.pop(key, []))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
+        for line_no, obj in _numbered_records(stream):
+            try:
+                key = _sweep_key_from_json(obj["sweep_key"])
+                kind = obj.get("record")
+                if kind == "candidate":
+                    staged.setdefault(key, []).append(
+                        candidate_from_json(obj["candidate"])
+                    )
+                elif kind == "sweep_done":
+                    if key not in completed:
+                        completed.add(key)
+                        ordered.extend(staged.pop(key, []))
+                else:
+                    raise RecordError(f"unknown record kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordError(f"malformed record on line {line_no}: {exc}") from exc
         # candidates of keys that never reached sweep_done are dropped: the
         # rescan of those keys regenerates them
         return cls(completed=completed, candidates=ordered)
@@ -223,7 +246,30 @@ class RecordCache:
 
 def load_cache(path: str) -> RecordCache:
     with open(path, "r", encoding="utf-8") as fh:
-        return RecordCache.from_stream(fh)
+        try:
+            return RecordCache.from_stream(fh)
+        except RecordError as exc:
+            raise RecordError(f"{path}: {exc}") from None
+
+
+def drop_torn_tail(path: str) -> None:
+    """Cut a record file back to its last complete line before appending.
+
+    A final line without its newline is kept (and given the newline) when it
+    parses, and removed otherwise, so appended records start on a line of
+    their own.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
 
 
 # ---------------------------------------------------------------------------

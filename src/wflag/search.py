@@ -41,7 +41,15 @@ from .orbifold import (
     porb_cont,
     qorb,
 )
-from .ratfun import DomainError, RationalFunction, UniPolynomial
+from .ratfun import (
+    DomainError,
+    RationalFunction,
+    UniPolynomial,
+    denominator_poly,
+    div_one_minus_t,
+    int_coeffs,
+    int_mul,
+)
 
 _PRIME = (1 << 61) - 1  # Mersenne prime used by the modular prescreen
 
@@ -66,7 +74,6 @@ class SearchConfig:
     u_min: int | None = None
     u_max: int | None = None
     q_max: int | None = None
-    strict_geometry: bool = False
     jobs: int = 1
     params: tuple[CocharacterParam, ...] | None = None
 
@@ -130,9 +137,7 @@ def _well_formed(parts: Sequence[int]) -> bool:
     return all(gcd(pre[i], suf[i + 1]) == 1 for i in range(s))
 
 
-def _iter_pos_wt(
-    ambient: Sequence[int], s: int, w: int, strict_geometry: bool = False
-):
+def _iter_pos_wt(ambient: Sequence[int], s: int, w: int):
     """Yield candidate weight tuples in ascending lexicographic order."""
     amb = sorted(ambient)
     wmax = amb[-1]
@@ -144,8 +149,6 @@ def _iter_pos_wt(
             if remaining == 0:
                 parts = tuple(acc)
                 if parts.count(wmax) <= cap and _well_formed(parts):
-                    if strict_geometry and not _reachable(parts, amb, wmax):
-                        return
                     yield parts
             return
         start = max(lo, remaining - (slots - 1) * wmax)
@@ -158,29 +161,10 @@ def _iter_pos_wt(
         yield from rec(1, w, s)
 
 
-def _reachable(parts: Sequence[int], ambient: Sequence[int], wmax: int) -> bool:
-    """Split p into a sub-multiset of the ambient weights plus cone weights.
-
-    The cone weights (entries exceeding their ambient multiplicity) must stay
-    strictly below the top ambient weight.  With entries already confined to
-    [1, wmax] and the top-weight cap enforced, this is implied; it is kept as
-    an explicit assertion of the geometric reading.
-    """
-    available = list(ambient)
-    for v in parts:
-        if v in available:
-            available.remove(v)
-        elif v >= wmax:
-            return False
-    return True
-
-
-def pos_wt(
-    ambient: Sequence[int], s: int, w: int, strict_geometry: bool = False
-) -> list[tuple[int, ...]]:
+def pos_wt(ambient: Sequence[int], s: int, w: int) -> list[tuple[int, ...]]:
     """All size-s multisets from [1, max(ambient)] summing to w that give a
     well-formed weighted projective space and respect the top-weight cap."""
-    return list(_iter_pos_wt(ambient, s, w, strict_geometry))
+    return list(_iter_pos_wt(ambient, s, w))
 
 
 # ---------------------------------------------------------------------------
@@ -274,36 +258,6 @@ def solve_multiplicities(
 
 # ---------------------------------------------------------------------------
 # integer helpers for the scan hot path
-
-
-def _int_coeffs(poly: UniPolynomial) -> list[int]:
-    out = []
-    for c in poly.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("expected integer coefficients")
-        out.append(c.numerator)
-    return out
-
-
-def _denominator_poly(parts: Sequence[int], total: int) -> list[int]:
-    """Coefficients of ∏(1 − t^{p_i}) as an integer list of length total+1."""
-    den = [0] * (total + 1)
-    den[0] = 1
-    deg = 0
-    for w in parts:
-        deg += w
-        for i in range(deg, w - 1, -1):
-            den[i] -= den[i - w]
-    return den
-
-def _div_one_minus_t(coeffs: list[int]) -> list[int]:
-    # exact division by (1 - t); the caller guarantees divisibility
-    acc = 0
-    out = []
-    for v in coeffs[:-1]:
-        acc += v
-        out.append(acc)
-    return out
 
 
 def _series_prefix(H: Sequence[int], parts: Sequence[int], order: int) -> list[int]:
@@ -635,7 +589,6 @@ def search_embedding(
     param: CocharacterParam,
     k: int = -1,
     n: int = 3,
-    strict_geometry: bool = False,
 ) -> tuple[list[Candidate], int]:
     """Scan one embedding; returns (candidates, number of tuples scanned)."""
     fmt = FORMATS[format_name]
@@ -644,7 +597,7 @@ def search_embedding(
     s = n + e + 1
     q = data.adjunction_number
     total = q - k
-    H = _int_coeffs(data.numerator)
+    H = int_coeffs(data.numerator)
     Hx_mod: dict[int, int] = {}
     Hred1 = int(data.numerator_reduced.evaluate(Fraction(1)))
     ambient = data.weights
@@ -656,19 +609,15 @@ def search_embedding(
     if total < s:
         return [], 0
 
-    for parts in _iter_pos_wt(ambient, s, total, strict_geometry):
+    for parts in _iter_pos_wt(ambient, s, total):
         scanned += 1
-        den = _denominator_poly(parts, total)
+        den = denominator_poly(parts, total)
         den_n1 = den
         for _ in range(n + 1):
-            den_n1 = _div_one_minus_t(den_n1)
+            den_n1 = div_one_minus_t(den_n1)
         A = _initial_coeffs(H, parts, k, n)
         # N0 = H − A·(den/(1−t)^{n+1}) is the numerator of P_X − P_I over den
-        prod_ai = [0] * (len(den_n1) + max(len(A) - 1, 0))
-        for i, ai in enumerate(A):
-            if ai:
-                for jj, dj in enumerate(den_n1):
-                    prod_ai[i + jj] += ai * dj
+        prod_ai = int_mul(A, den_n1)
         N0 = [
             (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
             for i in range(max(len(H), len(prod_ai)))
@@ -797,13 +746,7 @@ def _emit(
 def _sweep_one(args) -> SweepResult:
     config, param = args
     t0 = time.monotonic()
-    cands, scanned = search_embedding(
-        config.format_name,
-        param,
-        k=config.k,
-        n=config.n,
-        strict_geometry=config.strict_geometry,
-    )
+    cands, scanned = search_embedding(config.format_name, param, k=config.k, n=config.n)
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepResult(
         format_name=config.format_name,

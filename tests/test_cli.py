@@ -262,6 +262,38 @@ def test_search_resume_extends_bounds(tmp_path, capsys):
     assert len(cands) == 4  # full u<=3 candidate set from cache + fresh merge
 
 
+def test_search_resume_after_torn_final_line(tmp_path, capsys):
+    cache = tmp_path / "records.ndjson"
+    base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
+    code, first_out, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    whole = cache.read_bytes()
+    cache.write_bytes(whole[:-40])  # killed in the middle of the last record
+    code, out, err = run_cli(capsys, *base, "--resume", str(cache))
+    assert code == 0
+    assert out == first_out
+    assert "1 embeddings already done" in err
+    lines = cache.read_text().splitlines()
+    assert all(json.loads(line) for line in lines)
+    assert [json.loads(line)["record"] for line in lines].count("sweep_done") == 2
+
+
+def test_corrupt_record_file_is_an_error(tmp_path, capsys):
+    cache = tmp_path / "records.ndjson"
+    base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
+    code, _, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0][:-40] + "\n" + "".join(lines[1:]))
+    for argv in (
+        [*base, "--resume", str(cache)],
+        ["report", "table1", "--from", str(cache)],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "malformed record on line 1" in err
+
+
 def test_report_from_incomplete_cache(tmp_path, capsys):
     cache = str(tmp_path / "records.ndjson")
     code, _, _ = run_cli(

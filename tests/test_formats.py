@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,49 @@ def test_closed_form_matches_graded_characters(fmt, param):
     graded = graded_series_coefficients(fmt, param, order)
     ser = series_of(e.series, order)
     assert [ser[i] for i in range(order + 1)] == graded
+
+
+CENSUSES = [
+    (GR25_FORMAT, enumerate_parameters(GR25_FORMAT, None, 12)),
+    (G2_FORMAT, enumerate_parameters(G2_FORMAT, 3)),
+]
+
+
+def test_closed_form_matches_graded_characters_on_censuses():
+    # every embedding of two small censuses, degenerate mu (k > 0) included
+    assert [len(params) for _, params in CENSUSES] == [14, 4]
+    for fmt, params in CENSUSES:
+        for param in params:
+            e = hilbert_series(fmt, param)
+            q = e.adjunction_number
+            coeffs = [int(c) for c in e.numerator.coeffs] + [0] * q
+            coeffs = coeffs[: q + 1]
+            for w in e.weights:
+                for i in range(w, q + 1):
+                    coeffs[i] += coeffs[i - w]
+            assert coeffs == graded_series_coefficients(fmt, param, q), param
+
+
+@pytest.mark.parametrize(
+    "fmt,param",
+    [
+        # H comes out, but of the wrong degree
+        (dataclasses.replace(GR25_FORMAT, adjunction_coefficients=(5, 3)), P((0, 1, 2, 3, 4), 1)),
+        # N_k prod(1 - t^w) is not divisible by b_k D_k
+        (dataclasses.replace(GR25_FORMAT, weyl_vector=(5, 3, 2, 1, 0)), P((0, 0, 1, 1, 2), 1)),
+    ],
+)
+def test_closed_form_certificate_rejects_inconsistent_formats(fmt, param):
+    with pytest.raises(ArithmeticError, match="format data inconsistent"):
+        hilbert_series(fmt, param)
+
+
+def test_series_is_numerator_over_ambient_denominator():
+    e = hilbert_series(GR25_FORMAT, P((0, 1, 1, 2, 2), 1))
+    den = UniPolynomial([1])
+    for w in e.weights:
+        den = den * UniPolynomial.one_minus_t_pow(w)
+    assert e.series.num * den == e.numerator * e.series.den
 
 
 def test_weight_multiplicities_api():

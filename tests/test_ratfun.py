@@ -15,6 +15,11 @@ from wflag.ratfun import (
     T,
     TruncatedSeries,
     UniPolynomial,
+    denominator_poly,
+    div_one_minus_t,
+    int_exact_div,
+    int_mul,
+    mul_one_minus_t_pow,
     poly_gcd,
     poly_xgcd,
     series_of,
@@ -201,3 +206,39 @@ def test_polynomial_basics():
     assert str(UniPolynomial([1, -1])) == "1 - t"
     assert p.shift(2) == UniPolynomial([0, 0, 0, 0, 5])
     assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
+
+
+int_lists = st.lists(st.integers(-20, 20), max_size=8)
+
+
+@given(int_lists, int_lists, st.integers(1, 5), st.integers(0, 3))
+def test_integer_list_helpers_match_polynomials(a, b, r, times):
+    pa, pb = UniPolynomial(a), UniPolynomial(b)
+    assert UniPolynomial(int_mul(a, b)) == pa * pb
+    assert UniPolynomial(mul_one_minus_t_pow(a, r, times)) == pa * UniPolynomial.one_minus_t_pow(r) ** times
+    prod_ab = int_mul(a, mul_one_minus_t_pow(b, r, times))
+    if any(b):
+        assert UniPolynomial(int_exact_div(prod_ab, mul_one_minus_t_pow(b, r, times))) == pa
+    multiple = mul_one_minus_t_pow(a, 1)
+    assert UniPolynomial(div_one_minus_t(multiple)) == pa
+
+
+def test_int_exact_div_certifies():
+    # (1 + 2t)(3 - t + t^2) / (3 - t + t^2)
+    assert int_exact_div([3, 5, -1, 2], [3, -1, 1]) == [1, 2]
+    with pytest.raises(ArithmeticError, match="not exact"):
+        int_exact_div([3, 5, -1, 3], [3, -1, 1])
+    # (1 + t^2) / 2t: the first quotient step is 1/2
+    with pytest.raises(ArithmeticError, match="not integral"):
+        int_exact_div([1, 0, 1], [0, 2])
+    with pytest.raises(ZeroDivisionError):
+        int_exact_div([1], [0, 0])
+
+
+def test_denominator_poly():
+    parts = (1, 2, 3)
+    den = UniPolynomial([1])
+    for w in parts:
+        den = den * UniPolynomial.one_minus_t_pow(w)
+    assert UniPolynomial(denominator_poly(parts, 6)) == den
+    assert len(denominator_poly(parts, 9)) == 10

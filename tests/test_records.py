@@ -13,11 +13,13 @@ from wflag.formats import CocharacterParam
 from wflag.orbifold import QuotientSingularity
 from wflag.records import (
     RecordCache,
+    RecordError,
     ResultWriter,
     SCHEMA_VERSION,
     candidate_from_json,
     candidate_to_json,
     compact_weights,
+    drop_torn_tail,
     emit_csv,
     emit_json,
     emit_text,
@@ -111,6 +113,43 @@ def test_cache_rejects_unknown_schema(small_result):
 def test_cache_rejects_malformed_lines():
     with pytest.raises(ValueError, match="line 1"):
         RecordCache.from_stream(io.StringIO("{not json\n"))
+
+
+def test_cache_drops_torn_final_line(small_result):
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    whole = buf.getvalue()
+    for cut in (2, 40, len(whole.splitlines()[-1])):
+        cache = RecordCache.from_stream(io.StringIO(whole[:-cut]))
+        # the sweep_done line is torn, so the key is incomplete
+        assert cache.completed == set()
+        assert cache.candidates == []
+
+
+def test_cache_rejects_corrupt_middle_line(small_result):
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    lines = buf.getvalue().splitlines(keepends=True)
+    corrupt = lines[0][:-40] + "\n" + "".join(lines[1:])
+    with pytest.raises(RecordError, match="malformed record on line 1"):
+        RecordCache.from_stream(io.StringIO(corrupt))
+    with pytest.raises(RecordError, match="line 1"):
+        RecordCache.from_stream(io.StringIO('{"schema_version":1,"record":"sweep_done"}\n'))
+
+
+def test_drop_torn_tail(tmp_path, small_result):
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    whole = buf.getvalue().encode()
+    path = tmp_path / "records.ndjson"
+    path.write_bytes(whole[:-40])
+    drop_torn_tail(str(path))
+    assert path.read_bytes() == whole[: whole.rfind(b"\n", 0, -1) + 1]
+    path.write_bytes(whole[:-1])  # only the newline is missing
+    drop_torn_tail(str(path))
+    assert path.read_bytes() == whole
+    drop_torn_tail(str(path))
+    assert path.read_bytes() == whole
 
 
 def test_emitters_present_identical_candidate_sets(small_candidates):
