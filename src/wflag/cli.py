@@ -232,13 +232,8 @@ def _run_sweep(
     """Execute a sweep with optional record output and resume cache."""
     cached: list[Candidate] = []
     completed: set[records.SweepKey] = set()
-    write_path = out_path or resume_path
     if resume_path and os.path.exists(resume_path):
         cache = records.load_cache(resume_path)
-        if write_path == resume_path:
-            # a sweep killed mid-write leaves a torn last line; appending
-            # after it would bury it in the middle of the file
-            records.drop_torn_tail(resume_path)
         cached = cache.candidates
         completed = cache.completed
         progress.write(
@@ -250,6 +245,11 @@ def _run_sweep(
         for p in params
         if (config.format_name, p.mu, p.u, config.k, config.n) not in completed
     )
+    write_path = out_path or resume_path
+    if write_path and os.path.exists(write_path):
+        # a sweep killed mid-write leaves a torn last line; appending after
+        # it would bury it in the middle of the file
+        records.drop_torn_tail(write_path)
     writer_stream: IO[str] | None = None
     fresh: list[Candidate] = []
     try:

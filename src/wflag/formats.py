@@ -306,7 +306,7 @@ def _closed_form_numerator(
                     sums[j], mul_one_minus_t_pow(int_mul(pref[j - i], n[i]), g, j - i)
                 )
 
-    for j in range(k + 1):
+    def order_sum(j: int) -> list[int]:
         # N_j = sum_g by_g[g][j] * prod_{g' != g} (1 - t^{g'})^{j+1}
         total: list[int] = []
         for g, sums in by_g.items():
@@ -315,16 +315,18 @@ def _closed_form_numerator(
                 if g2 != g:
                     p = mul_one_minus_t_pow(p, g2, j + 1)
             _add_into(total, p)
-        if j < k and any(total):
-            raise ArithmeticError(_CERT_MESSAGE)
+        return total
 
+    if any(any(order_sum(j)) for j in range(k)):
+        raise ArithmeticError(_CERT_MESSAGE)
+    dividend = order_sum(k)
     for w in weights:
-        total = mul_one_minus_t_pow(total, w)
+        dividend = mul_one_minus_t_pow(dividend, w)
     divisor = b_k
     for g in by_g:
         divisor = mul_one_minus_t_pow(divisor, g, k + 1)
     try:
-        return int_exact_div(total, divisor)
+        return int_exact_div(dividend, divisor)
     except ArithmeticError:
         raise ArithmeticError(_CERT_MESSAGE) from None
 

@@ -177,7 +177,13 @@ class RecordError(ValueError):
     """A record file that cannot be read: a malformed or unknown record."""
 
 
-def _numbered_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
+def read_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record object) for a line-delimited JSON stream.
+
+    A final line that lacks its newline and does not parse is the torn tail
+    of a killed writer and is dropped; any other malformed line raises
+    RecordError.
+    """
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -186,8 +192,7 @@ def _numbered_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             if not raw.endswith("\n"):
-                # the final line of a writer killed mid-record: it never
-                # counted, and the rescan of its key rewrites it
+                # never counted: its key has no sweep_done yet and is rescanned
                 return
             raise RecordError(f"malformed record on line {line_no}: {exc}") from exc
         if not isinstance(obj, dict):
@@ -198,17 +203,6 @@ def _numbered_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
                 f"unsupported schema_version {version!r} on line {line_no}"
             )
         yield line_no, obj
-
-
-def read_records(stream: IO[str]) -> Iterator[dict]:
-    """Yield the raw record objects of a line-delimited JSON stream.
-
-    A final line that lacks its newline and does not parse is the torn tail
-    of a killed writer and is dropped; any other malformed line raises
-    RecordError.
-    """
-    for _, obj in _numbered_records(stream):
-        yield obj
 
 
 @dataclass
@@ -223,7 +217,7 @@ class RecordCache:
         completed: set[SweepKey] = set()
         staged: dict[SweepKey, list[Candidate]] = {}
         ordered: list[Candidate] = []
-        for line_no, obj in _numbered_records(stream):
+        for line_no, obj in read_records(stream):
             try:
                 key = _sweep_key_from_json(obj["sweep_key"])
                 kind = obj.get("record")

@@ -276,6 +276,13 @@ def test_search_resume_after_torn_final_line(tmp_path, capsys):
     lines = cache.read_text().splitlines()
     assert all(json.loads(line) for line in lines)
     assert [json.loads(line)["record"] for line in lines].count("sweep_done") == 2
+    # a plain --out append after a torn line keeps the file readable too
+    cache.write_bytes(cache.read_bytes()[:-40])
+    code, _, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    code, _, err = run_cli(capsys, *base, "--resume", str(cache))
+    assert code == 0
+    assert "2 embeddings already done" in err
 
 
 def test_corrupt_record_file_is_an_error(tmp_path, capsys):

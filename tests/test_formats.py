@@ -104,16 +104,14 @@ def test_closed_form_matches_graded_characters(fmt, param):
     assert [ser[i] for i in range(order + 1)] == graded
 
 
-CENSUSES = [
-    (GR25_FORMAT, enumerate_parameters(GR25_FORMAT, None, 12)),
-    (G2_FORMAT, enumerate_parameters(G2_FORMAT, 3)),
-]
-
-
 def test_closed_form_matches_graded_characters_on_censuses():
     # every embedding of two small censuses, degenerate mu (k > 0) included
-    assert [len(params) for _, params in CENSUSES] == [14, 4]
-    for fmt, params in CENSUSES:
+    censuses = [
+        (GR25_FORMAT, enumerate_parameters(GR25_FORMAT, None, 12)),
+        (G2_FORMAT, enumerate_parameters(G2_FORMAT, 3)),
+    ]
+    assert [len(params) for _, params in censuses] == [14, 4]
+    for fmt, params in censuses:
         for param in params:
             e = hilbert_series(fmt, param)
             q = e.adjunction_number
@@ -137,14 +135,6 @@ def test_closed_form_matches_graded_characters_on_censuses():
 def test_closed_form_certificate_rejects_inconsistent_formats(fmt, param):
     with pytest.raises(ArithmeticError, match="format data inconsistent"):
         hilbert_series(fmt, param)
-
-
-def test_series_is_numerator_over_ambient_denominator():
-    e = hilbert_series(GR25_FORMAT, P((0, 1, 1, 2, 2), 1))
-    den = UniPolynomial([1])
-    for w in e.weights:
-        den = den * UniPolynomial.one_minus_t_pow(w)
-    assert e.series.num * den == e.numerator * e.series.den
 
 
 def test_weight_multiplicities_api():

@@ -15,7 +15,6 @@ from wflag.ratfun import (
     T,
     TruncatedSeries,
     UniPolynomial,
-    denominator_poly,
     div_one_minus_t,
     int_exact_div,
     int_mul,
@@ -214,13 +213,12 @@ int_lists = st.lists(st.integers(-20, 20), max_size=8)
 @given(int_lists, int_lists, st.integers(1, 5), st.integers(0, 3))
 def test_integer_list_helpers_match_polynomials(a, b, r, times):
     pa, pb = UniPolynomial(a), UniPolynomial(b)
+    b_times = mul_one_minus_t_pow(b, r, times)
     assert UniPolynomial(int_mul(a, b)) == pa * pb
-    assert UniPolynomial(mul_one_minus_t_pow(a, r, times)) == pa * UniPolynomial.one_minus_t_pow(r) ** times
-    prod_ab = int_mul(a, mul_one_minus_t_pow(b, r, times))
+    assert UniPolynomial(b_times) == pb * UniPolynomial.one_minus_t_pow(r) ** times
     if any(b):
-        assert UniPolynomial(int_exact_div(prod_ab, mul_one_minus_t_pow(b, r, times))) == pa
-    multiple = mul_one_minus_t_pow(a, 1)
-    assert UniPolynomial(div_one_minus_t(multiple)) == pa
+        assert UniPolynomial(int_exact_div(int_mul(a, b_times), b_times)) == pa
+    assert UniPolynomial(div_one_minus_t(mul_one_minus_t_pow(a, 1))) == pa
 
 
 def test_int_exact_div_certifies():
@@ -234,11 +232,3 @@ def test_int_exact_div_certifies():
     with pytest.raises(ZeroDivisionError):
         int_exact_div([1], [0, 0])
 
-
-def test_denominator_poly():
-    parts = (1, 2, 3)
-    den = UniPolynomial([1])
-    for w in parts:
-        den = den * UniPolynomial.one_minus_t_pow(w)
-    assert UniPolynomial(denominator_poly(parts, 6)) == den
-    assert len(denominator_poly(parts, 9)) == 10
