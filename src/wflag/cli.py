@@ -68,25 +68,30 @@ def _default_jobs() -> int:
         return 1
 
 
-def _load_json(path: str) -> object:
+def _read_input(path: str, parse):
+    """parse(JSON content of the file at path); every failure, a bad entry
+    included, is a DomainError that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}")
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise DomainError(f"{path}: malformed entry ({exc!r})") from None
 
 
-def _series_from_file(path: str) -> RationalFunction:
-    obj = _load_json(path)
+def _series_from_json(obj: object) -> RationalFunction:
     if not isinstance(obj, dict) or "numerator" not in obj:
-        raise DomainError(f"{path}: expected an object with a 'numerator' key")
+        raise DomainError("expected an object with a 'numerator' key")
     num = UniPolynomial([records.fraction_from_json(c) for c in obj["numerator"]])
     if "weights" in obj:
         weights = [int(w) for w in obj["weights"]]
         if any(w < 1 for w in weights):
-            raise DomainError(f"{path}: denominator weights must be positive")
+            raise DomainError("denominator weights must be positive")
         den = UniPolynomial([1])
         for w in weights:
             den = den * UniPolynomial.one_minus_t_pow(w)
@@ -95,22 +100,21 @@ def _series_from_file(path: str) -> RationalFunction:
     else:
         den = UniPolynomial([1])
     if den.is_zero():
-        raise DomainError(f"{path}: zero denominator")
+        raise DomainError("zero denominator")
     return RationalFunction(num, den)
 
 
-def _basket_from_file(path: str) -> list[tuple[QuotientSingularity, int]]:
-    obj = _load_json(path)
+def _basket_from_json(obj: object) -> list[tuple[QuotientSingularity, int]]:
     if not isinstance(obj, list):
-        raise DomainError(f"{path}: expected a JSON list of quotient points")
+        raise DomainError("expected a JSON list of quotient points")
     out: list[tuple[QuotientSingularity, int]] = []
     for item in obj:
         if not isinstance(item, dict) or "r" not in item or "type" not in item:
-            raise DomainError(f"{path}: each entry needs 'r' and 'type' keys")
+            raise DomainError("each entry needs 'r' and 'type' keys")
         sing = QuotientSingularity(int(item["r"]), tuple(int(a) for a in item["type"]))
         mult = int(item.get("multiplicity", 1))
         if mult < 0:
-            raise DomainError(f"{path}: multiplicities must be nonnegative")
+            raise DomainError("multiplicities must be nonnegative")
         out.append((sing, mult))
     return out
 
@@ -176,7 +180,7 @@ def cmd_qorb(args: argparse.Namespace) -> int:
 
 
 def cmd_initial(args: argparse.Namespace) -> int:
-    series = _series_from_file(args.series)
+    series = _read_input(args.series, _series_from_json)
     init = initial_term(series, args.n, args.k)
     a_poly = init * (UniPolynomial.one_minus_t_pow(1) ** (args.n + 1))
     if a_poly.den != UniPolynomial([1]):
@@ -188,8 +192,8 @@ def cmd_initial(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    series = _series_from_file(args.series)
-    basket = _basket_from_file(args.basket)
+    series = _read_input(args.series, _series_from_json)
+    basket = _read_input(args.basket, _basket_from_json)
     init = initial_term(series, args.n, args.k)
     total = init
     for sing, mult in basket:
@@ -353,17 +357,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         for note in _table_row_mismatches(row, cand):
             footnotes.append(f"row {idx}: {note}")
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in rows)) for c in range(len(headers))
-    ]
-
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(
-            cell.ljust(widths[c]) for c, cell in enumerate(cells)
-        ).rstrip()
-
-    out_lines = [line(headers), line(tuple("-" * w for w in widths))]
-    out_lines.extend(line(r) for r in rows)
+    out_lines = records.aligned_table(headers, rows)
     if footnotes:
         out_lines.append("")
         out_lines.append("deviations from the previously published table:")

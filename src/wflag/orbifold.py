@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 from math import gcd
+from typing import Sequence
 
+from .linalg import solve
 from .ratfun import (
     DomainError,
     P_ONE,
@@ -24,6 +25,8 @@ from .ratfun import (
     RationalFunction,
     T,
     UniPolynomial,
+    int_coeffs,
+    mul_one_minus_t_pow,
     poly_gcd,
     poly_xgcd,
     series_of,
@@ -220,26 +223,38 @@ def baskets(
     return tuple(out)
 
 
-def _type_vectors(
-    types: tuple[QuotientSingularity, ...], k: int, n: int
-) -> list[tuple[Fraction, ...]]:
-    """Each type's contribution over the common denominator (1-t)^n prod(1-t^r)."""
+@cache
+def _int_numerator(sing: QuotientSingularity, k: int, n: int) -> tuple[int, ...]:
+    num = qorb(sing, k, n).numerator
+    if num is None:  # pragma: no cover - not reachable for supported k
+        raise DomainError("contribution is not polynomial over the window")
+    return tuple(int_coeffs(num))
+
+
+def type_vectors(
+    types: Sequence[QuotientSingularity], k: int, n: int
+) -> tuple[list[list[int]], list[int]]:
+    """The contributions of the types over one common denominator.
+
+    Returns (V, C) with C = (1−t)ⁿ·∏(1−t^r), r running over the distinct
+    indices, and V_Q = B_Q·∏_{r′≠r_Q}(1−t^{r′}) for each type Q, so that the
+    contribution of Q is V_Q / C.  The V_Q are integer coefficient lists
+    padded to one common length (at least 1).
+    """
     indices = sorted({t.r for t in types})
-    cofactor: dict[int, UniPolynomial] = {}
-    for r in indices:
-        p = P_ONE
-        for r2 in indices:
-            if r2 != r:
-                p = p * UniPolynomial.one_minus_t_pow(r2)
-        cofactor[r] = p
-    vecs: list[UniPolynomial] = []
+    vecs = []
     for t in types:
-        num = qorb(t, k, n).numerator
-        if num is None:  # pragma: no cover - not reachable for supported k
-            raise DomainError("contribution is not polynomial over the window")
-        vecs.append(num * cofactor[t.r])
-    length = max((v.degree for v in vecs), default=-1) + 1
-    return [tuple(v[i] for i in range(length)) for v in vecs]
+        v = list(_int_numerator(t, k, n))
+        for r in indices:
+            if r != t.r:
+                v = mul_one_minus_t_pow(v, r)
+        vecs.append(v)
+    length = max(map(len, vecs), default=1)
+    vecs = [v + [0] * (length - len(v)) for v in vecs]
+    common = mul_one_minus_t_pow([1], 1, n)
+    for r in indices:
+        common = mul_one_minus_t_pow(common, r)
+    return vecs, common
 
 
 def basket_kernel(
@@ -248,52 +263,29 @@ def basket_kernel(
     """Admissible collections of at least two distinct types whose
     contributions sum to zero exactly.
 
-    Uses the nullspace of the contribution vectors: a collection is a 0/1
-    vector in the kernel, so only free-coordinate patterns need enumerating.
+    A collection is a 0/1 vector in the nullspace of the contribution
+    vectors, and a kernel vector is fixed by its free coordinates, so only
+    0/1 patterns on the free coordinates need enumerating.
     """
     types = tuple(types)
     m = len(types)
     if m < 2:
         return ()
-    vecs = _type_vectors(types, k, n)
-    length = len(vecs[0]) if vecs else 0
-    # row-reduce the (length x m) matrix whose columns are the vectors
-    rows = [[vecs[j][i] for j in range(m)] for i in range(length)]
-    pivot_of_col: dict[int, int] = {}
-    ri = 0
-    for col in range(m):
-        piv = next((i for i in range(ri, length) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        lead = rows[ri][col]
-        rows[ri] = [x / lead for x in rows[ri]]
-        for i in range(length):
-            if i != ri and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
-        pivot_of_col[col] = ri
-        ri += 1
-    free_cols = [c for c in range(m) if c not in pivot_of_col]
-    if not free_cols:
+    vecs, _ = type_vectors(types, k, n)
+    rows = list(zip(*vecs))
+    _, kernel = solve(rows, [0] * len(rows))
+    if not kernel:
         return ()
-    if len(free_cols) > 24:
+    if len(kernel) > 24:
         raise DomainError("kernel search space too large")
     counts = Counter(extended_weights)
     out = []
-    for mask in range(1, 1 << len(free_cols)):
-        assign = {c: (mask >> i) & 1 for i, c in enumerate(free_cols)}
+    for mask in range(1, 1 << len(kernel)):
         member = [0] * m
-        ok = True
-        for c, val in assign.items():
-            member[c] = val
-        for col, prow in pivot_of_col.items():
-            val = -sum(rows[prow][f] * assign[f] for f in free_cols)
-            if val not in (0, 1):
-                ok = False
-                break
-            member[col] = int(val)
-        if not ok:
+        for i, vec in enumerate(kernel):
+            if (mask >> i) & 1:
+                member = [a + b for a, b in zip(member, vec)]
+        if any(v not in (0, 1) for v in member):
             continue
         subset = tuple(t for t, used in zip(types, member) if used)
         if len(subset) < 2:
@@ -301,11 +293,9 @@ def basket_kernel(
         index_counts = Counter(t.r for t in subset)
         if any(index_counts[r] > counts[r] for r in index_counts):
             continue
-        total = [Fraction(0)] * len(vecs[0])
-        for t, used in zip(range(m), member):
-            if used:
-                total = [x + y for x, y in zip(total, vecs[t])]
-        if any(total):
+        # the certificate: the members' vectors sum to zero
+        chosen = [v for v, flag in zip(vecs, member) if flag]
+        if any(map(sum, zip(*chosen))):
             continue
         out.append(subset)
     out.sort(key=lambda s: tuple((t.r, t.weights) for t in s))

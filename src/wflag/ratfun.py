@@ -3,8 +3,9 @@
 There is no floating point anywhere.  `UniPolynomial` and `RationalFunction`
 compute over Q with `fractions.Fraction`; rational functions are kept in a
 canonical form (numerator and denominator coprime, denominator monic) so that
-equality is plain structural equality.  The hot paths instead use the helpers
-on plain integer coefficient lists below (product, multiplication by
+equality is plain structural equality.  The hot paths (the closed-form
+Hilbert series, the per-tuple scan and its exact stage) instead use the
+helpers on plain integer coefficient lists below (product, multiplication by
 (1 − t^r), exact division), which never take a gcd.
 """
 from __future__ import annotations
@@ -251,9 +252,10 @@ T = UniPolynomial([0, 1])
 
 # -- integer coefficient lists ---------------------------------------------
 #
-# The hot paths (the closed-form Hilbert series, the per-tuple scan) work on
-# plain ``list[int]`` coefficient lists, index i holding the coefficient of
-# t^i.  No gcd is ever taken; divisions are exact or they fail.
+# The hot paths (the closed-form Hilbert series, the per-tuple scan and its
+# exact stage) work on plain ``list[int]`` coefficient lists, index i holding
+# the coefficient of t^i.  No gcd is ever taken; divisions are exact or they
+# fail.
 
 
 def int_coeffs(poly: UniPolynomial) -> list[int]:
@@ -593,7 +595,6 @@ def _coerce_rat(x: object) -> RationalFunction:
 
 
 RF_ZERO = RationalFunction(P_ZERO)
-RF_ONE = RationalFunction(P_ONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -651,7 +652,3 @@ def series_of(f: RationalFunction, order: int) -> TruncatedSeries:
         out.append(acc * inv0)
     return TruncatedSeries(out)
 
-
-def evaluate_at(f: RationalFunction, point: Scalar) -> Fraction:
-    """Value of f at a rational point; DomainError at a pole."""
-    return f.evaluate(point)

@@ -324,6 +324,19 @@ def compact_weights(weights: Sequence[int]) -> str:
     return ",".join(parts)
 
 
+def aligned_table(
+    headers: Sequence[str], rows: Sequence[Sequence[str]]
+) -> list[str]:
+    """Lines of a left-aligned text table: the headers, a rule of dashes and
+    the rows, with columns two spaces apart and no trailing spaces."""
+    widths = [max(len(cell) for cell in column) for column in zip(headers, *rows)]
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+
+    return [line(headers), line(["-" * w for w in widths]), *map(line, rows)]
+
+
 def emit_text(candidates: Sequence[Candidate], stream: IO[str]) -> None:
     headers = ("mu", "u", "ambient", "degree", "basket", "BK")
     rows = [
@@ -337,17 +350,7 @@ def emit_text(candidates: Sequence[Candidate], stream: IO[str]) -> None:
         )
         for cand in candidates
     ]
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
-        for c in range(len(headers))
-    ]
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(cells)).rstrip()
-
-    stream.write(line(headers) + "\n")
-    stream.write(line(tuple("-" * w for w in widths)) + "\n")
-    for r in rows:
-        stream.write(line(r) + "\n")
+    stream.write("".join(line + "\n" for line in aligned_table(headers, rows)))
 
 
 EMITTERS = {"json": emit_json, "csv": emit_csv, "text": emit_text}

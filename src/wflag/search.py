@@ -11,9 +11,10 @@ singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
 The per-tuple work is arranged as a funnel: cheap integer filters first, a
-modular consistency prescreen next, and exact rational arithmetic only for
-the rare survivors.  Every emitted candidate is re-verified through an exact
-rational-function identity, so the fast paths cannot produce false positives.
+modular consistency prescreen next, and for the rare survivors an exact
+integer coefficient system over the common denominator of the contributions.
+Every emitted basket m is certified by the integer identity V·m == R of that
+system, so the fast paths cannot produce false positives.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from functools import cache
 from itertools import combinations, product
 from math import comb, gcd, prod
 from multiprocessing import get_context
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .formats import (
@@ -34,12 +36,14 @@ from .formats import (
     enumerate_parameters,
     hilbert_series,
 )
+from .linalg import modular_inverse, solve
 from .orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
     basket_kernel,
     porb_cont,
     qorb,
+    type_vectors,
 )
 from .ratfun import (
     DomainError,
@@ -48,10 +52,12 @@ from .ratfun import (
     denominator_poly,
     div_one_minus_t,
     int_coeffs,
+    int_exact_div,
     int_mul,
 )
 
 _PRIME = (1 << 61) - 1  # Mersenne prime used by the modular prescreen
+_inv_mod = modular_inverse(_PRIME)
 
 
 # ---------------------------------------------------------------------------
@@ -187,39 +193,6 @@ def degree_of(series: RationalFunction, n: int) -> Fraction:
         den = den // one_minus_t
 
 
-def _solve_free_zero(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Particular solution with free variables set to zero, or None."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((r for r in range(prow, m) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = 1 / aug[prow][col]
-        aug[prow] = [v * inv for v in aug[prow]]
-        for r in range(m):
-            if r != prow and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for r in range(m):
-        if aug[r][ncols] and not any(aug[r][:ncols]):
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, col in pivots:
-        sol[col] = aug[r][ncols]
-    return sol
-
-
 def solve_multiplicities(
     series: RationalFunction,
     init: RationalFunction,
@@ -227,33 +200,25 @@ def solve_multiplicities(
 ) -> list[int] | None:
     """Multiplicities m ≥ 0 with series = init + Σ mᵢ·contribᵢ, else None.
 
-    The system is solved from evaluations at t = 2..j+1 and the winning
-    combination is confirmed by an exact rational-function identity, so the
-    choice of evaluation points is immaterial.
+    The contributions share one canonical weight k and one dimension n.
+    Over the common denominator C of the contributions this is the integer
+    system Σ mᵢ·Vᵢ = (series − init)·C (see `type_vectors`); the solution with
+    free multiplicities zero is returned once it passes that identity.
     """
     target = series - init
-    j = len(contribs)
-    if j == 0:
-        return [] if target.num.is_zero() else None
-    rows = []
-    rhs = []
-    for x in range(2, j + 2):
-        rows.append([c.value.evaluate(Fraction(x)) for c in contribs])
-        rhs.append(target.evaluate(Fraction(x)))
-    sol = _solve_free_zero(rows, rhs)
-    if sol is None:
+    if not contribs:
+        return [] if target.is_zero() else None
+    n = len(contribs[0].singularity.weights)
+    V, C = type_vectors([c.singularity for c in contribs], contribs[0].k, n)
+    R = target * RationalFunction(UniPolynomial(C))
+    if R.den.degree > 0 or any(c.denominator != 1 for c in R.num.coeffs):
+        return None  # V·m is an integer polynomial for every integer m
+    rows, rhs = _coefficient_system(V, int_coeffs(R.num))
+    solved = solve(rows, rhs)
+    if solved is None or any(v < 0 or v.denominator != 1 for v in solved[0]):
         return None
-    if any(v < 0 or v.denominator != 1 for v in sol):
-        return None
-    total = RationalFunction(UniPolynomial([0]), UniPolynomial([1]))
-    for v, c in zip(sol, contribs):
-        if v:
-            total = total + c.value * RationalFunction(
-                UniPolynomial([v]), UniPolynomial([1])
-            )
-    if total != target:
-        return None
-    return [int(v) for v in sol]
+    m = [int(v) for v in solved[0]]
+    return m if _certified(rows, rhs, m) else None
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +254,15 @@ def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> l
     return A
 
 
-def _poly_deg_val(coeffs: Sequence[int]) -> tuple[int, int]:
-    deg = -1
-    val = -1
-    for i, v in enumerate(coeffs):
-        if v:
-            deg = i
-            if val < 0:
-                val = i
-    return deg, val
-
-
 # ---------------------------------------------------------------------------
 # modular prescreen
-
-
-@cache
-def _inv_mod(a: int) -> int:
-    return pow(a % _PRIME, _PRIME - 2, _PRIME)
 
 
 @cache
 def _qorb_numerator_mod(sing: QuotientSingularity, k: int, n: int) -> tuple[tuple[int, ...], int]:
     """(numerator coefficients mod prime, degree) of the contribution."""
     numer = qorb(sing, k, n).numerator
-    coeffs = []
-    for c in numer.coeffs:
-        coeffs.append(c.numerator * _inv_mod(c.denominator) % _PRIME)
-    return tuple(coeffs), numer.degree
+    return tuple(c % _PRIME for c in int_coeffs(numer)), numer.degree
 
 
 @cache
@@ -332,157 +278,49 @@ def _type_value_mod(sing: QuotientSingularity, k: int, n: int, x: int) -> int | 
     return b * _inv_mod(d) % _PRIME
 
 
-@cache
-def _type_value_exact(sing: QuotientSingularity, k: int, n: int, x: int) -> Fraction:
-    return qorb(sing, k, n).value.evaluate(Fraction(x))
-
-
-def _modp_consistent(rows: list[list[int]], rhs: list[int]) -> bool:
-    """False when the augmented system is provably inconsistent mod the prime."""
-    m = len(rows)
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, m):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = _inv_mod(aug[prow][col])
-        base = aug[prow]
-        for r in range(prow + 1, m):
-            f = aug[r][col]
-            if f:
-                f = f * inv % _PRIME
-                aug[r] = [(a - f * b) % _PRIME for a, b in zip(aug[r], base)]
-        prow += 1
-        if prow == m:
-            break
-    for row in aug:
-        if row[ncols] and not any(row[:ncols]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exact solving for prescreen survivors
 
 
-def _rref(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Reduced row echelon of the augmented system.
-
-    Returns (particular solution with free vars zero, kernel basis, pivot
-    columns) or (None, None, None) when inconsistent.
-    """
-    m = len(rows)
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((r for r in range(prow, m) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = 1 / aug[prow][col]
-        aug[prow] = [v * inv for v in aug[prow]]
-        for r in range(m):
-            if r != prow and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for row in aug:
-        if row[ncols] and not any(row[:ncols]):
-            return None, None, None
-    piv_cols = [c for _, c in pivots]
-    particular = [Fraction(0)] * ncols
-    for r, c in pivots:
-        particular[c] = aug[r][ncols]
-    kernel: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in piv_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in pivots:
-            vec[c] = -aug[r][free]
-        kernel.append(vec)
-    return particular, kernel, piv_cols
+def _coefficient_system(
+    V: Sequence[Sequence[int]], R: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Σ m_Q·V_Q = R as (rows, rhs), one equation per power of t."""
+    length = max(len(V[0]), len(R))
+    rows = [[v[i] if i < len(v) else 0 for v in V] for i in range(length)]
+    return rows, list(R) + [0] * (length - len(R))
 
 
-def _combination_value(
-    types: Sequence[QuotientSingularity], coeffs: Sequence[Fraction], k: int, n: int
-) -> RationalFunction:
-    total = RationalFunction(UniPolynomial([0]), UniPolynomial([1]))
-    for sing, cval in zip(types, coeffs):
-        if cval:
-            total = total + qorb(sing, k, n).value * RationalFunction(
-                UniPolynomial([cval]), UniPolynomial([1])
-            )
-    return total
+def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
+    """The certificate of every solution m: V·m == R in integers."""
+    return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
 
 
-def _solutions_from_exact_system(
-    kept: list[QuotientSingularity],
-    target: RationalFunction,
-    k: int,
-    n: int,
+def _exact_solutions(
+    kept: list[QuotientSingularity], N0: list[int], den: list[int], k: int, n: int
 ) -> list[dict[QuotientSingularity, int]]:
-    """All nonnegative integer solutions of Σ m·P_Q = target whose support
-    admits no internal zero-sum relation (those have a smaller representative
-    that is also returned)."""
-    j = len(kept)
-    need = j + 4
-    round_limit = 4
-    for _ in range(round_limit):
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        x = 2
-        while len(rows) < need:
-            try:
-                vals = [_type_value_exact(s, k, n, x) for s in kept]
-                tval = target.evaluate(Fraction(x))
-            except DomainError:
-                x += 1
-                continue
-            rows.append(vals)
-            rhs.append(tval)
-            x += 1
-        particular, kernel, _ = _rref(rows, rhs)
-        if particular is None:
-            return []
-        if not kernel:
-            return _check_unique(kept, particular, target, k, n)
-        # confirm the evaluation kernel is a genuine function kernel;
-        # otherwise take more evaluation points and repeat
-        if all(
-            _combination_value(kept, vec, k, n).num.is_zero() for vec in kernel
-        ):
-            return _enumerate_kernel_solutions(
-                kept, particular, kernel, target, k, n
-            )
-        need += j + 2
-    raise ArithmeticError("evaluation points failed to separate contributions")
+    """All nonnegative integer solutions m of P_X − P_I = N0/den = Σ m_Q·P_Q
+    whose support admits no internal zero-sum relation (those have a smaller
+    representative that is also returned).
 
-
-def _check_unique(kept, particular, target, k, n):
-    if any(v < 0 or v.denominator != 1 for v in particular):
+    Over the common denominator C of the types this is Σ m_Q·V_Q = R with
+    R = N0·C/den.  When den does not divide N0·C there is no solution, since
+    any solution makes (P_X − P_I)·C a polynomial.
+    """
+    V, C = type_vectors(kept, k, n)
+    try:
+        R = int_exact_div(int_mul(N0, C), den)
+    except ArithmeticError:
         return []
-    if _combination_value(kept, particular, k, n) != target:
+    rows, rhs = _coefficient_system(V, R)
+    solved = solve(rows, rhs)
+    if solved is None:
         return []
-    return [
-        {s: int(v) for s, v in zip(kept, particular) if v}
-    ]
+    particular, kernel = solved
+    return _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs)
 
 
-def _enumerate_kernel_solutions(kept, particular, kernel, target, k, n):
+def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
     j = len(kept)
     involved = sorted(
         {i for vec in kernel for i in range(j) if vec[i]}
@@ -526,11 +364,13 @@ def _enumerate_kernel_solutions(kept, particular, kernel, target, k, n):
         assigns: list[dict[int, Fraction]] = []
         seen_vals: set[tuple[Fraction, ...]] = set()
         for zero_set in combinations(coords, dim):
-            rows = [[vec[i] for vec in vecs] for i in zero_set]
-            rhs = [-particular[i] for i in zero_set]
-            lam, lam_kernel, _ = _rref(rows, rhs)
-            if lam is None or lam_kernel:
+            solved = solve(
+                [[vec[i] for vec in vecs] for i in zero_set],
+                [-particular[i] for i in zero_set],
+            )
+            if solved is None or solved[1]:
                 continue
+            lam = solved[0]
             vals: dict[int, Fraction] = {}
             for i in coords:
                 v = particular[i] + sum(
@@ -560,13 +400,12 @@ def _enumerate_kernel_solutions(kept, particular, kernel, target, k, n):
         for vals in combo:
             for i, v in vals.items():
                 sol[i] = v
-        key = tuple(sorted((i, int(v)) for i, v in enumerate(sol) if v))
-        if key in seen:
-            continue
-        if _combination_value(kept, sol, k, n) != target:
+        m = [int(v) for v in sol]
+        key = tuple((i, v) for i, v in enumerate(m) if v)
+        if key in seen or not _certified(rows, rhs, m):
             continue
         seen.add(key)
-        solutions.append({s: int(v) for s, v in zip(kept, sol) if v})
+        solutions.append({s: v for s, v in zip(kept, m) if v})
     return solutions
 
 
@@ -622,7 +461,7 @@ def search_embedding(
             (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
             for i in range(max(len(H), len(prod_ai)))
         ]
-        dN0, _vN0 = _poly_deg_val(N0)
+        dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
 
         if dN0 < 0:
             # P_X = P_I exactly: smooth member
@@ -679,16 +518,11 @@ def search_embedding(
             rows.append(vals)
             rhs.append(rv)
             x += 1
-        if not degenerate and not _modp_consistent(rows, rhs):
+        if not degenerate and solve(rows, rhs, _PRIME) is None:
             continue
 
-        # exact confirmation (rare)
-        P_X = RationalFunction(data.numerator, UniPolynomial(den))
-        P_I = RationalFunction(
-            UniPolynomial(A), UniPolynomial([1, -1]) ** (n + 1)
-        )
-        target = P_X - P_I
-        for solution in _solutions_from_exact_system(kept, target, k, n):
+        # exact stage (rare)
+        for solution in _exact_solutions(kept, N0, den, k, n):
             if not _support_admissible(solution, extended):
                 continue
             _emit(
@@ -785,7 +619,7 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
             yield _sweep_one(task)
         return
     ctx = get_context("fork")
-    with ctx.Pool(processes=config.jobs) as pool:
+    with ctx.Pool(processes=min(config.jobs, len(tasks))) as pool:
         for result in pool.imap(_sweep_one, tasks, chunksize=1):
             yield result
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from .linalg import solve
+
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -129,39 +131,12 @@ def is_dominant(v: Vector, simple_roots: tuple[Vector, ...], form: Matrix) -> bo
 def simple_root_coordinates(
     v: Vector, simple_roots: tuple[Vector, ...]
 ) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in the simple-root basis, or None if v is not in the span.
-
-    Plain Gaussian elimination over Q; the systems here are tiny.
-    """
-    dim = len(v)
-    r = len(simple_roots)
-    rows = [[Fraction(simple_roots[j][i]) for j in range(r)] + [Fraction(v[i])]
-            for i in range(dim)]
-    pivots: list[int] = []
-    ri = 0
-    for col in range(r):
-        piv = next((i for i in range(ri, dim) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        lead = rows[ri][col]
-        rows[ri] = [x / lead for x in rows[ri]]
-        for i in range(dim):
-            if i != ri and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
-        pivots.append(col)
-        ri += 1
-    # consistency: rows below the pivot rows must have zero rhs
-    for i in range(ri, dim):
-        if rows[i][-1]:
-            return None
-    if len(pivots) < r:
-        return None  # simple roots are independent, so this should not happen
-    out = [Fraction(0)] * r
-    for i, col in enumerate(pivots):
-        out[col] = rows[i][-1]
-    return tuple(out)
+    """Coordinates of v in the simple-root basis, or None if v is not in the span."""
+    rows = [[a[i] for a in simple_roots] for i in range(len(v))]
+    solved = solve(rows, v)
+    if solved is None or solved[1]:
+        return None  # simple roots are independent, so a kernel cannot occur
+    return tuple(solved[0])
 
 
 # -- dimensions and multiplicities -----------------------------------------

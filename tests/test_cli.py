@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wflag.cli import _normalize_argv, build_parser, main
-from wflag.records import candidate_from_json
+from wflag.ratfun import UniPolynomial
+from wflag.records import ResultWriter, candidate_from_json
+from wflag.search import G2_FANO_TABLE, Candidate, SweepResult
 
 X7_SERIES = {"numerator": [1, 0, 0, 0, 0, 0, 0, -1], "weights": [1, 1, 1, 1, 2]}
 X7_BASKET = [{"r": 2, "type": [1, 1, 1], "multiplicity": 1}]
@@ -322,6 +326,68 @@ def test_report_from_incomplete_cache(tmp_path, capsys):
     assert "not present" in err
 
 
+REPORT_TABLE1 = """\
+row  mu      u  X                             degree  basket                                          BK
+---  ------  -  ----------------------------  ------  ----------------------------------------------  --
+1    (0,0)   1  P[1^12]                       18      -                                               N
+2    (-1,1)  3  P[1,2^4,3^4,4^2,5]            9/10    9 x 1/2(1,1,1), 1/5(3,4,4)                      N
+3    (-1,1)  4  P[2,3^4,4^4,5^3]              1/5     2 x 1/2(1,1,1), 6 x 1/3(1,1,2), 3 x 1/5(3,4,4)  N
+4    (-2,3)  4  P[1^2,2,3^2,4^3,5^2,6,7]      9/14    2 x 1/4(1,1,3), 1/7(4,5,6)                      N
+5    (-4,6)  7  P[1^2,3,5^2,7^3,9^2,11,13]    18/91   2 x 1/7(1,2,5), 1/13(7,9,11)                    N
+6    (-3,4)  7  P[2,3,4,5,6^2,7^2,8,9,10,11]  1/22    7 x 1/2(1,1,1), 3 x 1/3(1,1,2), 1/11(6,7,10)    N
+
+deviations from the previously published table:
+  row 2: published BK Y, computed N
+  row 6: published degree 4/65, computed 1/22
+  row 6: published BK Y, computed N
+"""
+
+
+def test_report_table1_bytes(tmp_path, capsys):
+    # a record file holding exactly the six table rows (the report reads
+    # only weights, basket, degree and kernels of each candidate)
+    cache = tmp_path / "records.ndjson"
+    with open(cache, "w", encoding="utf-8") as fh:
+        writer = ResultWriter(fh)
+        for row in G2_FANO_TABLE:
+            cand = Candidate(
+                "g2", row["mu"], row["u"], row["weights"], -1, 3, row["degree"],
+                row["basket"], (), not row["basket"], UniPolynomial([1]),
+            )
+            writer.write_result(
+                SweepResult("g2", row["mu"], row["u"], -1, 3, (cand,), 1, 0)
+            )
+    code, out, _ = run_cli(capsys, "report", "table1", "--from", str(cache))
+    assert code == 0
+    assert out == REPORT_TABLE1
+
+
+@pytest.mark.parametrize(
+    "command, payload, flag",
+    [
+        ("initial", {"numerator": ["x"], "weights": [1]}, "--series"),
+        ("initial", {"numerator": [1], "weights": ["a"]}, "--series"),
+        ("decompose", [{"r": "z", "type": [1, 1, 1]}], "--basket"),
+        ("decompose", [{"r": 2, "type": [1, 1, 1], "multiplicity": {}}], "--basket"),
+        ("initial", {"numerator": [{"num": "1", "den": "0"}]}, "--series"),
+    ],
+)
+def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
+    bad = write_json(tmp_path / "bad.json", payload)
+    files = {
+        "--series": write_json(tmp_path / "series.json", X7_SERIES),
+        "--basket": write_json(tmp_path / "basket.json", X7_BASKET),
+        flag: bad,
+    }
+    argv = [command, "--series", files["--series"]]
+    if command == "decompose":
+        argv += ["--basket", files["--basket"]]
+    code, _, err = run_cli(capsys, *argv, "--n", "3", "--k", "1")
+    assert code == 1
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_via_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "wflag", "qorb", "--r", "2", "--type", "1,1,1", "--k", "1"],
@@ -331,3 +397,22 @@ def test_cli_via_module_invocation():
     )
     assert proc.returncode == 0
     assert "-t^3" in proc.stdout
+
+
+def test_decomposition_example_script():
+    import wflag
+
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(wflag.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_decomposition_example.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "identity holds: P = P_I + P_Q" in proc.stdout

@@ -169,6 +169,25 @@ def test_emitters_present_identical_candidate_sets(small_candidates):
         assert any(degree in line for line in text_lines[2:])
 
 
+def test_text_rendering_bytes(small_candidates):
+    assert render(small_candidates, "text") == (
+        "mu      u  ambient             degree  basket"
+        "                                          BK\n"
+        "------  -  ------------------  ------  ----------------------------------------------  --\n"
+        "(0,0)   1  P[1^12]             18      -"
+        "                                               N\n"
+        "(-1,1)  3  P[1,2^4,3^4,4^2,5]  9/10    9 x 1/2(1,1,1), 1/5(3,4,4)"
+        "                      N\n"
+        "(-1,1)  3  P[1,2^4,3^4,4^2,5]  9/10    9 x 1/4(1,1,3), 9 x 1/4(3,3,3), 1/5(3,4,4)"
+        "      N\n"
+        "(-1,1)  3  P[1,2^3,3^5,4^3]    3/4     3 x 1/2(1,1,1), 6 x 1/3(1,1,2), 3 x 1/4(3,3,3)"
+        "  N\n"
+    )
+    assert render([], "text") == (
+        "mu  u  ambient  degree  basket  BK\n--  -  -------  ------  ------  --\n"
+    )
+
+
 def test_csv_contains_expected_cells(small_candidates):
     out = render(small_candidates, "csv")
     assert out.startswith("format,mu,u,weights,k,n,degree,basket,kernel,smooth")

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from wflag.formats import FORMATS, CocharacterParam, hilbert_series
 from wflag.orbifold import QuotientSingularity, initial_term, qorb
-from wflag.ratfun import DomainError, RationalFunction, UniPolynomial
+from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
 from wflag.search import (
     G2_FANO_TABLE,
+    _exact_solutions,
     Candidate,
     SearchConfig,
     candidate_key,
@@ -211,6 +212,17 @@ def test_solver_recovers_planted_baskets():
         assert solved == planted, f"trial {trials}: {solved} != {planted}"
 
 
+def test_exact_stage_needs_an_exact_division():
+    # X7 = X_7 ⊂ P(1,1,1,1,2): P_X − P_I = −t³/((1−t)³(1−t²)) = N0/den with
+    # den = (1−t)⁴(1−t²), and C = (1−t)³(1−t²) for the one type
+    parts = (1, 1, 1, 1, 2)
+    den = denominator_poly(parts, sum(parts))
+    kept = [Q(2, 1, 1, 1)]
+    assert _exact_solutions(kept, [0, 0, 0, -1, 1], den, 1, 3) == [{Q(2, 1, 1, 1): 1}]
+    # N0 = 1 leaves N0·C/den = 1/(1−t), which is no polynomial
+    assert _exact_solutions(kept, [1], den, 1, 3) == []
+
+
 # ---------------------------------------------------------------------------
 # search_embedding and search
 
@@ -271,6 +283,43 @@ def test_search_matches_worker_pool():
     assert [candidate_key(c) for c in search(base)] == [
         candidate_key(c) for c in search(parallel)
     ]
+
+
+def test_pool_never_exceeds_the_embeddings(monkeypatch):
+    import wflag.search as search_module
+
+    sizes = []
+
+    class SpyPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)  # runs in this process: no worker starts
+
+    class SpyContext:
+        Pool = SpyPool
+
+    monkeypatch.setattr(search_module, "get_context", lambda method: SpyContext())
+    params = sweep_parameters(SearchConfig(format_name="g2", u_max=2))[:2]
+    assert len(params) == 2
+    config = SearchConfig(format_name="g2", k=-1, n=3, jobs=4, params=params)
+    results = list(search_module.iter_search(config))
+    assert sizes == [2]
+    assert [(r.mu, r.u) for r in results] == [(p.mu, p.u) for p in params]
+
+
+def test_search_submodule_is_not_shadowed():
+    import wflag.search
+
+    assert wflag.search.search_embedding is search_embedding
+    assert wflag.search.search is search
 
 
 def test_sweep_parameters_bounds():
