@@ -284,6 +284,8 @@ def _run_sweep(
 def cmd_search(args: argparse.Namespace) -> int:
     if args.format not in FORMATS:
         raise DomainError(f"unknown format {args.format!r}")
+    if args.n < 1:
+        raise DomainError(f"dimension --n must be at least 1, got {args.n}")
     config = SearchConfig(
         format_name=args.format,
         k=args.k,

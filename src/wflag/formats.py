@@ -39,7 +39,7 @@ from .ratfun import (
     RationalFunction,
     UniPolynomial,
     denominator_poly,
-    div_one_minus_t,
+    div_one_minus_t_pow,
     int_exact_div,
     int_mul,
     mul_one_minus_t_pow,
@@ -349,10 +349,11 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
     if len(h) != q + 1 or h[0] != 1 or h[::-1] != [sign * c for c in h]:
         raise ArithmeticError(_CERT_MESSAGE)
     reduced = h
-    for _ in range(e):
-        if sum(reduced):
-            raise ArithmeticError(_CERT_MESSAGE)
-        reduced = div_one_minus_t(reduced)
+    try:
+        for _ in range(e):
+            reduced = div_one_minus_t_pow(reduced, 1)
+    except ArithmeticError:
+        raise ArithmeticError(_CERT_MESSAGE) from None
     return EmbeddingData(
         format_name=fmt.name,
         mu=param.mu,

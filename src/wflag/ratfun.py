@@ -5,8 +5,9 @@ compute over Q with `fractions.Fraction`; rational functions are kept in a
 canonical form (numerator and denominator coprime, denominator monic) so that
 equality is plain structural equality.  The hot paths (the closed-form
 Hilbert series, the per-tuple scan and its exact stage) instead use the
-helpers on plain integer coefficient lists below (product, multiplication by
-(1 − t^r), exact division), which never take a gcd.
+helpers on plain integer coefficient lists below (product, multiplication
+and exact division by (1 − t^r), exact long division), which never take a
+gcd.
 """
 from __future__ import annotations
 
@@ -303,15 +304,19 @@ def denominator_poly(parts: Sequence[int], total: int) -> list[int]:
     return den
 
 
-def div_one_minus_t(coeffs: Sequence[int]) -> list[int]:
-    """Quotient of a polynomial by (1 − t); the remainder, which is the sum of
-    all coefficients, is dropped, so the caller guarantees divisibility."""
-    acc = 0
-    out = []
-    for v in coeffs[:-1]:
-        acc += v
-        out.append(acc)
-    return out
+def div_one_minus_t_pow(a: Sequence[int], r: int) -> list[int]:
+    """The quotient a / (1 − t^r) in ℤ[t], one sparse pass.
+
+    The quotient runs the recurrence q[i] = a[i] + q[i−r] over the trimmed
+    list; a is a multiple of (1 − t^r) exactly when its top r entries vanish,
+    and otherwise ArithmeticError is raised.
+    """
+    q = _int_trim(a)
+    for i in range(r, len(q)):
+        q[i] += q[i - r]
+    if any(q[-r:]):
+        raise ArithmeticError("polynomial division is not exact")
+    return q[:-r]
 
 
 def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:

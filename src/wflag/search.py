@@ -10,11 +10,12 @@ Each success is emitted as a :class:`Candidate` carrying its basket of
 singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
-The per-tuple work is arranged as a funnel: cheap integer filters first, a
-modular consistency prescreen next, and for the rare survivors an exact
-integer coefficient system over the common denominator of the contributions.
-Every emitted basket m is certified by the integer identity V·m == R of that
-system, so the fast paths cannot produce false positives.
+The per-tuple work is arranged as a funnel: cheap integer filters first,
+then the integrality of R = (P_X − P_I)·C over the common denominator C of
+the contributions (sparse exact divisions by each 1 − t^{p_i}), and for the
+rare survivors the integer coefficient system V·m = R, solved over ℚ.  Every
+emitted basket m is certified by the identity V·m == R in integers, so the
+filters cannot produce false positives.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import comb, gcd, prod
 from multiprocessing import get_context
@@ -36,13 +36,13 @@ from .formats import (
     enumerate_parameters,
     hilbert_series,
 )
-from .linalg import modular_inverse, solve
+from .linalg import solve
 from .orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
+    _int_numerator,
     basket_kernel,
     porb_cont,
-    qorb,
     type_vectors,
 )
 from .ratfun import (
@@ -50,14 +50,11 @@ from .ratfun import (
     RationalFunction,
     UniPolynomial,
     denominator_poly,
-    div_one_minus_t,
+    div_one_minus_t_pow,
     int_coeffs,
-    int_exact_div,
     int_mul,
+    mul_one_minus_t_pow,
 )
-
-_PRIME = (1 << 61) - 1  # Mersenne prime used by the modular prescreen
-_inv_mod = modular_inverse(_PRIME)
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +252,7 @@ def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> l
 
 
 # ---------------------------------------------------------------------------
-# modular prescreen
-
-
-@cache
-def _qorb_numerator_mod(sing: QuotientSingularity, k: int, n: int) -> tuple[tuple[int, ...], int]:
-    """(numerator coefficients mod prime, degree) of the contribution."""
-    numer = qorb(sing, k, n).numerator
-    return tuple(c % _PRIME for c in int_coeffs(numer)), numer.degree
-
-
-@cache
-def _type_value_mod(sing: QuotientSingularity, k: int, n: int, x: int) -> int | None:
-    """Contribution value at t=x mod prime; None when a denominator vanishes."""
-    coeffs, _ = _qorb_numerator_mod(sing, k, n)
-    b = 0
-    for c in reversed(coeffs):
-        b = (b * x + c) % _PRIME
-    d = (1 - pow(x, sing.r, _PRIME)) * pow(1 - x, n, _PRIME) % _PRIME
-    if d == 0:
-        return None
-    return b * _inv_mod(d) % _PRIME
-
-
-# ---------------------------------------------------------------------------
-# exact solving for prescreen survivors
+# the exact stage: integrality of R, then the system over ℚ
 
 
 def _coefficient_system(
@@ -296,22 +269,43 @@ def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
     return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
 
 
+def _integral_target(
+    kept: Sequence[QuotientSingularity], N0: list[int], parts: Sequence[int], n: int
+) -> list[int] | None:
+    """R = N0·C/∏(1 − t^{p_i}) with C = (1−t)ⁿ∏(1−t^r) over the indices r of
+    the types, or None when R is not a polynomial; one sparse pass per factor.
+    """
+    R = mul_one_minus_t_pow(N0, 1, n)
+    for r in sorted({sng.r for sng in kept}):
+        R = mul_one_minus_t_pow(R, r)
+    try:
+        for w in parts:
+            R = div_one_minus_t_pow(R, w)
+    except ArithmeticError:
+        return None
+    return R
+
+
 def _exact_solutions(
-    kept: list[QuotientSingularity], N0: list[int], den: list[int], k: int, n: int
+    kept: list[QuotientSingularity],
+    N0: list[int],
+    parts: Sequence[int],
+    k: int,
+    n: int,
 ) -> list[dict[QuotientSingularity, int]]:
-    """All nonnegative integer solutions m of P_X − P_I = N0/den = Σ m_Q·P_Q
-    whose support admits no internal zero-sum relation (those have a smaller
-    representative that is also returned).
+    """All nonnegative integer solutions m of P_X − P_I = N0/∏(1 − t^{p_i})
+    = Σ m_Q·P_Q whose support admits no internal zero-sum relation (those
+    have a smaller representative that is also returned).
 
     Over the common denominator C of the types this is Σ m_Q·V_Q = R with
-    R = N0·C/den.  When den does not divide N0·C there is no solution, since
-    any solution makes (P_X − P_I)·C a polynomial.
+    R = (P_X − P_I)·C.  V·m is an integer polynomial for every integer m, so
+    when R is not one there is no solution; this test runs first, before any
+    type vector is built.
     """
-    V, C = type_vectors(kept, k, n)
-    try:
-        R = int_exact_div(int_mul(N0, C), den)
-    except ArithmeticError:
+    R = _integral_target(kept, N0, parts, n)
+    if R is None:
         return []
+    V, _ = type_vectors(kept, k, n)
     rows, rhs = _coefficient_system(V, R)
     solved = solve(rows, rhs)
     if solved is None:
@@ -437,7 +431,6 @@ def search_embedding(
     q = data.adjunction_number
     total = q - k
     H = int_coeffs(data.numerator)
-    Hx_mod: dict[int, int] = {}
     Hred1 = int(data.numerator_reduced.evaluate(Fraction(1)))
     ambient = data.weights
 
@@ -450,12 +443,11 @@ def search_embedding(
 
     for parts in _iter_pos_wt(ambient, s, total):
         scanned += 1
-        den = denominator_poly(parts, total)
-        den_n1 = den
+        den_n1 = denominator_poly(parts, total)
         for _ in range(n + 1):
-            den_n1 = div_one_minus_t(den_n1)
+            den_n1 = div_one_minus_t_pow(den_n1, 1)
         A = _initial_coeffs(H, parts, k, n)
-        # N0 = H − A·(den/(1−t)^{n+1}) is the numerator of P_X − P_I over den
+        # N0 = H − A·den_n1 is the numerator of P_X − P_I over ∏(1 − t^{p_i})
         prod_ai = int_mul(A, den_n1)
         N0 = [
             (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
@@ -477,52 +469,12 @@ def search_embedding(
         kept = [
             sng
             for sng in types
-            if _qorb_numerator_mod(sng, k, n)[1] - n - sng.r <= rat_rhs
+            if len(_int_numerator(sng, k, n)) - 1 - n - sng.r <= rat_rhs
         ]
         if not kept:
             continue
 
-        # modular consistency prescreen
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        x = 2
-        need = len(kept) + 4
-        degenerate = False
-        while len(rows) < need:
-            vals = [_type_value_mod(sng, k, n, x) for sng in kept]
-            if any(v is None for v in vals):
-                x += 1
-                if x > 200:
-                    degenerate = True
-                    break
-                continue
-            if x in Hx_mod:
-                hx = Hx_mod[x]
-            else:
-                hx = 0
-                for c in reversed(H):
-                    hx = (hx * x + c) % _PRIME
-                Hx_mod[x] = hx
-            dpx = 1
-            for w in parts:
-                dpx = dpx * (1 - pow(x, w, _PRIME)) % _PRIME
-            if dpx == 0:
-                x += 1
-                continue
-            ax = 0
-            for c in reversed(A):
-                ax = (ax * x + c) % _PRIME
-            rv = (
-                hx * _inv_mod(dpx) - ax * _inv_mod(pow(1 - x, n + 1, _PRIME))
-            ) % _PRIME
-            rows.append(vals)
-            rhs.append(rv)
-            x += 1
-        if not degenerate and solve(rows, rhs, _PRIME) is None:
-            continue
-
-        # exact stage (rare)
-        for solution in _exact_solutions(kept, N0, den, k, n):
+        for solution in _exact_solutions(kept, N0, parts, k, n):
             if not _support_admissible(solution, extended):
                 continue
             _emit(

@@ -370,9 +370,21 @@ def test_report_table1_bytes(tmp_path, capsys):
         ("decompose", [{"r": "z", "type": [1, 1, 1]}], "--basket"),
         ("decompose", [{"r": 2, "type": [1, 1, 1], "multiplicity": {}}], "--basket"),
         ("initial", {"numerator": [{"num": "1", "den": "0"}]}, "--series"),
+        ("search", None, "--n"),
     ],
 )
 def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
+    if command == "search":
+        # a dimension below 1 is rejected before any sweep or record
+        out = tmp_path / "out.ndjson"
+        code, _, err = run_cli(
+            capsys, "search", "--format", "g2", "--k", "-1", "--n", "-2",
+            "--u-max", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: dimension --n must be at least 1")
+        assert not out.exists()
+        return
     bad = write_json(tmp_path / "bad.json", payload)
     files = {
         "--series": write_json(tmp_path / "series.json", X7_SERIES),

@@ -6,28 +6,25 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wflag.linalg import modular_inverse, solve
+from wflag.linalg import solve
 from wflag.weyl import int_det
 
-PRIMES = (None, 2, 5, (1 << 61) - 1)
 
-
-def _rank(matrix, p):
-    """Largest size of a nonzero minor (mod p when p is given): a rank that
-    shares no code with the solver."""
+def _rank(matrix):
+    """Largest size of a nonzero minor: a rank that shares no code with the
+    solver."""
     m, n = len(matrix), len(matrix[0])
     for size in range(min(m, n), 0, -1):
         for rs in combinations(range(m), size):
             for cs in combinations(range(n), size):
                 det = int_det(tuple(tuple(matrix[r][c] for c in cs) for r in rs))
-                if (det % p if p else det) != 0:
+                if det != 0:
                     return size
     return 0
 
 
-def _apply(rows, x, p):
-    out = [sum(a * v for a, v in zip(row, x)) for row in rows]
-    return [v % p for v in out] if p else out
+def _apply(rows, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in rows]
 
 
 @st.composite
@@ -37,48 +34,36 @@ def systems(draw):
     entry = st.integers(-3, 3)
     rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
     rhs = [draw(entry) for _ in range(m)]
-    return rows, rhs, draw(st.sampled_from(PRIMES))
+    return rows, rhs
 
 
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_solve_agrees_with_ranks(system):
-    rows, rhs, p = system
+    rows, rhs = system
     ncols = len(rows[0])
-    rank = _rank(rows, p)
-    solved = solve(rows, rhs, p)
+    rank = _rank(rows)
+    solved = solve(rows, rhs)
     if solved is None:
         augmented = [row + [b] for row, b in zip(rows, rhs)]
-        assert _rank(augmented, p) > rank
+        assert _rank(augmented) > rank
         return
     x, kernel = solved
-    assert _apply(rows, x, p) == ([b % p for b in rhs] if p else rhs)
+    assert _apply(rows, x) == rhs
     assert len(kernel) == ncols - rank
     for vec in kernel:
-        assert not any(_apply(rows, vec, p))
+        assert not any(_apply(rows, vec))
     # each kernel vector ends in the 1 of its free column (the columns to
     # its right are free or hold pivots of rows that vanish there)
     free = [max(i for i, v in enumerate(vec) if v) for vec in kernel]
     for f, vec in zip(free, kernel):
         assert vec[f] == 1 and x[f] == 0
         assert all(vec[g] == 0 for g in free if g != f)
-    if p is None:
-        assert all(isinstance(v, Fraction) for v in x)
-    else:
-        assert all(0 <= v < p for vec in [x, *kernel] for v in vec)
+    assert all(isinstance(v, Fraction) for vec in [x, *kernel] for v in vec)
 
 
 def test_solve_returns_free_zero_solution_and_kernel():
     assert solve([[1, 2], [2, 4]], [3, 6]) == ([3, 0], [[-2, 1]])
     assert solve([[1, 2], [2, 4]], [3, 7]) is None
-    assert solve([[1, 2], [2, 4]], [3, 6], p=7) == ([3, 0], [[5, 1]])
     assert solve([[2, 0], [0, 3]], [1, 1]) == ([Fraction(1, 2), Fraction(1, 3)], [])
 
-
-def test_modular_inverse():
-    for p in (2, 5, (1 << 61) - 1):
-        inverse = modular_inverse(p)
-        assert inverse is modular_inverse(p)
-        for a in (1, 3, 12345, p - 1, -3):
-            if a % p:
-                assert a * inverse(a) % p == 1

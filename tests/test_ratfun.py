@@ -15,7 +15,7 @@ from wflag.ratfun import (
     T,
     TruncatedSeries,
     UniPolynomial,
-    div_one_minus_t,
+    div_one_minus_t_pow,
     int_exact_div,
     int_mul,
     mul_one_minus_t_pow,
@@ -218,7 +218,7 @@ def test_integer_list_helpers_match_polynomials(a, b, r, times):
     assert UniPolynomial(b_times) == pb * UniPolynomial.one_minus_t_pow(r) ** times
     if any(b):
         assert UniPolynomial(int_exact_div(int_mul(a, b_times), b_times)) == pa
-    assert UniPolynomial(div_one_minus_t(mul_one_minus_t_pow(a, 1))) == pa
+    assert UniPolynomial(div_one_minus_t_pow(mul_one_minus_t_pow(a, r), r)) == pa
 
 
 def test_int_exact_div_certifies():
@@ -232,3 +232,14 @@ def test_int_exact_div_certifies():
     with pytest.raises(ZeroDivisionError):
         int_exact_div([1], [0, 0])
 
+
+def test_div_one_minus_t_pow_certifies():
+    # (1 + 2t)(1 − t²), with a trailing zero that the helper trims
+    assert div_one_minus_t_pow([1, 2, -1, -2, 0], 2) == [1, 2]
+    assert div_one_minus_t_pow([0, 0], 3) == []
+    # 1 + t − t³ is 1 at t = 1, where 1 − t² vanishes
+    with pytest.raises(ArithmeticError, match="not exact"):
+        div_one_minus_t_pow([1, 1, 0, -1], 2)
+    # a nonzero list shorter than r + 1 is not a multiple of 1 − t^r
+    with pytest.raises(ArithmeticError, match="not exact"):
+        div_one_minus_t_pow([1, -1, 0, 0], 2)

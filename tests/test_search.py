@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wflag.formats import FORMATS, CocharacterParam, hilbert_series
-from wflag.orbifold import QuotientSingularity, initial_term, qorb
+import wflag.search as search_module
+from wflag.formats import FORMATS, CocharacterParam, enumerate_parameters, hilbert_series
+from wflag.orbifold import QuotientSingularity, initial_term, qorb, type_vectors
 from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
 from wflag.search import (
     G2_FANO_TABLE,
     _exact_solutions,
+    _integral_target,
     Candidate,
     SearchConfig,
     candidate_key,
@@ -216,11 +218,54 @@ def test_exact_stage_needs_an_exact_division():
     # X7 = X_7 ⊂ P(1,1,1,1,2): P_X − P_I = −t³/((1−t)³(1−t²)) = N0/den with
     # den = (1−t)⁴(1−t²), and C = (1−t)³(1−t²) for the one type
     parts = (1, 1, 1, 1, 2)
-    den = denominator_poly(parts, sum(parts))
     kept = [Q(2, 1, 1, 1)]
-    assert _exact_solutions(kept, [0, 0, 0, -1, 1], den, 1, 3) == [{Q(2, 1, 1, 1): 1}]
+    assert _exact_solutions(kept, [0, 0, 0, -1, 1], parts, 1, 3) == [{Q(2, 1, 1, 1): 1}]
     # N0 = 1 leaves N0·C/den = 1/(1−t), which is no polynomial
-    assert _exact_solutions(kept, [1], den, 1, 3) == []
+    assert _exact_solutions(kept, [1], parts, 1, 3) == []
+
+
+@pytest.mark.parametrize(
+    "format_name, k, params",
+    [
+        ("g2", -1, {"u_max": 3}),
+        ("g2", 1, {"u_max": 3}),
+        ("gr25", 1, {"q_max": 12}),
+    ],
+    ids=["g2-k-1-u3", "g2-k1-u3", "gr25-k1-q12"],
+)
+def test_integrality_filter_matches_rational_functions(monkeypatch, format_name, k, params):
+    """The first exact filter against the unfiltered rational-function path:
+    for every tuple with kept types, R = (P_X − P_I)·C when that product is a
+    polynomial, and no solution when it is not."""
+    calls = []
+
+    def spy(kept, N0, parts, k, n):
+        solutions = _exact_solutions(kept, N0, parts, k, n)
+        calls.append((kept, N0, parts, solutions))
+        return solutions
+
+    monkeypatch.setattr(search_module, "_exact_solutions", spy)
+    fmt = FORMATS[format_name]
+    integral = rejected = 0
+    for param in enumerate_parameters(fmt, **params):
+        data = hilbert_series(fmt, param)
+        # H = P·∏(1 − t^w) over the ambient weights, a polynomial
+        H = data.series * UniPolynomial(denominator_poly(data.weights, sum(data.weights)))
+        assert H.den == UniPolynomial([1])
+        calls.clear()
+        search_embedding(format_name, param, k=k, n=3)
+        for kept, N0, parts, solutions in calls:
+            series = H / UniPolynomial(denominator_poly(parts, sum(parts)))
+            _, C = type_vectors(kept, k, 3)
+            product = (series - initial_term(series, 3, k)) * UniPolynomial(C)
+            R = _integral_target(kept, N0, parts, 3)
+            if product.den == UniPolynomial([1]):
+                integral += 1
+                assert R is not None and UniPolynomial(R) == product.num
+            else:
+                rejected += 1
+                assert R is None and solutions == []
+    assert integral and rejected
 
 
 # ---------------------------------------------------------------------------
