@@ -133,6 +133,11 @@ def _param_from_args(args: argparse.Namespace) -> tuple[str, CocharacterParam]:
     return args.format, param
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"dimension --n must be at least 1, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -180,6 +185,7 @@ def cmd_qorb(args: argparse.Namespace) -> int:
 
 
 def cmd_initial(args: argparse.Namespace) -> int:
+    _check_dimension(args.n)
     series = _read_input(args.series, _series_from_json)
     init = initial_term(series, args.n, args.k)
     a_poly = init * (UniPolynomial.one_minus_t_pow(1) ** (args.n + 1))
@@ -192,6 +198,7 @@ def cmd_initial(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    _check_dimension(args.n)
     series = _read_input(args.series, _series_from_json)
     basket = _read_input(args.basket, _basket_from_json)
     init = initial_term(series, args.n, args.k)
@@ -284,8 +291,7 @@ def _run_sweep(
 def cmd_search(args: argparse.Namespace) -> int:
     if args.format not in FORMATS:
         raise DomainError(f"unknown format {args.format!r}")
-    if args.n < 1:
-        raise DomainError(f"dimension --n must be at least 1, got {args.n}")
+    _check_dimension(args.n)
     config = SearchConfig(
         format_name=args.format,
         k=args.k,

@@ -6,13 +6,15 @@ canonical form (numerator and denominator coprime, denominator monic) so that
 equality is plain structural equality.  The hot paths (the closed-form
 Hilbert series, the per-tuple scan and its exact stage) instead use the
 helpers on plain integer coefficient lists below (product, multiplication
-and exact division by (1 − t^r), exact long division), which never take a
-gcd.
+and exact division by (1 − t^r), exact long division, cyclotomic
+polynomials and the number of times they divide a polynomial), which never
+take a gcd.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Sequence, Union
 
@@ -345,6 +347,30 @@ def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if any(rem):
         raise ArithmeticError("polynomial division is not exact")
     return quot
+
+
+@cache
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Φ_d: t^d − 1 divided exactly by Φ_e for every proper divisor e of d."""
+    out = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            out = int_exact_div(out, cyclotomic(e))
+    return tuple(out)
+
+
+def cyclotomic_valuation(a: Sequence[int], d: int) -> int:
+    """The number of times Φ_d divides the nonzero integer list a exactly."""
+    if not any(a):
+        raise ZeroDivisionError("the zero polynomial has no valuation")
+    phi = cyclotomic(d)
+    v = 0
+    while True:
+        try:
+            a = int_exact_div(a, phi)
+        except ArithmeticError:
+            return v
+        v += 1
 
 
 def _int_trim(a: Sequence[int]) -> list[int]:

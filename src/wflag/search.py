@@ -10,12 +10,27 @@ Each success is emitted as a :class:`Candidate` carrying its basket of
 singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
-The per-tuple work is arranged as a funnel: cheap integer filters first,
-then the integrality of R = (P_X − P_I)·C over the common denominator C of
-the contributions (sparse exact divisions by each 1 − t^{p_i}), and for the
-rare survivors the integer coefficient system V·m = R, solved over ℚ.  Every
-emitted basket m is certified by the identity V·m == R in integers, so the
-filters cannot produce false positives.
+The per-tuple work is arranged as a funnel: a pole-order bound at the roots
+of unity first, then cheap integer filters, then the integrality of
+R = (P_X − P_I)·C over the common denominator C of the contributions (sparse
+exact divisions by each 1 − t^{p_i}), and for the rare survivors the integer
+coefficient system V·m = R, solved over ℚ.  Every emitted basket m is
+certified by the identity V·m == R in integers, so the filters cannot
+produce false positives.
+
+The pole-order bound needs no polynomial work per tuple.  Each orbifold term
+B_Q/((1−t)ⁿ(1−t^{r_Q})) has at most a simple pole at a primitive d-th root
+of unity ζ_d with d > 1, and P_I = A/(1−t)^{n+1} has none, so an emitted
+decomposition P_X − P_I = Σ m_Q·B_Q/((1−t)ⁿ(1−t^{r_Q})) leaves P_X at most a
+simple pole there (a smooth member, P_X = P_I, has none at all).  Each
+1 − t^{p_i} vanishes simply at ζ_d when d | p_i and not at all otherwise,
+and Φ_d is irreducible, so the pole order of P_X = H/∏(1 − t^{p_i}) at ζ_d
+is #{i : d | p_i} − v_{Φ_d}(H) when that is positive, where v_{Φ_d}(H) is
+the number of times the cyclotomic polynomial Φ_d divides H.  A tuple with
+#{i : d | p_i} > v_{Φ_d}(H) + 1 for some d is therefore one that the exact
+stage would reject.  The caps v_{Φ_d}(H) + 1 are computed once per
+embedding, and the bound is checked before any per-tuple polynomial work;
+it does not prune the enumeration, so `tuples_scanned` counts every tuple.
 """
 from __future__ import annotations
 
@@ -49,6 +64,7 @@ from .ratfun import (
     DomainError,
     RationalFunction,
     UniPolynomial,
+    cyclotomic_valuation,
     denominator_poly,
     div_one_minus_t_pow,
     int_coeffs,
@@ -168,6 +184,29 @@ def pos_wt(ambient: Sequence[int], s: int, w: int) -> list[tuple[int, ...]]:
     """All size-s multisets from [1, max(ambient)] summing to w that give a
     well-formed weighted projective space and respect the top-weight cap."""
     return list(_iter_pos_wt(ambient, s, w))
+
+
+# ---------------------------------------------------------------------------
+# the pole-order bound at roots of unity
+
+
+def _pole_caps(H: Sequence[int], wmax: int, s: int) -> list[tuple[int, int]]:
+    """The pairs (d, cap_d) with cap_d = v_{Φ_d}(H) + 1 for 2 ≤ d ≤ wmax,
+    keeping only the caps below s, the size of a tuple."""
+    caps = []
+    for d in range(2, wmax + 1):
+        cap = cyclotomic_valuation(H, d) + 1
+        if cap < s:
+            caps.append((d, cap))
+    return caps
+
+
+def _pole_orders_bounded(
+    parts: Sequence[int], caps: Sequence[tuple[int, int]]
+) -> bool:
+    """True when H/∏(1 − t^{p_i}) has at most a simple pole at each
+    primitive d-th root of unity, that is #{i : d | p_i} ≤ cap_d."""
+    return all(sum(1 for p in parts if p % d == 0) <= cap for d, cap in caps)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +479,12 @@ def search_embedding(
 
     if total < s:
         return [], 0
+    caps = _pole_caps(H, max(ambient), s)
 
     for parts in _iter_pos_wt(ambient, s, total):
         scanned += 1
+        if not _pole_orders_bounded(parts, caps):
+            continue
         den_n1 = denominator_poly(parts, total)
         for _ in range(n + 1):
             den_n1 = div_one_minus_t_pow(den_n1, 1)

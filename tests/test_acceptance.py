@@ -2,7 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion.  The heavyweight Fano sweep (u <= 7) is computed once per module
-and shared.  The truncated Grassmannian sweep is optional and gated behind
+and shared; the k = 1 and k = 0 censuses (u <= 7) run in full as well.  The
+truncated Grassmannian sweep is optional and gated behind
 ``WFLAG_RUN_SLOW=1``.
 """
 from __future__ import annotations
@@ -469,10 +470,6 @@ G2_K1_DEVIATING_ROWS = (
 )
 
 
-@pytest.mark.skipif(
-    os.environ.get("WFLAG_RUN_SLOW") != "1",
-    reason="long-running optional sweeps; set WFLAG_RUN_SLOW=1 to enable",
-)
 def test_optional_g2_other_canonical_weights():
     from wflag.search import search
 

@@ -371,6 +371,8 @@ def test_report_table1_bytes(tmp_path, capsys):
         ("decompose", [{"r": 2, "type": [1, 1, 1], "multiplicity": {}}], "--basket"),
         ("initial", {"numerator": [{"num": "1", "den": "0"}]}, "--series"),
         ("search", None, "--n"),
+        ("initial", None, "--n"),
+        ("decompose", None, "--n"),
     ],
 )
 def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
@@ -384,6 +386,20 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
         assert code == 1
         assert err.startswith("error: dimension --n must be at least 1")
         assert not out.exists()
+        return
+    if flag == "--n":
+        # every dimension below 1 is an error, not a traceback or an answer
+        series = write_json(tmp_path / "series.json", X7_SERIES)
+        basket = write_json(tmp_path / "basket.json", X7_BASKET)
+        extra = ["--basket", basket] if command == "decompose" else []
+        for n in ("-5", "-1", "0"):
+            code, out, err = run_cli(
+                capsys, command, "--series", series, *extra, "--n", n, "--k", "0"
+            )
+            assert code == 1
+            assert err == f"error: dimension --n must be at least 1, got {n}\n"
+            assert out == ""
+            assert "Traceback" not in err
         return
     bad = write_json(tmp_path / "bad.json", payload)
     files = {

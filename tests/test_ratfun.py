@@ -15,6 +15,9 @@ from wflag.ratfun import (
     T,
     TruncatedSeries,
     UniPolynomial,
+    cyclotomic,
+    cyclotomic_valuation,
+    denominator_poly,
     div_one_minus_t_pow,
     int_exact_div,
     int_mul,
@@ -243,3 +246,42 @@ def test_div_one_minus_t_pow_certifies():
     # a nonzero list shorter than r + 1 is not a multiple of 1 − t^r
     with pytest.raises(ArithmeticError, match="not exact"):
         div_one_minus_t_pow([1, -1, 0, 0], 2)
+
+
+def test_cyclotomic_polynomials_multiply_to_t_pow_minus_one():
+    assert cyclotomic(1) == (-1, 1)
+    assert cyclotomic(6) == (1, -1, 1)
+    assert cyclotomic(12) == (1, 0, -1, 0, 1)
+    for m in range(1, 41):
+        product = [1]
+        for e in range(1, m + 1):
+            if m % e == 0:
+                product = int_mul(product, cyclotomic(e))
+        assert product == [-1] + [0] * (m - 1) + [1], m
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 30), max_size=8), int_lists.filter(any))
+def test_cyclotomic_valuation_counts_divisible_weights(weights, b):
+    # ∏(1 − t^{a_i}) vanishes at a primitive d-th root of unity once for
+    # each a_i that d divides: the identity the pole-order bound rests on
+    den = denominator_poly(weights, sum(weights))
+    for d in range(1, 31):
+        count = sum(1 for a in weights if a % d == 0)
+        assert cyclotomic_valuation(den, d) == count
+        v = cyclotomic_valuation(b, d)
+        divides = not UniPolynomial(b) % UniPolynomial(cyclotomic(d))
+        assert (v > 0) == divides
+        assert cyclotomic_valuation(int_mul(b, den), d) == v + count
+
+
+def test_cyclotomic_valuation_of_coprime_polynomials_is_zero():
+    for d in range(1, 31):
+        assert cyclotomic_valuation([1], d) == 0
+        assert cyclotomic_valuation([0, 0, 0, 0, 0, 7], d) == 0
+    # 1 + t + t² is Φ₃, and 1 − t + t² is Φ₆
+    valuations = [cyclotomic_valuation([1, 1, 1], d) for d in range(1, 8)]
+    assert valuations == [0, 0, 1, 0, 0, 0, 0]
+    assert cyclotomic_valuation(int_mul([1, -1, 1], [1, -1, 1]), 6) == 2
+    with pytest.raises(ZeroDivisionError):
+        cyclotomic_valuation([0, 0], 2)

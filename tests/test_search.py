@@ -268,6 +268,43 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
     assert integral and rejected
 
 
+@pytest.mark.parametrize(
+    "format_name, k, n, bounds",
+    [
+        ("g2", -1, 3, {"u_max": 4}),
+        ("g2", 0, 3, {"u_max": 4}),
+        ("g2", 1, 3, {"u_max": 4}),
+        ("g2", -1, 3, {"params": (CocharacterParam((-2, 2), 5),)}),
+        ("g2", 1, 2, {"u_max": 4}),
+        ("gr25", 1, 3, {"q_max": 12}),
+        ("gr25", -1, 3, {"q_max": 12}),
+    ],
+    ids=[
+        "g2-k-1-u4", "g2-k0-u4", "g2-k1-u4", "g2-k-1-mu-2.2-u5",
+        "g2-n2-k1-u4", "gr25-k1-q12", "gr25-k-1-q12",
+    ],
+)
+def test_pole_order_filter_matches_unfiltered_search(monkeypatch, format_name, k, n, bounds):
+    """The pole-order bound against the path without it: the same candidates
+    and the same scanned counts on every embedding, with tuples cut."""
+    config = SearchConfig(format_name=format_name, k=k, n=n, **bounds)
+    bounded = search_module._pole_orders_bounded
+    cut = []
+
+    def spy(parts, caps):
+        ok = bounded(parts, caps)
+        if not ok:
+            cut.append(parts)
+        return ok
+
+    for param in sweep_parameters(config):
+        monkeypatch.setattr(search_module, "_pole_orders_bounded", spy)
+        filtered = search_embedding(format_name, param, k=k, n=n)
+        monkeypatch.setattr(search_module, "_pole_orders_bounded", lambda parts, caps: True)
+        assert search_embedding(format_name, param, k=k, n=n) == filtered, param
+    assert cut
+
+
 # ---------------------------------------------------------------------------
 # search_embedding and search
 
