@@ -285,7 +285,7 @@ def _run_sweep(
     finally:
         if writer_stream is not None:
             writer_stream.close()
-    return records.merge_with_cache(cached, fresh)
+    return merge_candidates(cached + fresh)
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -19,16 +19,11 @@ from typing import Sequence
 from .linalg import solve
 from .ratfun import (
     DomainError,
-    P_ONE,
     P_ZERO,
     RF_ZERO,
     RationalFunction,
-    T,
     UniPolynomial,
-    int_coeffs,
     mul_one_minus_t_pow,
-    poly_gcd,
-    poly_xgcd,
     series_of,
 )
 
@@ -48,6 +43,8 @@ class QuotientSingularity:
         ws = tuple(sorted(int(a) for a in weights))
         if r < 2:
             raise DomainError("index must be at least 2")
+        if not ws:
+            raise DomainError("a quotient type needs at least one weight")
         if any(not 0 < a < r for a in ws):
             raise DomainError("weights must lie strictly between 0 and the index")
         object.__setattr__(self, "r", int(r))
@@ -61,10 +58,9 @@ class QuotientSingularity:
 class OrbifoldContribution:
     """One singularity's closed-form share of a Hilbert series.
 
-    ``numerator`` is value * (1-t)^n (1-t^r) whenever that product is a
-    polynomial (always the case for the canonical weights used here); its
-    support lies in the window [floor(c/2)+1, floor(c/2)+r-1] for
-    c = k + n + 1.
+    ``numerator`` is B_Q = value·(1−t)ⁿ(1−t^r) when that product is a
+    polynomial (always when k ≥ −n − 3, sometimes below), else None; its
+    support lies in the window [⌊c/2⌋+1, ⌊c/2⌋+r−1] for c = k + n + 1.
     """
 
     singularity: QuotientSingularity
@@ -73,13 +69,14 @@ class OrbifoldContribution:
     numerator: UniPolynomial | None
 
 
-@cache
-def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
-    """Closed-form contribution of an isolated quotient singularity.
-
-    Raises DomainError if the canonical weight k is incompatible with the
-    type, or if the type is not an isolated singularity.
-    """
+def _inverse_numerator(
+    sing: QuotientSingularity, k: int, n: int
+) -> tuple[int, list[int]]:
+    """(l, β) with l = ⌊(k+n+1)/2⌋ + 1 and β the inverse of
+    t^l·∏(1−t^{aᵢ})/(1−t)ⁿ modulo A = 1 + t + … + t^{r−1}, of degree below
+    r − 1.  In integers: (1−t^a)/(1−t) has the inverse Σ_{j<a′} t^{a·j}
+    with a·a′ ≡ 1 (mod r), and t^{−1} ≡ t^{r−1}, so β is a product in
+    ℤ[t]/(t^r − 1), reduced modulo A by cⱼ − c_{r−1}."""
     a = sing.weights
     if len(a) != n:
         raise DomainError("weight count must match the dimension")
@@ -88,23 +85,51 @@ def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
         raise DomainError("canonical weight not compatible")
     if any(gcd(r, ai) != 1 for ai in a):
         raise DomainError("non-isolated type")
-    pi = P_ONE
+    l = (k + n + 1) // 2 + 1
+    c = [0] * r
+    c[-l % r] = 1
     for ai in a:
-        pi = pi * UniPolynomial.one_minus_t_pow(ai)
-    one_minus_tr = UniPolynomial.one_minus_t_pow(r)
-    h = poly_gcd(one_minus_tr, pi).degree
-    l = (k + n + 1) // 2 + h
-    de = max(0, -(l // r))
-    m = l + de * r
-    one_minus_t = UniPolynomial([1, -1])
-    aa = one_minus_tr.exact_div(one_minus_t)
-    b0 = pi.exact_div(one_minus_t**n)
-    hpoly, _, beta = poly_xgcd(aa, T**m * b0)
-    denom = hpoly * one_minus_t**n * one_minus_tr * T ** (de * r)
-    value = RationalFunction(T**m * beta, denom)
-    numer_rf = value * (one_minus_t**n * one_minus_tr)
-    numerator = numer_rf.num if numer_rf.den == P_ONE else None
-    return OrbifoldContribution(sing, k, value, numerator)
+        steps = [ai * j % r for j in range(pow(ai, -1, r))]
+        c = [sum(c[(i - s) % r] for s in steps) for i in range(r)]
+    return l, [cj - c[-1] for cj in c[:-1]]
+
+
+def _shifted(l: int, beta: list[int]) -> list[int] | None:
+    """t^l·β, trimmed, or None when l < 0 and t^{−l} does not divide β."""
+    if l < 0 and any(beta[:-l]):
+        return None
+    out = [0] * l + beta if l >= 0 else beta[-l:]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@cache
+def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
+    """Closed-form contribution t^l·β/((1−t)ⁿ(1−t^r)) of an isolated quotient
+    singularity (the InvMod formula of Buckley–Reid–Zhou; l and β as in
+    `_inverse_numerator`).
+
+    In general the shift is ⌊(k+n+1)/2⌋ + h with h = deg gcd(1 − t^r,
+    ∏(1−t^{aᵢ})), and β is the extended-Euclid cofactor.  For n ≥ 1 and
+    gcd(r, aᵢ) = 1 no r-th root of unity but 1 is a root of a 1 − t^{aᵢ}, so
+    that gcd is 1 − t and h = 1; nor is a root of A one of
+    t^l·∏(1−t^{aᵢ})/(1−t)ⁿ, so the two are coprime and the cofactor is the
+    unique inverse of degree below r − 1, which is β.
+
+    Raises DomainError if the canonical weight k is incompatible with the
+    type, or if the type is not an isolated singularity.
+    """
+    l, beta = _inverse_numerator(sing, k, n)
+    den = mul_one_minus_t_pow([0] * max(-l, 0) + [1], 1, n)
+    value = RationalFunction(
+        UniPolynomial([0] * max(l, 0) + beta),
+        UniPolynomial(mul_one_minus_t_pow(den, sing.r)),
+    )
+    num = _shifted(l, beta)
+    return OrbifoldContribution(
+        sing, k, value, None if num is None else UniPolynomial(num)
+    )
 
 
 def initial_term(series: RationalFunction, n: int, k: int) -> RationalFunction:
@@ -225,10 +250,14 @@ def baskets(
 
 @cache
 def _int_numerator(sing: QuotientSingularity, k: int, n: int) -> tuple[int, ...]:
-    num = qorb(sing, k, n).numerator
-    if num is None:  # pragma: no cover - not reachable for supported k
-        raise DomainError("contribution is not polynomial over the window")
-    return tuple(int_coeffs(num))
+    """The integer coefficients of the numerator B_Q of `qorb`; raises
+    DomainError where `qorb` does and where B_Q is not a polynomial."""
+    num = _shifted(*_inverse_numerator(sing, k, n))
+    if num is None:
+        raise DomainError(
+            f"contribution of {sing} at k={k} is not polynomial over the window"
+        )
+    return tuple(num)
 
 
 def type_vectors(

@@ -441,42 +441,6 @@ def poly_gcd(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
     return UniPolynomial([Fraction(c, lead) for c in f])
 
 
-def poly_xgcd(
-    a: UniPolynomial, b: UniPolynomial
-) -> tuple[UniPolynomial, UniPolynomial, UniPolynomial]:
-    """Extended gcd with the cofactors pinned down uniquely.
-
-    Returns (g, alpha, beta) with ``alpha*a + beta*b == g``, where g is the
-    monic gcd, ``deg alpha < deg b - deg g`` and ``deg beta < deg a - deg g``
-    (whenever those bounds are meaningful).  The minimal-degree pair is unique,
-    which makes downstream results reproducible.
-    """
-    if a.is_zero() and b.is_zero():
-        raise DomainError("gcd of two zero polynomials")
-    if a.is_zero():
-        return b.monic(), P_ZERO, UniPolynomial([1 / b.leading])
-    if b.is_zero():
-        return a.monic(), UniPolynomial([1 / a.leading]), P_ZERO
-    # classical extended Euclid over Q
-    r0, r1 = a, b
-    s0, s1 = P_ONE, P_ZERO
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    lead = r0.leading
-    g = r0.monic()
-    alpha = UniPolynomial([c / lead for c in s0.coeffs])
-    # reduce to the minimal representative: alpha mod (b/g), then solve for beta
-    b_red = b.exact_div(g)
-    if b_red.degree > 0:
-        alpha = alpha % b_red
-    else:
-        alpha = P_ZERO
-    beta = (g - alpha * a).exact_div(b)
-    return g, alpha, beta
-
-
 # -- rational functions ----------------------------------------------------
 
 

@@ -25,11 +25,11 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .orbifold import QuotientSingularity
 from .ratfun import UniPolynomial
-from .search import Candidate, SweepResult, merge_candidates
+from .search import Candidate, SweepResult
 
 SCHEMA_VERSION = 1
 
@@ -360,10 +360,3 @@ def render(candidates: Sequence[Candidate], kind: str) -> str:
     buf = io.StringIO()
     EMITTERS[kind](candidates, buf)
     return buf.getvalue()
-
-
-def merge_with_cache(
-    cached: Iterable[Candidate], fresh: Iterable[Candidate]
-) -> list[Candidate]:
-    """Deduplicated, deterministically ordered union of cache and new results."""
-    return merge_candidates(list(cached) + list(fresh))

@@ -474,7 +474,6 @@ def search_embedding(
     ambient = data.weights
 
     candidates: list[Candidate] = []
-    seen: set = set()
     scanned = 0
 
     if total < s:
@@ -497,30 +496,28 @@ def search_embedding(
         ]
         dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
 
+        types, extended = porb_cont(parts, n, k)
         if dN0 < 0:
             # P_X = P_I exactly: smooth member
-            _emit(
-                candidates, seen, data, format_name, parts, {}, Hred1, k, n
-            )
-            continue
-
-        types, extended = porb_cont(parts, n, k)
-        if not types:
-            continue
-        rat_rhs = dN0 - total
-        kept = [
-            sng
-            for sng in types
-            if len(_int_numerator(sng, k, n)) - 1 - n - sng.r <= rat_rhs
-        ]
-        if not kept:
-            continue
-
-        for solution in _exact_solutions(kept, N0, parts, k, n):
-            if not _support_admissible(solution, extended):
+            solutions = [{}]
+        else:
+            rat_rhs = dN0 - total
+            kept = [
+                sng
+                for sng in types
+                if len(_int_numerator(sng, k, n)) - 1 - n - sng.r <= rat_rhs
+            ]
+            if not kept:
                 continue
+            solutions = [
+                solution
+                for solution in _exact_solutions(kept, N0, parts, k, n)
+                if _support_admissible(solution, extended)
+            ]
+        if solutions:
             _emit(
-                candidates, seen, data, format_name, parts, solution, Hred1, k, n
+                candidates, data, format_name, parts, solutions, types,
+                extended, Hred1, k, n,
             )
 
     candidates.sort(key=_candidate_order_key)
@@ -529,42 +526,41 @@ def search_embedding(
 
 def _emit(
     candidates: list[Candidate],
-    seen: set,
     data: EmbeddingData,
     format_name: str,
     parts: tuple[int, ...],
-    solution: dict[QuotientSingularity, int],
+    solutions: list[dict[QuotientSingularity, int]],
+    types: tuple[QuotientSingularity, ...],
+    extended: tuple[int, ...],
     Hred1: int,
     k: int,
     n: int,
 ) -> None:
-    basket = tuple(
-        sorted(solution.items(), key=lambda it: (it[0].r, it[0].weights))
-    )
-    key = (parts, basket)
-    if key in seen:
-        return
-    seen.add(key)
+    """Append one candidate per solution of a weight tuple (distinct, and
+    each tuple is scanned once), computing the tuple's kernels once."""
     degree = Fraction(Hred1, prod(parts))
     if degree <= 0:
         return
-    types, extended = porb_cont(parts, n, k)
     kernels = basket_kernel(types, extended, k, n) if types else ()
-    candidates.append(
-        Candidate(
-            format_name=format_name,
-            mu=data.mu,
-            u=data.u,
-            x_weights=parts,
-            k=k,
-            n=n,
-            degree=degree,
-            basket=basket,
-            kernels=kernels,
-            smooth=not basket,
-            numerator=data.numerator,
+    for solution in solutions:
+        basket = tuple(
+            sorted(solution.items(), key=lambda it: (it[0].r, it[0].weights))
         )
-    )
+        candidates.append(
+            Candidate(
+                format_name=format_name,
+                mu=data.mu,
+                u=data.u,
+                x_weights=parts,
+                k=k,
+                n=n,
+                degree=degree,
+                basket=basket,
+                kernels=kernels,
+                smooth=not basket,
+                numerator=data.numerator,
+            )
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,12 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion.  The heavyweight Fano sweep (u <= 7) is computed once per module
-and shared; the k = 1 and k = 0 censuses (u <= 7) run in full as well.  The
-truncated Grassmannian sweep is optional and gated behind
-``WFLAG_RUN_SLOW=1``.
+and shared; the k = 1 and k = 0 censuses (u <= 7) and the truncated
+Grassmannian census (k = 1, q <= 35) run in full as well.
 """
 from __future__ import annotations
 
 import json
-import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -529,10 +527,6 @@ def test_optional_g2_other_canonical_weights():
     assert sum(1 for c in k0 if not c.kernels) == 1
 
 
-@pytest.mark.skipif(
-    os.environ.get("WFLAG_RUN_SLOW") != "1",
-    reason="long-running optional sweep; set WFLAG_RUN_SLOW=1 to enable",
-)
 def test_optional_grassmannian_truncated_sweep():
     from wflag.search import search
 

@@ -79,6 +79,26 @@ def test_qorb_rejects_incompatible_k(capsys):
     assert "error" in err
 
 
+def test_qorb_rejects_a_type_without_weights(capsys):
+    code, out, err = run_cli(capsys, "qorb", "--r", "5", "--type", "", "--k", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a quotient type needs at least one weight\n"
+
+
+def test_search_names_a_contribution_that_is_not_polynomial(capsys):
+    # at k = -7 a threefold contribution has the shift l = -1, and that of
+    # 1/2(1,1,1) has a pole at t = 0
+    code, _, err = run_cli(
+        capsys, "search", "--format", "g2", "--k", "-7", "--n", "3",
+        "--u-max", "4", "--jobs", "1",
+    )
+    assert code == 1
+    assert err.endswith(
+        "error: contribution of 1/2(1,1,1) at k=-7 is not polynomial over the window\n"
+    )
+
+
 def test_initial_golden(tmp_path, capsys):
     series = write_json(tmp_path / "series.json", X7_SERIES)
     code, out, _ = run_cli(capsys, "initial", "--series", series, "--n", "3", "--k", "1")

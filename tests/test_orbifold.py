@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
+    _int_numerator,
     basket_kernel,
     baskets,
     gcd_closure,
@@ -38,6 +40,8 @@ def rf_quotient(num_weights, den_weights):
 def test_type_validation():
     with pytest.raises(DomainError, match="index"):
         QuotientSingularity(1, (0,))
+    with pytest.raises(DomainError, match="at least one weight"):
+        QuotientSingularity(5, ())
     with pytest.raises(DomainError, match="strictly between"):
         QuotientSingularity(5, (0, 1, 2))
     with pytest.raises(DomainError, match="strictly between"):
@@ -129,9 +133,10 @@ def oracle_qorb_value(sing: QuotientSingularity, k: int, n: int = 3):
         b0 = b0 * UniPolynomial.one_minus_t_pow(ai)
     b0 = b0.exact_div(one_minus_t**n)
     cols = []
-    for i in range(r - 1):
-        rem = (UniPolynomial.monomial(lo + i) * b0) % a_poly
+    rem = (UniPolynomial.monomial(lo) * b0) % a_poly
+    for _ in range(r - 1):
         cols.append([rem[j] for j in range(r - 1)])
+        rem = (UniPolynomial.monomial(1) * rem) % a_poly  # t^{lo+i+1}·b0
     rows = [[cols[j][i] for j in range(r - 1)] for i in range(r - 1)]
     x = _gauss_solve(rows, [1] + [0] * (r - 2))
     num = UniPolynomial([0] * lo + list(x))
@@ -140,22 +145,59 @@ def oracle_qorb_value(sing: QuotientSingularity, k: int, n: int = 3):
     )
 
 
-def _valid_types(r_max):
+def _valid_types(r_max, n=3):
     for r in range(2, r_max + 1):
         pool = [a for a in range(1, r) if gcd(a, r) == 1]
-        for ws in combinations_with_replacement(pool, 3):
+        for ws in combinations_with_replacement(pool, n):
             yield QuotientSingularity(r, ws)
 
 
 def test_qorb_matches_linear_solve_oracle():
     checked = 0
-    for sing in _valid_types(7):
-        for k in (-1, 0, 1, 2):
-            if (k + sum(sing.weights)) % sing.r:
-                continue
-            assert qorb(sing, k).value == oracle_qorb_value(sing, k), (sing, k)
-            checked += 1
-    assert checked > 30
+    for n in (1, 2, 3, 4):
+        for sing in _valid_types(11, n):
+            for k in (-1, 0, 1, 2):
+                if (k + sum(sing.weights)) % sing.r:
+                    continue
+                got = qorb(sing, k, n).value
+                assert got == oracle_qorb_value(sing, k, n), (sing, k, n)
+                checked += 1
+    assert checked > 700
+
+
+# Below k = −n − 3 the shift l = ⌊(k+n+1)/2⌋ + 1 is negative: the value is
+# t^l·β/((1−t)ⁿ(1−t^r)) with a pole at t = 0 unless t^{−l} divides β, and
+# the numerator over (1−t)ⁿ(1−t^r) is then None.  Entries: type, k, n, the
+# value as (numerator, power of t in the denominator), the numerator.
+NEGATIVE_SHIFT_GOLDENS = [
+    (Q(4, 1), -5, 1, ([1], 0), [1]),
+    (Q(5, 1), -6, 1, ([1], 0), [1]),
+    (Q(3, 1), -7, 1, ([-1, -1], 2), None),
+    (Q(5, 2), -7, 1, ([-1, 0, 0, -1], 2), None),
+    (Q(3, 1, 1), -8, 2, ([-1, -1], 2), None),
+    (Q(2, 1, 1, 1), -7, 3, ([-1], 1), None),
+    (Q(5, 1, 2, 3), -11, 3, ([2, 1, 1, 2], 3), None),
+]
+
+
+@pytest.mark.parametrize("sing,k,n,value,numerator", NEGATIVE_SHIFT_GOLDENS)
+def test_qorb_negative_shift_goldens(sing, k, n, value, numerator):
+    num, shift = value
+    contrib = qorb(sing, k, n)
+    den = (
+        UniPolynomial.monomial(shift)
+        * UniPolynomial([1, -1]) ** n
+        * UniPolynomial.one_minus_t_pow(sing.r)
+    )
+    assert contrib.value == RationalFunction(UniPolynomial(num), den)
+    if numerator is None:
+        assert contrib.numerator is None
+        message = re.escape(f"{sing} at k={k} is not polynomial")
+        with pytest.raises(DomainError, match=message):
+            _int_numerator(sing, k, n)
+    else:
+        assert contrib.numerator == UniPolynomial(numerator)
+        assert _int_numerator(sing, k, n) == tuple(numerator)
 
 
 def test_numerator_window_and_symmetry():

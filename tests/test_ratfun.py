@@ -23,7 +23,6 @@ from wflag.ratfun import (
     int_mul,
     mul_one_minus_t_pow,
     poly_gcd,
-    poly_xgcd,
     series_of,
 )
 
@@ -110,16 +109,6 @@ def test_field_operations():
     assert bool(f) and not bool(f - f)
 
 
-def test_xgcd_golden():
-    a = UniPolynomial([1, 0, -1])  # 1 - t^2
-    b = UniPolynomial([1, -1])  # 1 - t
-    g, alpha, beta = poly_xgcd(a, b)
-    assert g == UniPolynomial([-1, 1])  # monic gcd is t - 1
-    assert alpha == P_ZERO
-    assert beta == UniPolynomial([-1])
-    assert alpha * a + beta * b == g
-
-
 small_polys = st.builds(
     UniPolynomial,
     st.lists(st.integers(min_value=-5, max_value=5), min_size=0, max_size=7),
@@ -139,30 +128,6 @@ def test_poly_gcd_matches_naive_euclid(a, b):
         assert poly_gcd(a, b).is_zero()
         return
     assert poly_gcd(a, b) == naive_gcd(a, b)
-
-
-@settings(max_examples=80)
-@given(small_polys, small_polys)
-def test_xgcd_properties(a, b):
-    if a.is_zero() and b.is_zero():
-        with pytest.raises(DomainError):
-            poly_xgcd(a, b)
-        return
-    g, alpha, beta = poly_xgcd(a, b)
-    assert alpha * a + beta * b == g
-    assert g == poly_gcd(a, b)
-    assert g.leading == 1
-    assert (a % g).is_zero() and (b % g).is_zero()
-    if not b.is_zero():
-        b_red_deg = b.degree - g.degree
-        if b_red_deg > 0:
-            assert alpha.degree < b_red_deg
-        else:
-            assert alpha.is_zero()
-    if not a.is_zero() and not b.is_zero():
-        a_red_deg = a.degree - g.degree
-        if a_red_deg > 0 and b.degree - g.degree > 0:
-            assert beta.degree < a_red_deg
 
 
 @settings(max_examples=60)

@@ -25,11 +25,16 @@ from wflag.records import (
     emit_text,
     fraction_from_json,
     fraction_to_json,
-    merge_with_cache,
     render,
     sweep_key_of,
 )
-from wflag.search import SearchConfig, SweepResult, search, search_embedding
+from wflag.search import (
+    SearchConfig,
+    SweepResult,
+    merge_candidates,
+    search,
+    search_embedding,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +206,13 @@ def test_compact_weights():
     assert compact_weights(()) == ""
 
 
-def test_merge_with_cache_dedups(small_candidates):
-    merged = merge_with_cache(small_candidates, list(small_candidates))
+def test_merge_candidates_dedups(small_candidates):
+    merged = merge_candidates(list(small_candidates) * 2)
     assert merged == list(small_candidates)
 
 
-def test_merge_with_cache_orders_union(small_candidates):
+def test_merge_candidates_orders_union(small_candidates):
     rng = random.Random(7)
     shuffled = list(small_candidates)
     rng.shuffle(shuffled)
-    assert merge_with_cache(shuffled[:2], shuffled[2:]) == list(small_candidates)
+    assert merge_candidates(shuffled) == list(small_candidates)

@@ -404,6 +404,16 @@ def test_search_submodule_is_not_shadowed():
     assert wflag.search.search is search
 
 
+def test_every_exported_name_resolves():
+    import wflag
+
+    for name in wflag.__all__:
+        assert hasattr(wflag, name), name
+    namespace: dict = {}
+    exec("from wflag import *", namespace)
+    assert set(wflag.__all__) <= set(namespace)
+
+
 def test_sweep_parameters_bounds():
     config = SearchConfig(format_name="g2", k=-1, n=3, u_min=3, u_max=4)
     params = sweep_parameters(config)
