@@ -12,8 +12,7 @@ Subcommands (names fixed):
 * ``report``     -- regenerate the six-row Fano reference table
 
 Exit codes: 0 on success, 1 on a domain error (invalid parameters, failed
-identity, missing table row), 2 on a usage error.  ``WFLAG_JOBS`` sets the
-default worker count for ``search`` and ``report``.
+identity, missing table row), 2 on a usage error.
 
 File formats accepted by ``initial`` and ``decompose``:
 
@@ -58,14 +57,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
     except ValueError:
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("WFLAG_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_input(path: str, parse):
@@ -136,6 +127,11 @@ def _param_from_args(args: argparse.Namespace) -> tuple[str, CocharacterParam]:
 def _check_dimension(n: int) -> None:
     if n < 1:
         raise DomainError(f"dimension --n must be at least 1, got {n}")
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +288,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.format not in FORMATS:
         raise DomainError(f"unknown format {args.format!r}")
     _check_dimension(args.n)
+    _check_jobs(args.jobs)
     config = SearchConfig(
         format_name=args.format,
         k=args.k,
@@ -321,6 +318,7 @@ def _table_row_mismatches(row: dict, cand: Candidate) -> list[str]:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.table != "table1":
         raise DomainError(f"unknown report {args.table!r}")
+    _check_jobs(args.jobs)
     if getattr(args, "from_path", None):
         cache = records.load_cache(args.from_path)
         candidates = merge_candidates(cache.candidates)
@@ -439,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-min", type=int, default=None)
     p.add_argument("--u-max", type=int, default=None)
     p.add_argument("--q-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="append records to this file")
     p.add_argument(
         "--resume",
@@ -459,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="use candidates from this record file instead of a fresh sweep",
     )
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_report)
 
     return parser

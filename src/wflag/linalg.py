@@ -1,81 +1,103 @@
-"""The one linear solver of the package: row reduction over ℚ.
+"""The one linear-algebra kernel of the package: fraction-free elimination
+over ℤ, shared by `solve` and `det`.
 
 Every linear question the search asks (is P_X − P_I an integer combination
 of orbifold terms, which collections of terms sum to zero, which simple-root
-coordinates a weight has) is a system ``rows · x = rhs`` answered here.
+coordinates a weight has) is a system ``rows · x = rhs`` answered here, and
+the Weyl group signs are determinants computed by the same loop.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 
-def _cancel(row: list[int], col: int, base: list[int]) -> list[int]:
-    """lead·row − f·base, which is 0 in column col, divided by its gcd."""
-    f, lead = row[col], base[col]
-    out = [lead * a - f * b for a, b in zip(row, base)]
-    g = gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int], int]:
+    """Gauss–Jordan elimination without fractions (Bareiss, Math. Comp. 22,
+    1968) of the first ncols columns of the integer matrix aug, in place.
 
+    Returns (D, pivots, swaps).  Each step replaces every row a other than
+    the pivot row b by (p·a − f·b) // prev, with p the new pivot, f the
+    entry of a in the pivot column and prev the previous pivot (1 at first).
+    Every entry stays a minor of the input, so the division is exact.  At
+    the end the pivot rows hold the common pivot D (1 at rank 0) in their
+    own pivot column and 0 in the others, the rows below the rank vanish in
+    the first ncols columns, and swaps counts the row swaps.
 
-def solve(
-    rows: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve rows · x = rhs over ℚ.
-
-    Returns (x, kernel), or None when the system is inconsistent.  x is the
-    solution whose free variables are zero; kernel has one vector per free
-    column, with 1 in that column and 0 in the other free columns.  Entries
-    are Fractions.
-
-    Forward elimination runs first, and an inconsistent system is rejected
-    before any back-substitution.  The rows are scaled to integers and stay
-    integral (each new row is divided by the gcd of its entries); only the
-    answer is made of Fractions.
+    A row with f = 0 is only multiplied by p/prev, and those factors
+    telescope, so it is left as it is, current for the pivot stamp[r],
+    until `current` needs it; at the end only the pivot rows are updated.
     """
-    aug = []
-    for row, b in zip(rows, rhs):
-        row = [*row, b]
-        d = lcm(*(v.denominator for v in row))
-        aug.append([v.numerator * (d // v.denominator) for v in row])
-
     m = len(aug)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
+    swaps = 0
+    stamp = [1] * m
+
+    def current(r: int) -> list[int]:
+        if stamp[r] != prev:
+            aug[r] = [a * prev // stamp[r] for a in aug[r]]
+            stamp[r] = prev
+        return aug[r]
+
     for col in range(ncols):
         prow = len(pivots)
-        if prow == m:
-            break
         sel = next((r for r in range(prow, m) if aug[r][col]), None)
         if sel is None:
             continue
-        base = aug[sel]
-        aug[sel], aug[prow] = aug[prow], base
-        for r in range(prow + 1, m):
-            if aug[r][col]:
-                aug[r] = _cancel(aug[r], col, base)
+        if sel != prow:
+            aug[sel], aug[prow] = aug[prow], aug[sel]
+            stamp[sel], stamp[prow] = stamp[prow], stamp[sel]
+            swaps += 1
+        base = current(prow)
+        p = base[col]
+        for r in range(m):
+            if aug[r][col] and r != prow:
+                row = current(r)
+                f = row[col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(row, base)]
+                stamp[r] = p
+        stamp[prow] = p
         pivots.append(col)
+        prev = p
+    for i in range(len(pivots)):
+        current(i)
+    return prev, pivots, swaps
+
+
+def solve(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[int, list[int], list[list[int]]] | None:
+    """Solve the integer system rows · x = rhs over ℚ, in integers.
+
+    Returns (D, x, kernel) with D > 0, or None when the system is
+    inconsistent.  x/D is the solution whose free variables are zero;
+    kernel has one integer vector per free column, with D in that column
+    and 0 in the other free columns.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    D, pivots, _ = _eliminate(aug, ncols)
     rank = len(pivots)
-    # the rows below the pivot rows have only zero coefficients left
     if any(row[ncols] for row in aug[rank:]):
         return None
-
-    for i in range(rank - 1, 0, -1):
-        col, base = pivots[i], aug[i]
-        for r in range(i):
-            if aug[r][col]:
-                aug[r] = _cancel(aug[r], col, base)
-
-    x = [Fraction(0)] * ncols
+    sign = 1 if D > 0 else -1
+    x = [0] * ncols
     for i, col in enumerate(pivots):
-        x[col] = Fraction(aug[i][ncols], aug[i][col])
+        x[col] = sign * aug[i][ncols]
     kernel = []
     for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = sign * D
         for i, col in enumerate(pivots):
-            vec[col] = -Fraction(aug[i][free], aug[i][col])
+            vec[col] = -sign * aug[i][free]
         kernel.append(vec)
-    return x, kernel
+    return sign * D, x, kernel
+
+
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(m)
+    D, pivots, swaps = _eliminate([list(row) for row in m], n)
+    if len(pivots) < n:
+        return 0
+    return -D if swaps % 2 else D

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, product
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .linalg import solve
@@ -214,30 +215,28 @@ def porb_cont(
     return tuple(types), extended
 
 
-def _grouped_by_index(
-    types: tuple[QuotientSingularity, ...]
-) -> dict[int, list[QuotientSingularity]]:
-    by_r: dict[int, list[QuotientSingularity]] = {}
-    for t in types:
-        by_r.setdefault(t.r, []).append(t)
-    return by_r
+def fits(types, extended_weights) -> bool:
+    """The fitting rule: a collection of distinct types fits on the variety
+    when, for every index r, it uses at most as many types of index r as
+    there are weights equal to r in the extended weight list."""
+    counts = Counter(extended_weights)
+    return all(c <= counts[r] for r, c in Counter(t.r for t in types).items())
 
 
 def baskets(
     types, extended_weights
 ) -> tuple[tuple[QuotientSingularity, ...], ...]:
-    """All nonempty collections of distinct types that fit on the variety.
-
-    A collection fits if, for every index r, it uses at most as many types of
-    index r as there are weights equal to r in the extended weight list.
-    """
-    counts = Counter(extended_weights)
-    by_r = _grouped_by_index(tuple(types))
+    """All nonempty collections of distinct types that `fits` on the variety."""
+    by_r: dict[int, list[QuotientSingularity]] = {}
+    for t in types:
+        by_r.setdefault(t.r, []).append(t)
     per_r: list[list[tuple[QuotientSingularity, ...]]] = []
     for r, group in sorted(by_r.items()):
-        cap = min(counts[r], len(group))
         choices: list[tuple[QuotientSingularity, ...]] = [()]
-        for size in range(1, cap + 1):
+        # the types of a group share one index, so the rule caps the size
+        for size in range(1, len(group) + 1):
+            if not fits(group[:size], extended_weights):
+                break
             choices.extend(combinations(group, size))
         per_r.append(choices)
     out = []
@@ -286,6 +285,20 @@ def type_vectors(
     return vecs, common
 
 
+def _coefficient_system(
+    V: Sequence[Sequence[int]], R: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Σ m_Q·V_Q = R as (rows, rhs), one equation per power of t."""
+    length = max(len(V[0]), len(R))
+    rows = [[v[i] if i < len(v) else 0 for v in V] for i in range(length)]
+    return rows, list(R) + [0] * (length - len(R))
+
+
+def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
+    """The certificate of every solution m: V·m == R in integers."""
+    return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
+
+
 def basket_kernel(
     types, extended_weights, k: int, n: int = 3
 ) -> tuple[tuple[QuotientSingularity, ...], ...]:
@@ -294,37 +307,35 @@ def basket_kernel(
 
     A collection is a 0/1 vector in the nullspace of the contribution
     vectors, and a kernel vector is fixed by its free coordinates, so only
-    0/1 patterns on the free coordinates need enumerating.
+    0/1 patterns on the free coordinates need enumerating.  The kernel
+    basis is integral with D in its free coordinates, so a pattern gives a
+    collection when every coordinate of its sum is 0 or D.
     """
     types = tuple(types)
     m = len(types)
     if m < 2:
         return ()
     vecs, _ = type_vectors(types, k, n)
-    rows = list(zip(*vecs))
-    _, kernel = solve(rows, [0] * len(rows))
+    rows, rhs = _coefficient_system(vecs, [])
+    D, _, kernel = solve(rows, rhs)
     if not kernel:
         return ()
     if len(kernel) > 24:
         raise DomainError("kernel search space too large")
-    counts = Counter(extended_weights)
     out = []
     for mask in range(1, 1 << len(kernel)):
-        member = [0] * m
+        total = [0] * m
         for i, vec in enumerate(kernel):
             if (mask >> i) & 1:
-                member = [a + b for a, b in zip(member, vec)]
-        if any(v not in (0, 1) for v in member):
+                total = [a + b for a, b in zip(total, vec)]
+        if any(v not in (0, D) for v in total):
             continue
+        member = [v // D for v in total]
         subset = tuple(t for t, used in zip(types, member) if used)
-        if len(subset) < 2:
-            continue
-        index_counts = Counter(t.r for t in subset)
-        if any(index_counts[r] > counts[r] for r in index_counts):
+        if len(subset) < 2 or not fits(subset, extended_weights):
             continue
         # the certificate: the members' vectors sum to zero
-        chosen = [v for v, flag in zip(vecs, member) if flag]
-        if any(map(sum, zip(*chosen))):
+        if not _certified(rows, rhs, member):
             continue
         out.append(subset)
     out.sort(key=lambda s: tuple((t.r, t.weights) for t in s))

@@ -14,7 +14,9 @@ The per-tuple work is arranged as a funnel: a pole-order bound at the roots
 of unity first, then cheap integer filters, then the integrality of
 R = (P_X − P_I)·C over the common denominator C of the contributions (sparse
 exact divisions by each 1 − t^{p_i}), and for the rare survivors the integer
-coefficient system V·m = R, solved over ℚ.  Every emitted basket m is
+coefficient system V·m = R, solved by fraction-free elimination over ℤ
+(`linalg.solve`, whose solutions are integer vectors over one common
+denominator D).  Every emitted basket m is
 certified by the identity V·m == R in integers, so the filters cannot
 produce false positives.
 
@@ -35,13 +37,11 @@ it does not prune the enumeration, so `tuples_scanned` counts every tuple.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, prod
 from multiprocessing import get_context
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .formats import (
@@ -55,8 +55,11 @@ from .linalg import solve
 from .orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
+    _certified,
+    _coefficient_system,
     _int_numerator,
     basket_kernel,
+    fits,
     porb_cont,
     type_vectors,
 )
@@ -251,9 +254,12 @@ def solve_multiplicities(
         return None  # V·m is an integer polynomial for every integer m
     rows, rhs = _coefficient_system(V, int_coeffs(R.num))
     solved = solve(rows, rhs)
-    if solved is None or any(v < 0 or v.denominator != 1 for v in solved[0]):
+    if solved is None:
         return None
-    m = [int(v) for v in solved[0]]
+    D, x, _ = solved
+    if any(v < 0 or v % D for v in x):
+        return None
+    m = [v // D for v in x]
     return m if _certified(rows, rhs, m) else None
 
 
@@ -291,21 +297,7 @@ def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> l
 
 
 # ---------------------------------------------------------------------------
-# the exact stage: integrality of R, then the system over ℚ
-
-
-def _coefficient_system(
-    V: Sequence[Sequence[int]], R: Sequence[int]
-) -> tuple[list[list[int]], list[int]]:
-    """Σ m_Q·V_Q = R as (rows, rhs), one equation per power of t."""
-    length = max(len(V[0]), len(R))
-    rows = [[v[i] if i < len(v) else 0 for v in V] for i in range(length)]
-    return rows, list(R) + [0] * (length - len(R))
-
-
-def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
-    """The certificate of every solution m: V·m == R in integers."""
-    return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
+# the exact stage: integrality of R, then the integer system
 
 
 def _integral_target(
@@ -349,11 +341,12 @@ def _exact_solutions(
     solved = solve(rows, rhs)
     if solved is None:
         return []
-    particular, kernel = solved
-    return _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs)
+    return _enumerate_kernel_solutions(kept, *solved, rows, rhs)
 
 
-def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
+def _enumerate_kernel_solutions(kept, D, particular, kernel, rows, rhs):
+    """The solutions are particular/D plus rational combinations of the
+    integer kernel vectors; every test below is one on integers."""
     j = len(kept)
     involved = sorted(
         {i for vec in kernel for i in range(j) if vec[i]}
@@ -362,7 +355,7 @@ def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
     for i in range(j):
         if i not in involved:
             v = particular[i]
-            if v < 0 or v.denominator != 1:
+            if v < 0 or v % D:
                 return []
     # split the kernel into components of co-occurring coordinates; choices
     # within distinct components are independent
@@ -381,37 +374,39 @@ def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
     comp_coords: dict[int, list[int]] = {}
     for i in involved:
         comp_coords.setdefault(find(i), []).append(i)
-    comp_vecs: dict[int, list[list[Fraction]]] = {r: [] for r in comp_coords}
+    comp_vecs: dict[int, list[list[int]]] = {r: [] for r in comp_coords}
     for vec in kernel:
         comp_vecs[find(next(i for i in involved if vec[i]))].append(vec)
 
     # every extreme solution has at least dim-many vanishing coordinates in
     # each component, so pin the combination coefficients by choosing which
-    per_comp: list[list[dict[int, Fraction]]] = []
+    # (a combination lam/E of the vectors gives the coordinate
+    # (E·particular[i] + Σ lam·vec[i]) / (D·E))
+    per_comp: list[list[dict[int, int]]] = []
     for root in sorted(comp_coords):
         coords = comp_coords[root]
         vecs = comp_vecs[root]
         dim = len(vecs)
         if comb(len(coords), dim) > 20_000:
             raise DomainError("kernel search space too large")
-        assigns: list[dict[int, Fraction]] = []
-        seen_vals: set[tuple[Fraction, ...]] = set()
+        assigns: list[dict[int, int]] = []
+        seen_vals: set[tuple[int, ...]] = set()
         for zero_set in combinations(coords, dim):
             solved = solve(
                 [[vec[i] for vec in vecs] for i in zero_set],
                 [-particular[i] for i in zero_set],
             )
-            if solved is None or solved[1]:
+            if solved is None or solved[2]:
                 continue
-            lam = solved[0]
-            vals: dict[int, Fraction] = {}
+            E, lam, _ = solved
+            vals: dict[int, int] = {}
             for i in coords:
-                v = particular[i] + sum(
+                v = E * particular[i] + sum(
                     lv * vec[i] for lv, vec in zip(lam, vecs)
                 )
-                if v < 0 or v.denominator != 1:
+                if v < 0 or v % (D * E):
                     break
-                vals[i] = v
+                vals[i] = v // (D * E)
             else:
                 key = tuple(vals[i] for i in coords)
                 if key not in seen_vals:
@@ -429,11 +424,12 @@ def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
     solutions: list[dict[QuotientSingularity, int]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for combo in product(*per_comp):
-        sol = list(particular)
+        # particular/D is integral outside the kernel support (checked
+        # above), and the components overwrite every involved coordinate
+        m = [v // D for v in particular]
         for vals in combo:
             for i, v in vals.items():
-                sol[i] = v
-        m = [int(v) for v in sol]
+                m[i] = v
         key = tuple((i, v) for i, v in enumerate(m) if v)
         if key in seen or not _certified(rows, rhs, m):
             continue
@@ -444,16 +440,6 @@ def _enumerate_kernel_solutions(kept, particular, kernel, rows, rhs):
 
 # ---------------------------------------------------------------------------
 # per-embedding scan
-
-
-def _support_admissible(
-    solution: dict[QuotientSingularity, int], extended: Sequence[int]
-) -> bool:
-    """A solution may use at most as many distinct types of index r as there
-    are weights equal to r among the extended ambient weights."""
-    cnt = Counter(sng.r for sng in solution)
-    ext = Counter(extended)
-    return all(cnt[r] <= ext[r] for r in cnt)
 
 
 def search_embedding(
@@ -512,7 +498,7 @@ def search_embedding(
             solutions = [
                 solution
                 for solution in _exact_solutions(kept, N0, parts, k, n)
-                if _support_admissible(solution, extended)
+                if fits(solution, extended)
             ]
         if solutions:
             _emit(

@@ -10,11 +10,11 @@ matrices acting on those coordinates.  Two different pairings appear:
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import prod
 
-from .linalg import solve
+from .linalg import det, solve
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -37,28 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in cols) for ra in a
     )
-
-
-def int_det(m: Matrix) -> int:
-    """Determinant of an integer matrix (fraction-free Bareiss elimination)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -91,7 +69,7 @@ def weyl_elements(generators: tuple[Matrix, ...]) -> tuple[tuple[Matrix, int], .
     Returned sorted by matrix entries so the order is reproducible.
     """
     n = len(generators[0])
-    gen_signs = [int_det(g) for g in generators]
+    gen_signs = [det(g) for g in generators]
     seen: dict[Matrix, int] = {identity_matrix(n): 1}
     frontier = list(seen)
     while frontier:
@@ -130,13 +108,17 @@ def is_dominant(v: Vector, simple_roots: tuple[Vector, ...], form: Matrix) -> bo
 
 def simple_root_coordinates(
     v: Vector, simple_roots: tuple[Vector, ...]
-) -> tuple[Fraction, ...] | None:
-    """Coordinates of v in the simple-root basis, or None if v is not in the span."""
+) -> tuple[int, ...] | None:
+    """Integer coordinates of v in the simple-root basis, or None if v is not
+    in the lattice the simple roots span."""
     rows = [[a[i] for a in simple_roots] for i in range(len(v))]
     solved = solve(rows, v)
-    if solved is None or solved[1]:
+    if solved is None or solved[2]:
         return None  # simple roots are independent, so a kernel cannot occur
-    return tuple(solved[0])
+    D, x, _ = solved
+    if any(c % D for c in x):
+        return None
+    return tuple(c // D for c in x)
 
 
 # -- dimensions and multiplicities -----------------------------------------
@@ -147,11 +129,12 @@ def weyl_dimension(
 ) -> int:
     """Dimension of the irreducible module with the given highest weight."""
     lam_rho = vadd(highest, rho)
-    val = Fraction(1)
-    for a in positive_roots:
-        val *= Fraction(form_pair(form, lam_rho, a), form_pair(form, rho, a))
-    assert val.denominator == 1 and val > 0
-    return int(val)
+    dim, rem = divmod(
+        prod(form_pair(form, lam_rho, a) for a in positive_roots),
+        prod(form_pair(form, rho, a) for a in positive_roots),
+    )
+    assert rem == 0 and dim > 0
+    return dim
 
 
 def freudenthal_multiplicities(
@@ -172,18 +155,16 @@ def freudenthal_multiplicities(
     root_coords: list[tuple[int, ...]] = []
     for a in positive_roots:
         ca = simple_root_coordinates(a, simple)
-        assert ca is not None and all(x.denominator == 1 and x >= 0 for x in ca)
-        root_coords.append(tuple(int(x) for x in ca))
+        assert ca is not None and all(x >= 0 for x in ca)
+        root_coords.append(ca)
 
     # the lowest weight bounds the box of candidate dominant weights
     orbit = {mat_vec(m, highest) for m, _ in elements}
     lowest = next(
         v for v in orbit if all(form_pair(form, v, a) <= 0 for a in simple)
     )
-    span = simple_root_coordinates(vsub(highest, lowest), simple)
-    assert span is not None
-    box = tuple(int(x) for x in span)
-    assert all(x.denominator == 1 and x >= 0 for x in span)
+    box = simple_root_coordinates(vsub(highest, lowest), simple)
+    assert box is not None and all(x >= 0 for x in box)
 
     candidates: list[tuple[int, Vector, tuple[int, ...]]] = []
     for cs in product(*(range(b + 1) for b in box)):
@@ -219,10 +200,10 @@ def freudenthal_multiplicities(
         mu_rho = vadd(mu, rho)
         denom = norm_top - form_pair(form, mu_rho, mu_rho)
         assert denom > 0
-        val = Fraction(2 * total, denom)
-        assert val.denominator == 1
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0
         if val:
-            mults[mu] = int(val)
+            mults[mu] = val
 
     full: dict[Vector, int] = {}
     for mu, m in mults.items():

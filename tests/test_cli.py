@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -198,14 +196,23 @@ def test_normalize_argv():
     assert _normalize_argv(["--mu", "0,1"]) == ["--mu", "0,1"]
 
 
-def test_jobs_default_from_environment(monkeypatch):
-    monkeypatch.setenv("WFLAG_JOBS", "3")
-    parser = build_parser()
-    args = parser.parse_args(
-        ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "1"]
-    )
-    assert args.jobs == 3
-    monkeypatch.setenv("WFLAG_JOBS", "not-a-number")
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "1"),
+        ("report", "table1"),
+    ],
+    ids=["search", "report"],
+)
+def test_jobs_below_one_is_an_error(capsys, argv, jobs):
+    code, out, err = run_cli(capsys, *argv, f"--jobs={jobs}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_jobs_defaults_to_one():
     args = build_parser().parse_args(
         ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "1"]
     )
@@ -445,22 +452,3 @@ def test_cli_via_module_invocation():
     )
     assert proc.returncode == 0
     assert "-t^3" in proc.stdout
-
-
-def test_decomposition_example_script():
-    import wflag
-
-    root = Path(__file__).resolve().parent.parent
-    src = str(Path(wflag.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "verify_decomposition_example.py")],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "identity holds: P = P_I + P_Q" in proc.stdout

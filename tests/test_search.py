@@ -348,6 +348,50 @@ def test_search_embedding_u3_candidates():
         _assert_identity(c)
 
 
+#: The candidates of the g2 k=−3 u≤6 census, all on two embeddings whose
+#: `basket_kernel` calls see kernels of dimension 2, 5 and 14.
+G2_K_MINUS_3_CANDIDATES = (
+    ((-2, 3), 5, (2, 2, 3, 4, 4, 5, 5, 5, 6, 7, 7, 8), Fraction(27, 280),
+     ((2, (1, 1, 1), 11), (5, (2, 2, 4), 2), (7, (1, 3, 6), 1),
+      (7, (2, 4, 4), 1), (8, (5, 7, 7), 1))),
+    ((-2, 3), 5, (2, 2, 3, 4, 4, 5, 5, 5, 6, 7, 7, 8), Fraction(27, 280),
+     ((2, (1, 1, 1), 11), (5, (2, 2, 4), 2), (7, (1, 4, 5), 1),
+      (7, (2, 2, 6), 1), (8, (5, 7, 7), 1))),
+    ((-2, 3), 5, (2, 2, 3, 4, 4, 5, 5, 5, 6, 7, 7, 8), Fraction(27, 280),
+     ((4, (1, 1, 1), 11), (4, (1, 3, 3), 11), (5, (2, 2, 4), 2),
+      (7, (1, 3, 6), 1), (7, (2, 4, 4), 1), (8, (5, 7, 7), 1))),
+    ((-2, 3), 5, (2, 2, 3, 4, 4, 5, 5, 5, 6, 7, 7, 8), Fraction(27, 280),
+     ((4, (1, 1, 1), 11), (4, (1, 3, 3), 11), (5, (2, 2, 4), 2),
+      (7, (1, 4, 5), 1), (7, (2, 2, 6), 1), (8, (5, 7, 7), 1))),
+    ((-2, 3), 5, (2, 3, 4, 4, 4, 5, 5, 5, 6, 6, 7, 7), Fraction(9, 140),
+     ((2, (1, 1, 1), 7), (4, (1, 3, 3), 1), (5, (1, 3, 4), 2),
+      (5, (2, 2, 4), 2), (7, (2, 4, 4), 1), (7, (5, 6, 6), 1))),
+    ((-2, 3), 5, (2, 3, 4, 4, 4, 5, 5, 5, 6, 6, 7, 7), Fraction(9, 140),
+     ((4, (1, 1, 1), 7), (4, (1, 3, 3), 8), (5, (1, 3, 4), 2),
+      (5, (2, 2, 4), 2), (7, (2, 4, 4), 1), (7, (5, 6, 6), 1))),
+    ((-3, 4), 6, (1, 2, 3, 4, 5, 5, 6, 7, 8, 8, 9, 11), Fraction(27, 220),
+     ((2, (1, 1, 1), 1), (5, (1, 3, 4), 1), (8, (1, 5, 5), 1),
+      (8, (3, 3, 5), 1), (11, (8, 8, 9), 1))),
+    ((-3, 4), 6, (1, 2, 3, 4, 5, 5, 6, 7, 8, 8, 9, 11), Fraction(27, 220),
+     ((2, (1, 1, 1), 1), (5, (2, 2, 4), 1), (5, (2, 3, 3), 1),
+      (8, (1, 5, 5), 1), (8, (3, 3, 5), 1), (11, (8, 8, 9), 1))),
+)
+
+
+def test_integer_kernel_walk_on_the_k_minus_3_census():
+    params = (CocharacterParam((-2, 3), 5), CocharacterParam((-3, 4), 6))
+    cands = search(SearchConfig(format_name="g2", k=-3, n=3, params=params))
+    got = tuple(
+        (c.mu, c.u, c.x_weights, c.degree,
+         tuple((s.r, s.weights, m) for s, m in c.basket))
+        for c in cands
+    )
+    assert got == G2_K_MINUS_3_CANDIDATES
+    for c in cands:
+        assert c.kernels == ()
+        _assert_identity(c)
+
+
 def test_search_dedup_and_order():
     config = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
     merged = search(config)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +9,6 @@ from wflag.weyl import (
     form_pair,
     freudenthal_multiplicities,
     identity_matrix,
-    int_det,
     laurent_divide_2d,
     mat_vec,
     restricted_character,
@@ -61,15 +58,6 @@ def test_weyl_group_orders_and_signs():
     s5 = weyl_elements(S5_GENS)
     assert len(s5) == 120
     assert dict(s5)[identity_matrix(5)] == 1
-
-
-def test_int_det_matches_permutation_parity():
-    for perm in itertools.permutations(range(4)):
-        m = tuple(tuple(int(j == perm[i]) for j in range(4)) for i in range(4))
-        inversions = sum(
-            1 for a in range(4) for b in range(a + 1, 4) if perm[a] > perm[b]
-        )
-        assert int_det(m) == (-1) ** inversions
 
 
 def test_weyl_dimension_goldens():
@@ -184,6 +172,9 @@ def test_simple_root_coordinates():
     c = simple_root_coordinates((1, 0, -1, 0, 0), S5_POS[:4])
     assert c == (1, 1, 0, 0)
     assert simple_root_coordinates((1, 0, 0, 0, 0), S5_POS[:4]) is None
+    # in the rational span but not in the lattice of the roots
+    assert simple_root_coordinates((2, 4), ((2, 0), (0, 2))) == (1, 2)
+    assert simple_root_coordinates((1, 0), ((2, 0), (0, 2))) is None
 
 
 def test_to_dominant_is_orbit_invariant():
