@@ -4,7 +4,8 @@ The canonical on-disk format is line-delimited JSON: one record per line,
 append-only, streaming-friendly for long sweeps.  Two record kinds exist:
 
 * ``candidate``   -- one found candidate together with its sweep key;
-* ``sweep_done``  -- marks an embedding (one sweep key) as fully scanned.
+* ``sweep_done``  -- marks an embedding (one sweep key) as fully scanned;
+  ``tuples_scanned`` counts the tuples within the search's divisor bounds.
 
 A *sweep key* identifies one unit of search work: ``(format, mu, u, k, n)``.
 Resume works at sweep-key granularity: keys with a ``sweep_done`` record are

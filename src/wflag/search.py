@@ -10,8 +10,8 @@ Each success is emitted as a :class:`Candidate` carrying its basket of
 singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
-The per-tuple work is arranged as a funnel: a pole-order bound at the roots
-of unity first, then cheap integer filters, then the integrality of
+The work is arranged as a funnel: a divisor-count bound inside the tuple
+enumeration first, then cheap integer filters, then the integrality of
 R = (P_X − P_I)·C over the common denominator C of the contributions (sparse
 exact divisions by each 1 − t^{p_i}), and for the rare survivors the integer
 coefficient system V·m = R, solved by fraction-free elimination over ℤ
@@ -20,19 +20,19 @@ denominator D).  Every emitted basket m is
 certified by the identity V·m == R in integers, so the filters cannot
 produce false positives.
 
-The pole-order bound needs no polynomial work per tuple.  Each orbifold term
-B_Q/((1−t)ⁿ(1−t^{r_Q})) has at most a simple pole at a primitive d-th root
-of unity ζ_d with d > 1, and P_I = A/(1−t)^{n+1} has none, so an emitted
-decomposition P_X − P_I = Σ m_Q·B_Q/((1−t)ⁿ(1−t^{r_Q})) leaves P_X at most a
-simple pole there (a smooth member, P_X = P_I, has none at all).  Each
-1 − t^{p_i} vanishes simply at ζ_d when d | p_i and not at all otherwise,
-and Φ_d is irreducible, so the pole order of P_X = H/∏(1 − t^{p_i}) at ζ_d
-is #{i : d | p_i} − v_{Φ_d}(H) when that is positive, where v_{Φ_d}(H) is
-the number of times the cyclotomic polynomial Φ_d divides H.  A tuple with
-#{i : d | p_i} > v_{Φ_d}(H) + 1 for some d is therefore one that the exact
-stage would reject.  The caps v_{Φ_d}(H) + 1 are computed once per
-embedding, and the bound is checked before any per-tuple polynomial work;
-it does not prune the enumeration, so `tuples_scanned` counts every tuple.
+The bound caps #{i : d | p_i} by bound_d = min(cap_d, s − 2 when d is
+prime) for 2 ≤ d ≤ max(ambient), a table built once per embedding.  For
+s ≥ 2, removing entry i leaves gcd > 1 exactly when a prime divides the
+s − 1 others, so s − 2 on the primes is well-formedness.  cap_d is
+v_{Φ_d}(H) + 1: each orbifold term B_Q/((1−t)ⁿ(1−t^{r_Q})) has at most a
+simple pole at a primitive d-th root of unity ζ_d, d > 1, and P_I has none,
+so an emitted P_X has at most a simple pole there; and as Φ_d is irreducible
+and 1 − t^{p_i} vanishes simply at ζ_d exactly when d | p_i, the pole order
+of P_X = H/∏(1 − t^{p_i}) at ζ_d is #{i : d | p_i} − v_{Φ_d}(H) when that is
+positive.  The tuples ascend and the counts only grow as a prefix gets
+longer, so every completion of a prefix with a count past its bound would
+fail too: the enumeration cuts the prefix, and `tuples_scanned` counts the
+tuples within the bounds.
 """
 from __future__ import annotations
 
@@ -147,69 +147,66 @@ def _candidate_order_key(c: Candidate):
 # weight tuple enumeration
 
 
-def _well_formed(parts: Sequence[int]) -> bool:
-    """True when removing any one entry leaves a multiset of gcd 1."""
-    s = len(parts)
-    pre = [0] * (s + 1)
-    for i, v in enumerate(parts):
-        pre[i + 1] = gcd(pre[i], v)
-    suf = [0] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        suf[i] = gcd(suf[i + 1], parts[i])
-    return all(gcd(pre[i], suf[i + 1]) == 1 for i in range(s))
-
-
-def _iter_pos_wt(ambient: Sequence[int], s: int, w: int):
-    """Yield candidate weight tuples in ascending lexicographic order."""
+def _iter_pos_wt(ambient: Sequence[int], s: int, w: int, bounds: dict[int, int]):
+    """Yield in ascending lexicographic order the size-s multisets from
+    [1, max(ambient)] summing to w, with #{i : d | p_i} ≤ bounds[d] for each d
+    and no more top weights than the ambient has.  One entry is never well
+    formed (removing it leaves gcd 0), so s < 2 yields nothing."""
     amb = sorted(ambient)
     wmax = amb[-1]
-    cap = amb.count(wmax)
+    top_cap = amb.count(wmax)
+    divs = [[d for d in bounds if v % d == 0] for v in range(wmax + 1)]
+    count = dict.fromkeys(bounds, 0)
     acc: list[int] = []
 
     def rec(lo: int, remaining: int, slots: int):
         if slots == 0:
-            if remaining == 0:
-                parts = tuple(acc)
-                if parts.count(wmax) <= cap and _well_formed(parts):
-                    yield parts
+            yield tuple(acc)
             return
         start = max(lo, remaining - (slots - 1) * wmax)
         for v in range(start, min(wmax, remaining // slots) + 1):
+            # the tuples ascend, so a top weight fills every slot left
+            if v == wmax and slots > top_cap:
+                break
+            ds = divs[v]
+            if any(count[d] >= bounds[d] for d in ds):
+                continue
+            for d in ds:
+                count[d] += 1
             acc.append(v)
             yield from rec(v, remaining - v, slots - 1)
             acc.pop()
+            for d in ds:
+                count[d] -= 1
 
-    if s >= 1 and w >= s:
+    if s >= 2 and w >= s:
         yield from rec(1, w, s)
+
+
+def _divisor_bounds(wmax: int, s: int, caps: dict[int, int]) -> dict[int, int]:
+    """The caps lowered to s − 2 at each prime d ≤ wmax (well-formedness)."""
+    bounds = dict(caps)
+    for d in range(2, wmax + 1):
+        if all(d % f for f in range(2, d)):
+            bounds[d] = min(bounds.get(d, s), s - 2)
+    return bounds
 
 
 def pos_wt(ambient: Sequence[int], s: int, w: int) -> list[tuple[int, ...]]:
     """All size-s multisets from [1, max(ambient)] summing to w that give a
     well-formed weighted projective space and respect the top-weight cap."""
-    return list(_iter_pos_wt(ambient, s, w))
+    return list(_iter_pos_wt(ambient, s, w, _divisor_bounds(max(ambient), s, {})))
 
 
 # ---------------------------------------------------------------------------
 # the pole-order bound at roots of unity
 
 
-def _pole_caps(H: Sequence[int], wmax: int, s: int) -> list[tuple[int, int]]:
-    """The pairs (d, cap_d) with cap_d = v_{Φ_d}(H) + 1 for 2 ≤ d ≤ wmax,
-    keeping only the caps below s, the size of a tuple."""
-    caps = []
-    for d in range(2, wmax + 1):
-        cap = cyclotomic_valuation(H, d) + 1
-        if cap < s:
-            caps.append((d, cap))
-    return caps
-
-
-def _pole_orders_bounded(
-    parts: Sequence[int], caps: Sequence[tuple[int, int]]
-) -> bool:
-    """True when H/∏(1 − t^{p_i}) has at most a simple pole at each
-    primitive d-th root of unity, that is #{i : d | p_i} ≤ cap_d."""
-    return all(sum(1 for p in parts if p % d == 0) <= cap for d, cap in caps)
+def _pole_caps(H: Sequence[int], wmax: int, s: int) -> dict[int, int]:
+    """The caps cap_d = v_{Φ_d}(H) + 1 for 2 ≤ d ≤ wmax, keeping only the
+    caps below s, the size of a tuple."""
+    caps = {d: cyclotomic_valuation(H, d) + 1 for d in range(2, wmax + 1)}
+    return {d: cap for d, cap in caps.items() if cap < s}
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +461,11 @@ def search_embedding(
 
     if total < s:
         return [], 0
-    caps = _pole_caps(H, max(ambient), s)
+    wmax = max(ambient)
+    bounds = _divisor_bounds(wmax, s, _pole_caps(H, wmax, s))
 
-    for parts in _iter_pos_wt(ambient, s, total):
+    for parts in _iter_pos_wt(ambient, s, total, bounds):
         scanned += 1
-        if not _pole_orders_bounded(parts, caps):
-            continue
         den_n1 = denominator_poly(parts, total)
         for _ in range(n + 1):
             den_n1 = div_one_minus_t_pow(den_n1, 1)

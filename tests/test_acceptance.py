@@ -240,9 +240,22 @@ def test_criterion_07_no_terminal_basket_candidates(fano_results):
     _passed(7, "no u<=6 candidate carries an all-terminal nonempty basket")
 
 
-def test_criterion_08_sweep_census(fano_candidates):
+def _census(config: SearchConfig) -> tuple[list[Candidate], int]:
+    """The merged candidates of a sweep and the tuples it scanned."""
+    results = list(iter_search(config))
+    merged = merge_candidates(cand for result in results for cand in result.candidates)
+    return merged, sum(result.tuples_scanned for result in results)
+
+
+def test_criterion_08_sweep_census(fano_results, fano_candidates):
     config = SearchConfig(format_name="g2", k=-1, n=3, u_max=7)
     assert len(sweep_parameters(config)) == 23
+    # tuples within the divisor-count bounds; the reference counts are those
+    # of pos_wt filtered by the pole caps, of 169,712 well-formed tuples
+    assert sum(result.tuples_scanned for result in fano_results) == 2718
+    assert [result.tuples_scanned for result in fano_results if result.u <= 5] == [
+        1, 0, 6, 0, 24, 4, 0, 50, 36, 13, 0,
+    ]
     # deduplicated candidate count of the faithful algorithm; the hand-curated
     # published count (32 or 33 depending on the source line) kept fewer
     # alternatives, and the acceptance window [30, 36] around it reflects that
@@ -469,9 +482,8 @@ G2_K1_DEVIATING_ROWS = (
 
 
 def test_optional_g2_other_canonical_weights():
-    from wflag.search import search
-
-    k1 = search(SearchConfig(format_name="g2", k=1, n=3, u_max=7))
+    k1, scanned = _census(SearchConfig(format_name="g2", k=1, n=3, u_max=7))
+    assert scanned == 3427  # of 169,193 enumerated without the bounds
     assert len(k1) == 63
     assert len({c.x_weights for c in k1}) == 35
     for cand in k1:
@@ -489,7 +501,8 @@ def test_optional_g2_other_canonical_weights():
                 continue
             assert all(s != Q(5, 1, 4, 4) for s, _ in cand.basket), weights
 
-    k0 = search(SearchConfig(format_name="g2", k=0, n=3, u_max=7))
+    k0, scanned = _census(SearchConfig(format_name="g2", k=0, n=3, u_max=7))
+    assert scanned == 1946  # of 167,096
     assert len(k0) == 8
     for cand in k0:
         _verify_candidate_identity(cand)
@@ -528,10 +541,9 @@ def test_optional_g2_other_canonical_weights():
 
 
 def test_optional_grassmannian_truncated_sweep():
-    from wflag.search import search
-
     config = SearchConfig(format_name="gr25", k=1, n=3, q_max=35)
-    candidates = search(config)
+    candidates, scanned = _census(config)
+    assert scanned == 27475  # of 379,457
     assert len(candidates) == 333
     for cand in candidates:
         _verify_candidate_identity(cand)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, prod
 
 import pytest
@@ -76,6 +77,20 @@ def test_pos_wt_caps_top_weight_multiplicity():
     assert (1, 2, 3, 3) in pos_wt((1, 2, 3, 3), 4, 9)
     for parts in pos_wt((1, 1, 2, 2, 3), 4, 8):
         assert parts.count(3) <= 1
+
+
+def test_pos_wt_edge_cases():
+    # one entry is never well formed: removing it leaves gcd 0
+    assert pos_wt((1,), 1, 1) == []
+    assert pos_wt((1, 2, 3), 1, 3) == []
+    # two entries are well formed only as (1, 1), which needs two top weights
+    # when the top weight is 1
+    assert pos_wt((1, 1), 2, 2) == [(1, 1)]
+    assert pos_wt((1,), 2, 2) == []
+    assert pos_wt((1, 2, 2), 2, 2) == [(1, 1)]
+    assert pos_wt((1, 2), 2, 3) == []
+    # a sum below the size has no tuple
+    assert pos_wt((1, 2, 3), 4, 3) == []
 
 
 def test_pos_wt_entries_only_bounded_by_top_weight():
@@ -285,24 +300,55 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
     ],
 )
 def test_pole_order_filter_matches_unfiltered_search(monkeypatch, format_name, k, n, bounds):
-    """The pole-order bound against the path without it: the same candidates
-    and the same scanned counts on every embedding, with tuples cut."""
+    """The pole-order caps against the enumeration bounded by the prime bounds
+    of well-formedness alone: the same candidates on every embedding, never
+    more tuples scanned and fewer somewhere, and the unbounded count equal to
+    the number of tuples `pos_wt` enumerates."""
     config = SearchConfig(format_name=format_name, k=k, n=n, **bounds)
-    bounded = search_module._pole_orders_bounded
-    cut = []
-
-    def spy(parts, caps):
-        ok = bounded(parts, caps)
-        if not ok:
-            cut.append(parts)
-        return ok
-
+    fmt = FORMATS[format_name]
+    s = n + fmt.codimension + 1
+    pole_caps = search_module._pole_caps
+    cut = 0
     for param in sweep_parameters(config):
-        monkeypatch.setattr(search_module, "_pole_orders_bounded", spy)
-        filtered = search_embedding(format_name, param, k=k, n=n)
-        monkeypatch.setattr(search_module, "_pole_orders_bounded", lambda parts, caps: True)
-        assert search_embedding(format_name, param, k=k, n=n) == filtered, param
-    assert cut
+        monkeypatch.setattr(search_module, "_pole_caps", pole_caps)
+        cands, scanned = search_embedding(format_name, param, k=k, n=n)
+        monkeypatch.setattr(search_module, "_pole_caps", lambda H, wmax, s: {})
+        unbounded_cands, unbounded = search_embedding(format_name, param, k=k, n=n)
+        assert cands == unbounded_cands, param
+        data = hilbert_series(fmt, param)
+        assert unbounded == len(pos_wt(data.weights, s, data.adjunction_number - k))
+        assert scanned <= unbounded, param
+        cut += unbounded - scanned
+    assert cut > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.dictionaries(st.integers(2, 8), st.integers(0, 6)),
+)
+def test_bounded_enumeration_matches_filtered_pos_wt(ambient, s, w, caps):
+    """The incremental divisor counts cut exactly the tuples of `pos_wt`
+    with some #{i : d | p_i} above its cap, and keep the order; `pos_wt`
+    itself matches a brute-force scan with the gcd test for well-formedness."""
+    wmax = max(ambient)
+    brute = [
+        parts
+        for parts in combinations_with_replacement(range(1, wmax + 1), s)
+        if sum(parts) == w
+        and parts.count(wmax) <= ambient.count(wmax)
+        and all(gcd(*parts[:i], *parts[i + 1 :]) == 1 for i in range(s))
+    ]
+    assert pos_wt(ambient, s, w) == brute
+    bounds = search_module._divisor_bounds(wmax, s, caps)
+    expected = [
+        parts
+        for parts in pos_wt(ambient, s, w)
+        if all(sum(1 for p in parts if p % d == 0) <= cap for d, cap in caps.items())
+    ]
+    assert list(search_module._iter_pos_wt(ambient, s, w, bounds)) == expected
 
 
 # ---------------------------------------------------------------------------
