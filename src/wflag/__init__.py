@@ -24,7 +24,6 @@ from .orbifold import (
 from .ratfun import (
     DomainError,
     RationalFunction,
-    TruncatedSeries,
     UniPolynomial,
     poly_gcd,
     series_of,
@@ -64,7 +63,6 @@ __all__ = [
     "qorb",
     "DomainError",
     "RationalFunction",
-    "TruncatedSeries",
     "UniPolynomial",
     "poly_gcd",
     "series_of",

@@ -154,14 +154,14 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
             "mu": list(data.mu),
             "u": data.u,
             "weights": list(data.weights),
-            "numerator": [str(c) for c in data.numerator.coeffs],
+            "numerator": [str(c) for c in data.numerator],
             "q": data.adjunction_number,
             "canonical_weight": data.sigma,
         }
         print(json.dumps(payload))
     else:
         print(f"weights: {' '.join(str(w) for w in data.weights)}")
-        print(f"numerator: {data.numerator}")
+        print(f"numerator: {UniPolynomial(data.numerator)}")
         print(f"q: {data.adjunction_number}")
         print(f"canonical weight: {data.sigma}")
     return 0

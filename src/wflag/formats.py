@@ -37,7 +37,6 @@ from itertools import combinations_with_replacement
 from .ratfun import (
     DomainError,
     RationalFunction,
-    UniPolynomial,
     denominator_poly,
     div_one_minus_t_pow,
     int_exact_div,
@@ -90,8 +89,8 @@ class EmbeddingData:
     mu: tuple[int, ...]
     u: int
     weights: tuple[int, ...]  # ambient weights, sorted
-    numerator: UniPolynomial  # H with P = H / prod(1 - t^w)
-    numerator_reduced: UniPolynomial  # H / (1-t)^codimension
+    numerator: tuple[int, ...]  # H with P = H / prod(1 - t^w)
+    numerator_reduced: tuple[int, ...]  # H / (1-t)^codimension
     adjunction_number: int  # q = deg H
     sigma: int  # canonical degree of the image, q - sum(weights)
 
@@ -99,7 +98,7 @@ class EmbeddingData:
     def series(self) -> RationalFunction:
         """P itself, H / prod(1 - t^w), built on demand."""
         den = denominator_poly(self.weights, sum(self.weights))
-        return RationalFunction(self.numerator, UniPolynomial(den))
+        return RationalFunction(self.numerator, den)
 
 
 def _transposition_matrix(n: int, i: int) -> Matrix:
@@ -359,8 +358,8 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
         mu=param.mu,
         u=param.u,
         weights=weights,
-        numerator=UniPolynomial(h),
-        numerator_reduced=UniPolynomial(reduced),
+        numerator=tuple(h),
+        numerator_reduced=tuple(reduced),
         adjunction_number=q,
         sigma=q - sum(weights),
     )

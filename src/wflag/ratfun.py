@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -77,6 +77,10 @@ class UniPolynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        # without it, iteration falls back to __getitem__, which never fails
+        return iter(self.coeffs)
 
     @property
     def leading(self) -> Fraction:
@@ -259,16 +263,6 @@ T = UniPolynomial([0, 1])
 # exact stage) work on plain ``list[int]`` coefficient lists, index i holding
 # the coefficient of t^i.  No gcd is ever taken; divisions are exact or they
 # fail.
-
-
-def int_coeffs(poly: UniPolynomial) -> list[int]:
-    """The coefficients of an integral polynomial as a list of ints."""
-    out = []
-    for c in poly.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("expected integer coefficients")
-        out.append(c.numerator)
-    return out
 
 
 def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -561,9 +555,6 @@ class RationalFunction:
             raise DomainError("pole at evaluation point")
         return self.num.evaluate(x) / dv
 
-    def series(self, order: int) -> TruncatedSeries:
-        return series_of(self, order)
-
     def __str__(self) -> str:
         if self.den == P_ONE:
             return str(self.num)
@@ -592,39 +583,8 @@ def _coerce_rat(x: object) -> RationalFunction:
 RF_ZERO = RationalFunction(P_ZERO)
 
 
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
-    """Power series coefficients c_0 .. c_order (everything above is unknown)."""
-
-    coefficients: tuple[Fraction, ...]
-    order: int
-
-    def __init__(self, coefficients: Sequence[Scalar], order: int | None = None) -> None:
-        cs = tuple(_as_fraction(c) for c in coefficients)
-        if order is None:
-            order = len(cs) - 1
-        if order != len(cs) - 1:
-            raise ValueError("order must equal len(coefficients) - 1")
-        object.__setattr__(self, "coefficients", cs)
-        object.__setattr__(self, "order", order)
-
-    def __getitem__(self, i: int) -> Fraction:
-        if not 0 <= i <= self.order:
-            raise IndexError(f"coefficient {i} outside truncation order {self.order}")
-        return self.coefficients[i]
-
-    def __len__(self) -> int:
-        return self.order + 1
-
-    def __str__(self) -> str:
-        body = " + ".join(
-            f"{c}*t^{i}" for i, c in enumerate(self.coefficients) if c
-        )
-        return (body or "0") + f" + O(t^{self.order + 1})"
-
-
-def series_of(f: RationalFunction, order: int) -> TruncatedSeries:
-    """Power series expansion of f at t = 0 through degree ``order``.
+def series_of(f: RationalFunction, order: int) -> tuple[Fraction, ...]:
+    """Power series coefficients c_0 .. c_order of f at t = 0.
 
     Raises DomainError if f has a pole at the origin.
     """
@@ -632,7 +592,7 @@ def series_of(f: RationalFunction, order: int) -> TruncatedSeries:
         raise ValueError("series order must be nonnegative")
     num, den = f.num, f.den
     if num.is_zero():
-        return TruncatedSeries([Fraction(0)] * (order + 1))
+        return (Fraction(0),) * (order + 1)
     # canonical form is coprime, so a denominator vanishing at 0 is a real pole
     v = den.valuation()
     if v > 0:
@@ -645,5 +605,5 @@ def series_of(f: RationalFunction, order: int) -> TruncatedSeries:
         for j in range(1, min(k, len(dc) - 1) + 1):
             acc -= dc[j] * out[k - j]
         out.append(acc * inv0)
-    return TruncatedSeries(out)
+    return tuple(out)
 

@@ -16,8 +16,10 @@ identity, so the file stays correct either way.
 
 Exact rationals serialize as ``{"num": "<int>", "den": "<int>"}`` with the
 integers rendered as decimal strings, so degrees like 18/91 survive
-round-trips without any precision loss.  CSV and aligned-text renderings are
-derived views over the same candidate set.
+round-trips without any precision loss.  The Hilbert numerator of a
+candidate is a list of integers, each written the same way with ``"den":
+"1"``; a reader rejects any other denominator there.  CSV and aligned-text
+renderings are derived views over the same candidate set.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
 from .orbifold import QuotientSingularity
-from .ratfun import UniPolynomial
 from .search import Candidate, SweepResult
 
 SCHEMA_VERSION = 1
@@ -53,6 +54,13 @@ def fraction_from_json(obj: object) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
     raise ValueError(f"cannot read a rational from {obj!r}")
+
+
+def _integer_from_json(obj: object) -> int:
+    x = fraction_from_json(obj)
+    if x.denominator != 1:
+        raise RecordError(f"numerator coefficient {x} is not an integer")
+    return x.numerator
 
 
 def _singularity_to_json(sing: QuotientSingularity) -> dict:
@@ -82,7 +90,7 @@ def candidate_to_json(cand: Candidate) -> dict:
             for group in cand.kernels
         ],
         "smooth": cand.smooth,
-        "numerator": [fraction_to_json(c) for c in cand.numerator.coeffs],
+        "numerator": [{"num": str(c), "den": "1"} for c in cand.numerator],
     }
 
 
@@ -104,7 +112,7 @@ def candidate_from_json(obj: dict) -> Candidate:
             for group in obj["kernels"]
         ),
         smooth=bool(obj["smooth"]),
-        numerator=UniPolynomial([fraction_from_json(c) for c in obj["numerator"]]),
+        numerator=tuple(_integer_from_json(c) for c in obj["numerator"]),
     )
 
 
@@ -232,7 +240,7 @@ class RecordCache:
                         ordered.extend(staged.pop(key, []))
                 else:
                     raise RecordError(f"unknown record kind {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise RecordError(f"malformed record on line {line_no}: {exc}") from exc
         # candidates of keys that never reached sweep_done are dropped: the
         # rescan of those keys regenerates them

@@ -18,7 +18,10 @@ coefficient system V·m = R, solved by fraction-free elimination over ℤ
 (`linalg.solve`, whose solutions are integer vectors over one common
 denominator D).  Every emitted basket m is
 certified by the identity V·m == R in integers, so the filters cannot
-produce false positives.
+produce false positives.  They can miss true ones: before the exact stage a
+type is dropped when its P_Q has a higher degree than P_X − P_I, a rule with
+no soundness argument that drops certified decompositions (g2 (−2,2) u=5
+at k = 1, for one).
 
 The bound caps #{i : d | p_i} by bound_d = min(cap_d, s − 2 when d is
 prime) for 2 ≤ d ≤ max(ambient), a table built once per embedding.  For
@@ -70,7 +73,6 @@ from .ratfun import (
     cyclotomic_valuation,
     denominator_poly,
     div_one_minus_t_pow,
-    int_coeffs,
     int_mul,
     mul_one_minus_t_pow,
 )
@@ -114,7 +116,7 @@ class Candidate:
     basket: tuple[tuple[QuotientSingularity, int], ...]
     kernels: tuple[tuple[QuotientSingularity, ...], ...]
     smooth: bool
-    numerator: UniPolynomial
+    numerator: tuple[int, ...]
 
     def basket_str(self) -> str:
         if not self.basket:
@@ -249,7 +251,7 @@ def solve_multiplicities(
     R = target * RationalFunction(UniPolynomial(C))
     if R.den.degree > 0 or any(c.denominator != 1 for c in R.num.coeffs):
         return None  # V·m is an integer polynomial for every integer m
-    rows, rhs = _coefficient_system(V, int_coeffs(R.num))
+    rows, rhs = _coefficient_system(V, [c.numerator for c in R.num.coeffs])
     solved = solve(rows, rhs)
     if solved is None:
         return None
@@ -452,8 +454,8 @@ def search_embedding(
     s = n + e + 1
     q = data.adjunction_number
     total = q - k
-    H = int_coeffs(data.numerator)
-    Hred1 = int(data.numerator_reduced.evaluate(Fraction(1)))
+    H = data.numerator
+    Hred1 = sum(data.numerator_reduced)
     ambient = data.weights
 
     candidates: list[Candidate] = []
@@ -484,6 +486,7 @@ def search_embedding(
             solutions = [{}]
         else:
             rat_rhs = dN0 - total
+            # unproven, see the module docstring
             kept = [
                 sng
                 for sng in types

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import wflag
 from wflag.cli import _normalize_argv, build_parser, main
-from wflag.ratfun import UniPolynomial
 from wflag.records import ResultWriter, candidate_from_json
 from wflag.search import G2_FANO_TABLE, Candidate, SweepResult
 
@@ -332,6 +333,31 @@ def test_corrupt_record_file_is_an_error(tmp_path, capsys):
         assert err.startswith("error: ") and "malformed record on line 1" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"num": "1", "den": "2"}, "numerator coefficient 1/2 is not an integer"),
+        ({"num": "1", "den": "0"}, "malformed record on line 1"),
+    ],
+)
+def test_non_integral_numerator_in_record_file_is_an_error(
+    tmp_path, capsys, entry, message
+):
+    cache = tmp_path / "records.ndjson"
+    base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
+    code, _, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    lines = cache.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    assert record["record"] == "candidate"
+    record["candidate"]["numerator"][0] = entry
+    cache.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    code, _, err = run_cli(capsys, "report", "table1", "--from", str(cache))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_report_from_incomplete_cache(tmp_path, capsys):
     cache = str(tmp_path / "records.ndjson")
     code, _, _ = run_cli(
@@ -379,7 +405,7 @@ def test_report_table1_bytes(tmp_path, capsys):
         for row in G2_FANO_TABLE:
             cand = Candidate(
                 "g2", row["mu"], row["u"], row["weights"], -1, 3, row["degree"],
-                row["basket"], (), not row["basket"], UniPolynomial([1]),
+                row["basket"], (), not row["basket"], (1,),
             )
             writer.write_result(
                 SweepResult("g2", row["mu"], row["u"], -1, 3, (cand,), 1, 0)
@@ -444,11 +470,15 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
 
 
 def test_cli_via_module_invocation():
+    # the child imports the same wflag as this process, installed or not
+    src = os.path.dirname(os.path.dirname(wflag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "wflag", "qorb", "--r", "2", "--type", "1,1,1", "--k", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "-t^3" in proc.stdout

@@ -55,18 +55,16 @@ def test_ambient_weight_positivity():
 
 def test_adjoint_variety_numerator():
     e = hilbert_series(G2_FORMAT, P((0, 0), 1))
-    assert e.numerator == UniPolynomial(
-        [1, 0, -28, 105, -162, 84, 84, -162, 105, -28, 0, 1]
-    )
+    assert e.numerator == (1, 0, -28, 105, -162, 84, 84, -162, 105, -28, 0, 1)
     assert e.adjunction_number == 11
     assert e.sigma == -3
     # classical degree of the 5-dimensional adjoint variety
-    assert e.numerator_reduced.evaluate(1) == 18
+    assert sum(e.numerator_reduced) == 18
 
 
 def test_grassmannian_numerator():
     e = hilbert_series(GR25_FORMAT, P((0, 0, 0, 0, 0), 1))
-    assert e.numerator == UniPolynomial([1, 0, -5, 5, 0, -1])
+    assert e.numerator == (1, 0, -5, 5, 0, -1)
     assert e.adjunction_number == 5
     assert e.sigma == -5
 
@@ -76,13 +74,15 @@ def test_weighted_embedding_invariants():
     assert e.adjunction_number == 33
     assert e.sigma == -9
     assert e.weights == ambient_weights(G2_FORMAT, P((-1, 1), 3))
-    assert e.numerator_reduced.evaluate(1) == 93312
+    assert sum(e.numerator_reduced) == 93312
     # Gorenstein symmetry of the numerator
     q, h = e.adjunction_number, e.numerator
-    assert h.reciprocal(q) == h
+    assert len(h) == q + 1 and h[::-1] == h
     g = hilbert_series(GR25_FORMAT, P((0, 1, 2, 3, 4), 1))
-    assert g.numerator.reciprocal(g.adjunction_number) == -g.numerator
-    assert g.numerator_reduced * UniPolynomial([1, -1]) ** 3 == g.numerator
+    q, h = g.adjunction_number, g.numerator
+    assert len(h) == q + 1 and h[::-1] == tuple(-c for c in h)
+    reduced = UniPolynomial(g.numerator_reduced)
+    assert reduced * UniPolynomial([1, -1]) ** 3 == UniPolynomial(h)
 
 
 CROSS_CHECK_CASES = [
@@ -115,7 +115,7 @@ def test_closed_form_matches_graded_characters_on_censuses():
         for param in params:
             e = hilbert_series(fmt, param)
             q = e.adjunction_number
-            coeffs = [int(c) for c in e.numerator.coeffs] + [0] * q
+            coeffs = list(e.numerator) + [0] * q
             coeffs = coeffs[: q + 1]
             for w in e.weights:
                 for i in range(w, q + 1):

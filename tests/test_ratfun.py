@@ -13,7 +13,6 @@ from wflag.ratfun import (
     P_ZERO,
     RationalFunction,
     T,
-    TruncatedSeries,
     UniPolynomial,
     cyclotomic,
     cyclotomic_valuation,
@@ -65,7 +64,7 @@ def test_series_of_hypersurface():
     s = series_of(f, 20)
     dp = monomial_counts(weights, 20)
     expect = [dp[n] - (dp[n - 7] if n >= 7 else 0) for n in range(21)]
-    assert list(s.coefficients) == expect
+    assert list(s) == expect
     assert [s[0], s[1], s[2]] == [1, 4, 11]
 
 
@@ -74,7 +73,7 @@ def test_series_pole_at_origin():
         series_of(RationalFunction(P_ONE, T), 5)
     # a removable factor of t must not trigger the pole error
     s = series_of(RationalFunction(T, T * (1 - T)), 3)
-    assert list(s.coefficients) == [1, 1, 1, 1]
+    assert list(s) == [1, 1, 1, 1]
 
 
 def test_evaluate():
@@ -158,10 +157,19 @@ def test_reciprocal():
 
 
 def test_truncated_series_bounds():
-    s = TruncatedSeries([1, 2, 3])
-    assert s.order == 2 and len(s) == 3
+    s = series_of(RationalFunction.from_quotient_weights([], [1]), 2)
+    assert s == (1, 1, 1) and len(s) == 3
     with pytest.raises(IndexError):
         s[3]
+
+
+def test_polynomial_iteration_stops_at_the_degree():
+    # __getitem__ pads with zeros, so iteration must not fall back to it
+    p = UniPolynomial([1, 2])
+    assert list(itertools.islice(iter(p), 3)) == [1, 2]
+    assert list(UniPolynomial()) == []
+    assert 5 not in p and 2 in p
+    assert UniPolynomial(p) == p
 
 
 def test_polynomial_basics():

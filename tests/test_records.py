@@ -78,6 +78,10 @@ def test_candidate_round_trip(small_candidates):
         obj = candidate_to_json(cand)
         json.dumps(obj)  # must be plain-JSON serializable
         assert candidate_from_json(obj) == cand
+        assert obj["numerator"] == [{"num": str(c), "den": "1"} for c in cand.numerator]
+    obj["numerator"][1] = {"num": "3", "den": "2"}
+    with pytest.raises(RecordError, match="3/2 is not an integer"):
+        candidate_from_json(obj)
 
 
 def test_record_stream_round_trip(small_result):

@@ -394,6 +394,31 @@ def test_search_embedding_u3_candidates():
         _assert_identity(c)
 
 
+def _kept_filter_drop() -> Candidate:
+    """A certified decomposition at g2 (−2,2) u=5, k=1 that the search does
+    not emit: the degree rule on the types (`kept` in `search_embedding`)
+    drops 1/7(3,5,5), whose P_Q has a higher degree than P_X − P_I."""
+    return Candidate(
+        "g2", (-2, 2), 5, (1, 3, 3, 3, 3, 5, 5, 5, 5, 7, 7, 7), 1, 3,
+        Fraction(2, 7), ((Q(3, 1, 2, 2), 9), (Q(7, 3, 5, 5), 3)), (), False,
+        embedding((-2, 2), 5).numerator,
+    )
+
+
+def test_decomposition_dropped_by_the_kept_filter_is_certified():
+    _assert_identity(_kept_filter_drop())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the degree rule on the types in search_embedding is unproven "
+    "and drops this certified decomposition",
+)
+def test_kept_filter_keeps_certified_decompositions():
+    cands, _ = search_embedding("g2", CocharacterParam((-2, 2), 5), k=1)
+    assert candidate_key(_kept_filter_drop()) in {candidate_key(c) for c in cands}
+
+
 #: The candidates of the g2 k=−3 u≤6 census, all on two embeddings whose
 #: `basket_kernel` calls see kernels of dimension 2, 5 and 14.
 G2_K_MINUS_3_CANDIDATES = (
