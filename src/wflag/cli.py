@@ -316,8 +316,6 @@ def _table_row_mismatches(row: dict, cand: Candidate) -> list[str]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.table != "table1":
-        raise DomainError(f"unknown report {args.table!r}")
     _check_jobs(args.jobs)
     if getattr(args, "from_path", None):
         cache = records.load_cache(args.from_path)
@@ -326,20 +324,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         config = SearchConfig(
             format_name="g2", k=-1, n=3, u_max=7, jobs=args.jobs
         )
-        candidates = merge_candidates(_run_sweep(config, None, None, sys.stderr))
+        candidates = _run_sweep(config, None, None, sys.stderr)
     by_key = {candidate_key(c): c for c in candidates}
     headers = ("row", "mu", "u", "X", "degree", "basket", "BK")
     rows: list[tuple[str, ...]] = []
     footnotes: list[str] = []
     for idx, row in enumerate(G2_FANO_TABLE, start=1):
-        basket = tuple(
-            sorted(row["basket"], key=lambda it: (it[0].r, it[0].weights))
-        )
-        key = (
-            row["weights"],
-            tuple((s.r, s.weights, m) for s, m in basket),
-        )
-        cand = by_key.get(key)
+        basket = tuple((s.r, s.weights, m) for s, m in sorted(row["basket"]))
+        cand = by_key.get((row["weights"], basket))
         if cand is None:
             raise DomainError(
                 f"row {idx} (weights {records.compact_weights(row['weights'])}) "
@@ -350,17 +342,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"row {idx} disagrees with the reference values; "
                 "the package invariants are broken"
             )
-        rows.append(
-            (
-                str(idx),
-                "(" + ",".join(str(a) for a in cand.mu) + ")",
-                str(cand.u),
-                "P[" + records.compact_weights(cand.x_weights) + "]",
-                str(cand.degree),
-                cand.basket_str(),
-                "Y" if cand.kernels else "N",
-            )
-        )
+        rows.append((str(idx), *records.text_row(cand)))
         for note in _table_row_mismatches(row, cand):
             footnotes.append(f"row {idx}: {note}")
     out_lines = records.aligned_table(headers, rows)

@@ -29,12 +29,13 @@ from .ratfun import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class QuotientSingularity:
     """Isolated cyclic quotient point of type 1/r(a_1, ..., a_n).
 
     Weights are reduced representatives in (0, r), stored sorted, so equal
-    types always compare equal.
+    types always compare equal; types are ordered by (r, weights), the one
+    order of baskets and collections.
     """
 
     r: int
@@ -70,14 +71,20 @@ class OrbifoldContribution:
     numerator: UniPolynomial | None
 
 
+def _shift(k: int, n: int) -> int:
+    """The power l = ⌊(k+n+1)/2⌋ + 1 of t that every contribution carries."""
+    return (k + n + 1) // 2 + 1
+
+
+@cache
 def _inverse_numerator(
     sing: QuotientSingularity, k: int, n: int
-) -> tuple[int, list[int]]:
-    """(l, β) with l = ⌊(k+n+1)/2⌋ + 1 and β the inverse of
+) -> tuple[int, tuple[int, ...]]:
+    """(l, β) with l = `_shift`(k, n) and β the inverse of
     t^l·∏(1−t^{aᵢ})/(1−t)ⁿ modulo A = 1 + t + … + t^{r−1}, of degree below
-    r − 1.  In integers: (1−t^a)/(1−t) has the inverse Σ_{j<a′} t^{a·j}
-    with a·a′ ≡ 1 (mod r), and t^{−1} ≡ t^{r−1}, so β is a product in
-    ℤ[t]/(t^r − 1), reduced modulo A by cⱼ − c_{r−1}."""
+    r − 1, trimmed.  In integers: (1−t^a)/(1−t) has the inverse
+    Σ_{j<a′} t^{a·j} with a·a′ ≡ 1 (mod r), and t^{−1} ≡ t^{r−1}, so β is a
+    product in ℤ[t]/(t^r − 1), reduced modulo A by cⱼ − c_{r−1}."""
     a = sing.weights
     if len(a) != n:
         raise DomainError("weight count must match the dimension")
@@ -86,23 +93,23 @@ def _inverse_numerator(
         raise DomainError("canonical weight not compatible")
     if any(gcd(r, ai) != 1 for ai in a):
         raise DomainError("non-isolated type")
-    l = (k + n + 1) // 2 + 1
+    l = _shift(k, n)
     c = [0] * r
     c[-l % r] = 1
     for ai in a:
         steps = [ai * j % r for j in range(pow(ai, -1, r))]
         c = [sum(c[(i - s) % r] for s in steps) for i in range(r)]
-    return l, [cj - c[-1] for cj in c[:-1]]
+    beta = [cj - c[-1] for cj in c[:-1]]
+    while not beta[-1]:
+        beta.pop()
+    return l, tuple(beta)
 
 
-def _shifted(l: int, beta: list[int]) -> list[int] | None:
-    """t^l·β, trimmed, or None when l < 0 and t^{−l} does not divide β."""
+def _shifted(l: int, beta: Sequence[int]) -> list[int] | None:
+    """t^l·β, or None when l < 0 and t^{−l} does not divide β."""
     if l < 0 and any(beta[:-l]):
         return None
-    out = [0] * l + beta if l >= 0 else beta[-l:]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return [0] * l + list(beta) if l >= 0 else list(beta[-l:])
 
 
 @cache
@@ -124,7 +131,7 @@ def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
     l, beta = _inverse_numerator(sing, k, n)
     den = mul_one_minus_t_pow([0] * max(-l, 0) + [1], 1, n)
     value = RationalFunction(
-        UniPolynomial([0] * max(l, 0) + beta),
+        UniPolynomial([0] * max(l, 0) + list(beta)),
         UniPolynomial(mul_one_minus_t_pow(den, sing.r)),
     )
     num = _shifted(l, beta)
@@ -247,32 +254,22 @@ def baskets(
     return tuple(out)
 
 
-@cache
-def _int_numerator(sing: QuotientSingularity, k: int, n: int) -> tuple[int, ...]:
-    """The integer coefficients of the numerator B_Q of `qorb`; raises
-    DomainError where `qorb` does and where B_Q is not a polynomial."""
-    num = _shifted(*_inverse_numerator(sing, k, n))
-    if num is None:
-        raise DomainError(
-            f"contribution of {sing} at k={k} is not polynomial over the window"
-        )
-    return tuple(num)
-
-
 def type_vectors(
     types: Sequence[QuotientSingularity], k: int, n: int
 ) -> tuple[list[list[int]], list[int]]:
     """The contributions of the types over one common denominator.
 
     Returns (V, C) with C = (1−t)ⁿ·∏(1−t^r), r running over the distinct
-    indices, and V_Q = B_Q·∏_{r′≠r_Q}(1−t^{r′}) for each type Q, so that the
-    contribution of Q is V_Q / C.  The V_Q are integer coefficient lists
-    padded to one common length (at least 1).
+    indices, and V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) for each type Q, so that the
+    contribution of Q is t^l·V_Q / C with the one shift l = `_shift`(k, n)
+    of every type.  Leaving t^l out keeps V_Q a polynomial when l < 0.  The
+    V_Q are integer coefficient lists padded to one common length (at
+    least 1).
     """
     indices = sorted({t.r for t in types})
     vecs = []
     for t in types:
-        v = list(_int_numerator(t, k, n))
+        v = list(_inverse_numerator(t, k, n)[1])
         for r in indices:
             if r != t.r:
                 v = mul_one_minus_t_pow(v, r)
@@ -299,6 +296,25 @@ def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
     return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
 
 
+def _kernel_components(kernel: Sequence[Sequence[int]]) -> list[tuple[list[int], list]]:
+    """The kernel vectors grouped into independent components, as pairs
+    (coords, vecs): vectors whose supports overlap, directly or through a
+    chain of others, share a component, and coords is the union of their
+    supports.  The coords of different components are disjoint; components
+    come in order of their first coordinate, vectors in kernel order."""
+    comps: list[tuple[set[int], list[int]]] = []
+    for idx, vec in enumerate(kernel):
+        coords, members, rest = {i for i, v in enumerate(vec) if v}, [idx], []
+        for comp in comps:
+            if comp[0] & coords:
+                coords |= comp[0]
+                members += comp[1]
+            else:
+                rest.append(comp)
+        comps = rest + [(coords, members)]
+    return sorted((sorted(c), [kernel[i] for i in sorted(m)]) for c, m in comps)
+
+
 def basket_kernel(
     types, extended_weights, k: int, n: int = 3
 ) -> tuple[tuple[QuotientSingularity, ...], ...]:
@@ -310,6 +326,15 @@ def basket_kernel(
     0/1 patterns on the free coordinates need enumerating.  The kernel
     basis is integral with D in its free coordinates, so a pattern gives a
     collection when every coordinate of its sum is 0 or D.
+
+    The patterns are walked per component of `_kernel_components`.  Vectors
+    of different components have disjoint supports, so the sum of a
+    pattern, restricted to one component, is the sum of that component's
+    part of the pattern alone; the sum is 0/1 (over D) exactly when every
+    part is.  The 0/1 kernel vectors are therefore exactly the products of
+    one find per component, each possibly "none", and a nonzero part has
+    D at a free coordinate, so each product is one pattern of the whole
+    kernel.  At most Π(finds + 1) ≤ 2^dim products are built.
     """
     types = tuple(types)
     m = len(types)
@@ -318,25 +343,27 @@ def basket_kernel(
     vecs, _ = type_vectors(types, k, n)
     rows, rhs = _coefficient_system(vecs, [])
     D, _, kernel = solve(rows, rhs)
-    if not kernel:
-        return ()
-    if len(kernel) > 24:
-        raise DomainError("kernel search space too large")
+    per_comp: list[list[tuple[int, ...]]] = []
+    for coords, comp in _kernel_components(kernel):
+        if len(comp) > 24:
+            raise DomainError("kernel search space too large")
+        parts = [[vec[i] for i in coords] for vec in comp]
+        finds: list[tuple[int, ...]] = [()]
+        for mask in range(1, 1 << len(parts)):
+            chosen = (p for b, p in enumerate(parts) if (mask >> b) & 1)
+            total = [sum(col) for col in zip(*chosen)]
+            if all(v in (0, D) for v in total):
+                finds.append(tuple(i for i, v in zip(coords, total) if v))
+        per_comp.append(finds)
     out = []
-    for mask in range(1, 1 << len(kernel)):
-        total = [0] * m
-        for i, vec in enumerate(kernel):
-            if (mask >> i) & 1:
-                total = [a + b for a, b in zip(total, vec)]
-        if any(v not in (0, D) for v in total):
-            continue
-        member = [v // D for v in total]
+    for combo in product(*per_comp):
+        member = [0] * m
+        for i in chain.from_iterable(combo):
+            member[i] = 1
         subset = tuple(t for t, used in zip(types, member) if used)
         if len(subset) < 2 or not fits(subset, extended_weights):
             continue
         # the certificate: the members' vectors sum to zero
-        if not _certified(rows, rhs, member):
-            continue
-        out.append(subset)
-    out.sort(key=lambda s: tuple((t.r, t.weights) for t in s))
-    return tuple(out)
+        if _certified(rows, rhs, member):
+            out.append(subset)
+    return tuple(sorted(out))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
 from .orbifold import QuotientSingularity
-from .search import Candidate, SweepResult
+from .search import Candidate, SweepResult, compact_weights
 
 SCHEMA_VERSION = 1
 
@@ -318,21 +318,6 @@ def emit_csv(candidates: Sequence[Candidate], stream: IO[str]) -> None:
         )
 
 
-def compact_weights(weights: Sequence[int]) -> str:
-    """Render a sorted weight multiset as ``1,2^4,3^4,4^2,5``."""
-    parts: list[str] = []
-    i = 0
-    ws = list(weights)
-    while i < len(ws):
-        j = i
-        while j < len(ws) and ws[j] == ws[i]:
-            j += 1
-        count = j - i
-        parts.append(str(ws[i]) if count == 1 else f"{ws[i]}^{count}")
-        i = j
-    return ",".join(parts)
-
-
 def aligned_table(
     headers: Sequence[str], rows: Sequence[Sequence[str]]
 ) -> list[str]:
@@ -346,19 +331,22 @@ def aligned_table(
     return [line(headers), line(["-" * w for w in widths]), *map(line, rows)]
 
 
+def text_row(cand: Candidate) -> tuple[str, ...]:
+    """The six cells of a candidate in a text table: μ, u, ``P[…]``, degree,
+    basket and BK (Y when a zero-sum collection makes the basket ambiguous)."""
+    return (
+        "(" + ",".join(str(a) for a in cand.mu) + ")",
+        str(cand.u),
+        "P[" + compact_weights(cand.x_weights) + "]",
+        str(cand.degree),
+        cand.basket_str(),
+        "Y" if cand.kernels else "N",
+    )
+
+
 def emit_text(candidates: Sequence[Candidate], stream: IO[str]) -> None:
     headers = ("mu", "u", "ambient", "degree", "basket", "BK")
-    rows = [
-        (
-            "(" + ",".join(str(a) for a in cand.mu) + ")",
-            str(cand.u),
-            "P[" + compact_weights(cand.x_weights) + "]",
-            str(cand.degree),
-            cand.basket_str(),
-            "Y" if cand.kernels else "N",
-        )
-        for cand in candidates
-    ]
+    rows = [text_row(cand) for cand in candidates]
     stream.write("".join(line + "\n" for line in aligned_table(headers, rows)))
 
 

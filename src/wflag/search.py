@@ -14,10 +14,11 @@ The work is arranged as a funnel: a divisor-count bound inside the tuple
 enumeration first, then cheap integer filters, then the integrality of
 R = (P_X − P_I)·C over the common denominator C of the contributions (sparse
 exact divisions by each 1 − t^{p_i}), and for the rare survivors the integer
-coefficient system V·m = R, solved by fraction-free elimination over ℤ
+coefficient system V·m = R·t^{−l} (every contribution carries the same power
+t^l, left out of V), solved by fraction-free elimination over ℤ
 (`linalg.solve`, whose solutions are integer vectors over one common
 denominator D).  Every emitted basket m is
-certified by the identity V·m == R in integers, so the filters cannot
+certified by the identity V·m == R·t^{−l} in integers, so the filters cannot
 produce false positives.  They can miss true ones: before the exact stage a
 type is dropped when its P_Q has a higher degree than P_X − P_I, a rule with
 no soundness argument that drops certified decompositions (g2 (−2,2) u=5
@@ -42,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, gcd, prod
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Sequence
@@ -60,7 +61,10 @@ from .orbifold import (
     QuotientSingularity,
     _certified,
     _coefficient_system,
-    _int_numerator,
+    _inverse_numerator,
+    _kernel_components,
+    _shift,
+    _shifted,
     basket_kernel,
     fits,
     porb_cont,
@@ -141,8 +145,13 @@ class SweepResult:
 
 
 def _candidate_order_key(c: Candidate):
-    basket_key = tuple((s.r, s.weights, m) for s, m in c.basket)
-    return (sum(c.x_weights), c.x_weights, basket_key)
+    return (sum(c.x_weights), c.x_weights, c.basket)
+
+
+def compact_weights(weights: Sequence[int]) -> str:
+    """Render a sorted weight multiset as ``1,2^4,3^4,4^2,5``."""
+    runs = [(w, len(list(group))) for w, group in groupby(weights)]
+    return ",".join(str(w) if c == 1 else f"{w}^{c}" for w, c in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +249,22 @@ def solve_multiplicities(
 
     The contributions share one canonical weight k and one dimension n.
     Over the common denominator C of the contributions this is the integer
-    system Σ mᵢ·Vᵢ = (series − init)·C (see `type_vectors`); the solution with
-    free multiplicities zero is returned once it passes that identity.
+    system Σ mᵢ·Vᵢ = (series − init)·C·t^{−l} (see `type_vectors`); the
+    solution with free multiplicities zero is returned once it passes that
+    identity.
     """
     target = series - init
     if not contribs:
         return [] if target.is_zero() else None
-    n = len(contribs[0].singularity.weights)
-    V, C = type_vectors([c.singularity for c in contribs], contribs[0].k, n)
+    k, n = contribs[0].k, len(contribs[0].singularity.weights)
+    V, C = type_vectors([c.singularity for c in contribs], k, n)
     R = target * RationalFunction(UniPolynomial(C))
     if R.den.degree > 0 or any(c.denominator != 1 for c in R.num.coeffs):
         return None  # V·m is an integer polynomial for every integer m
-    rows, rhs = _coefficient_system(V, [c.numerator for c in R.num.coeffs])
+    R = _shifted(-_shift(k, n), [c.numerator for c in R.num.coeffs])
+    if R is None:
+        return None
+    rows, rhs = _coefficient_system(V, R)
     solved = solve(rows, rhs)
     if solved is None:
         return None
@@ -300,10 +313,16 @@ def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> l
 
 
 def _integral_target(
-    kept: Sequence[QuotientSingularity], N0: list[int], parts: Sequence[int], n: int
+    kept: Sequence[QuotientSingularity],
+    N0: list[int],
+    parts: Sequence[int],
+    k: int,
+    n: int,
 ) -> list[int] | None:
-    """R = N0·C/∏(1 − t^{p_i}) with C = (1−t)ⁿ∏(1−t^r) over the indices r of
-    the types, or None when R is not a polynomial; one sparse pass per factor.
+    """R·t^{−l} for R = N0·C/∏(1 − t^{p_i}), C = (1−t)ⁿ∏(1−t^r) over the
+    indices r of the types and l = `_shift`(k, n), or None when it is not a
+    polynomial; one sparse pass per factor.  Every contribution is t^l·V_Q/C
+    (`type_vectors`), so V·m = R·t^{−l} is the system for any k.
     """
     R = mul_one_minus_t_pow(N0, 1, n)
     for r in sorted({sng.r for sng in kept}):
@@ -313,7 +332,7 @@ def _integral_target(
             R = div_one_minus_t_pow(R, w)
     except ArithmeticError:
         return None
-    return R
+    return _shifted(-_shift(k, n), R)
 
 
 def _exact_solutions(
@@ -327,12 +346,12 @@ def _exact_solutions(
     = Σ m_Q·P_Q whose support admits no internal zero-sum relation (those
     have a smaller representative that is also returned).
 
-    Over the common denominator C of the types this is Σ m_Q·V_Q = R with
-    R = (P_X − P_I)·C.  V·m is an integer polynomial for every integer m, so
-    when R is not one there is no solution; this test runs first, before any
-    type vector is built.
+    Over the common denominator C of the types this is Σ m_Q·V_Q = R·t^{−l}
+    with R = (P_X − P_I)·C.  V·m is an integer polynomial for every integer
+    m, so when R·t^{−l} is not one there is no solution; this test runs
+    first, before any type vector is built.
     """
-    R = _integral_target(kept, N0, parts, n)
+    R = _integral_target(kept, N0, parts, k, n)
     if R is None:
         return []
     V, _ = type_vectors(kept, k, n)
@@ -346,45 +365,20 @@ def _exact_solutions(
 def _enumerate_kernel_solutions(kept, D, particular, kernel, rows, rhs):
     """The solutions are particular/D plus rational combinations of the
     integer kernel vectors; every test below is one on integers."""
-    j = len(kept)
-    involved = sorted(
-        {i for vec in kernel for i in range(j) if vec[i]}
-    )
+    # choices within distinct components of the kernel are independent
+    components = _kernel_components(kernel)
+    involved = {i for coords, _ in components for i in coords}
     # coordinates outside the kernel support agree across all solutions
-    for i in range(j):
-        if i not in involved:
-            v = particular[i]
-            if v < 0 or v % D:
-                return []
-    # split the kernel into components of co-occurring coordinates; choices
-    # within distinct components are independent
-    parent = {i: i for i in involved}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for vec in kernel:
-        support = [i for i in involved if vec[i]]
-        for i in support[1:]:
-            parent[find(i)] = find(support[0])
-    comp_coords: dict[int, list[int]] = {}
-    for i in involved:
-        comp_coords.setdefault(find(i), []).append(i)
-    comp_vecs: dict[int, list[list[int]]] = {r: [] for r in comp_coords}
-    for vec in kernel:
-        comp_vecs[find(next(i for i in involved if vec[i]))].append(vec)
+    for i, v in enumerate(particular):
+        if i not in involved and (v < 0 or v % D):
+            return []
 
     # every extreme solution has at least dim-many vanishing coordinates in
     # each component, so pin the combination coefficients by choosing which
     # (a combination lam/E of the vectors gives the coordinate
     # (E·particular[i] + Σ lam·vec[i]) / (D·E))
     per_comp: list[list[dict[int, int]]] = []
-    for root in sorted(comp_coords):
-        coords = comp_coords[root]
-        vecs = comp_vecs[root]
+    for coords, vecs in components:
         dim = len(vecs)
         if comb(len(coords), dim) > 20_000:
             raise DomainError("kernel search space too large")
@@ -466,44 +460,53 @@ def search_embedding(
     wmax = max(ambient)
     bounds = _divisor_bounds(wmax, s, _pole_caps(H, wmax, s))
 
-    for parts in _iter_pos_wt(ambient, s, total, bounds):
-        scanned += 1
-        den_n1 = denominator_poly(parts, total)
-        for _ in range(n + 1):
-            den_n1 = div_one_minus_t_pow(den_n1, 1)
-        A = _initial_coeffs(H, parts, k, n)
-        # N0 = H − A·den_n1 is the numerator of P_X − P_I over ∏(1 − t^{p_i})
-        prod_ai = int_mul(A, den_n1)
-        N0 = [
-            (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
-            for i in range(max(len(H), len(prod_ai)))
-        ]
-        dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
+    l = _shift(k, n)
+    try:
+        for parts in _iter_pos_wt(ambient, s, total, bounds):
+            scanned += 1
+            den_n1 = denominator_poly(parts, total)
+            for _ in range(n + 1):
+                den_n1 = div_one_minus_t_pow(den_n1, 1)
+            A = _initial_coeffs(H, parts, k, n)
+            # N0 = H − A·den_n1 is the numerator of P_X − P_I over ∏(1 − t^{p_i})
+            prod_ai = int_mul(A, den_n1)
+            N0 = [
+                (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
+                for i in range(max(len(H), len(prod_ai)))
+            ]
+            dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
 
-        types, extended = porb_cont(parts, n, k)
-        if dN0 < 0:
-            # P_X = P_I exactly: smooth member
-            solutions = [{}]
-        else:
-            rat_rhs = dN0 - total
-            # unproven, see the module docstring
-            kept = [
-                sng
-                for sng in types
-                if len(_int_numerator(sng, k, n)) - 1 - n - sng.r <= rat_rhs
-            ]
-            if not kept:
-                continue
-            solutions = [
-                solution
-                for solution in _exact_solutions(kept, N0, parts, k, n)
-                if fits(solution, extended)
-            ]
-        if solutions:
-            _emit(
-                candidates, data, format_name, parts, solutions, types,
-                extended, Hred1, k, n,
-            )
+            types, extended = porb_cont(parts, n, k)
+            if dN0 < 0:
+                # P_X = P_I exactly: smooth member
+                solutions = [{}]
+            else:
+                rat_rhs = dN0 - total
+                # unproven, see the module docstring; deg B_Q = l + deg β_Q
+                kept = [
+                    sng
+                    for sng in types
+                    if l + len(_inverse_numerator(sng, k, n)[1]) - 1 - n - sng.r
+                    <= rat_rhs
+                ]
+                if not kept:
+                    continue
+                solutions = [
+                    solution
+                    for solution in _exact_solutions(kept, N0, parts, k, n)
+                    if fits(solution, extended)
+                ]
+            if solutions:
+                _emit(
+                    candidates, data, format_name, parts, solutions, types,
+                    extended, Hred1, k, n,
+                )
+    except DomainError as exc:
+        # a cap of the kernel searches: say which tuple the sweep stopped at
+        mu = ",".join(str(a) for a in param.mu)
+        raise DomainError(
+            f"{format_name} mu=({mu}) u={param.u} P[{compact_weights(parts)}]: {exc}"
+        ) from None
 
     candidates.sort(key=_candidate_order_key)
     return candidates, scanned
@@ -528,9 +531,7 @@ def _emit(
         return
     kernels = basket_kernel(types, extended, k, n) if types else ()
     for solution in solutions:
-        basket = tuple(
-            sorted(solution.items(), key=lambda it: (it[0].r, it[0].weights))
-        )
+        basket = tuple(sorted(solution.items()))
         candidates.append(
             Candidate(
                 format_name=format_name,

@@ -157,7 +157,7 @@ def test_criterion_04_ambient_weight_adjunction():
 
 
 def _table_key(row: dict) -> tuple:
-    basket = tuple(sorted(row["basket"], key=lambda it: (it[0].r, it[0].weights)))
+    basket = tuple(sorted(row["basket"]))
     return (row["weights"], tuple((s.r, s.weights, m) for s, m in basket))
 
 

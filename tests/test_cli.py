@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import wflag
+import wflag.search as search_module
 from wflag.cli import _normalize_argv, build_parser, main
+from wflag.ratfun import DomainError
 from wflag.records import ResultWriter, candidate_from_json
 from wflag.search import G2_FANO_TABLE, Candidate, SweepResult
 
@@ -85,16 +87,31 @@ def test_qorb_rejects_a_type_without_weights(capsys):
     assert err == "error: a quotient type needs at least one weight\n"
 
 
-def test_search_names_a_contribution_that_is_not_polynomial(capsys):
+def test_search_runs_where_a_contribution_has_a_pole_at_zero(tmp_path, capsys):
     # at k = -7 a threefold contribution has the shift l = -1, and that of
-    # 1/2(1,1,1) has a pole at t = 0
-    code, _, err = run_cli(
+    # 1/2(1,1,1) has a pole at t = 0; the exact system leaves t^l out
+    path = tmp_path / "k-7.jsonl"
+    code, out, _ = run_cli(
         capsys, "search", "--format", "g2", "--k", "-7", "--n", "3",
-        "--u-max", "4", "--jobs", "1",
+        "--u-max", "4", "--out", str(path),
+    )
+    assert code == 0
+    assert out == ""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["record"] for r in records] == ["sweep_done"] * 7
+
+
+def test_search_error_names_the_tuple_it_stopped_at(monkeypatch, capsys):
+    def too_large(*args):
+        raise DomainError("kernel search space too large")
+
+    monkeypatch.setattr(search_module, "basket_kernel", too_large)
+    code, _, err = run_cli(
+        capsys, "search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3",
     )
     assert code == 1
     assert err.endswith(
-        "error: contribution of 1/2(1,1,1) at k=-7 is not polynomial over the window\n"
+        "error: g2 mu=(-1,1) u=3 P[1,2^4,3^4,4^2,5]: kernel search space too large\n"
     )
 
 

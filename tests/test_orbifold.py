@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import re
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
-    _int_numerator,
+    _kernel_components,
     basket_kernel,
     baskets,
     gcd_closure,
@@ -192,12 +192,8 @@ def test_qorb_negative_shift_goldens(sing, k, n, value, numerator):
     assert contrib.value == RationalFunction(UniPolynomial(num), den)
     if numerator is None:
         assert contrib.numerator is None
-        message = re.escape(f"{sing} at k={k} is not polynomial")
-        with pytest.raises(DomainError, match=message):
-            _int_numerator(sing, k, n)
     else:
         assert contrib.numerator == UniPolynomial(numerator)
-        assert _int_numerator(sing, k, n) == tuple(numerator)
 
 
 def test_numerator_window_and_symmetry():
@@ -305,6 +301,30 @@ def test_kernel_brute_force_equivalence():
                 brute.add(tuple(sub))
     assert got == brute
     assert (Q(5, 3, 3, 4), Q(5, 1, 2, 2)) in got
+
+
+def test_kernel_components_join_overlapping_supports():
+    # the fourth vector joins the components of the first two
+    kernel = [[1, 0, 1, 0, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 0, 0, 0, 5], [0, 0, 3, 0, 1, 0]]
+    assert _kernel_components(kernel) == [
+        ([0, 1, 2, 4], [kernel[0], kernel[1], kernel[3]]),
+        ([5], [kernel[2]]),
+    ]
+    assert _kernel_components([]) == []
+
+
+def test_kernel_walk_per_component():
+    # 40 types, a kernel of dimension 26 in components of dimension 2, 4, 9
+    # and 11: the whole-kernel walk of 2^26 patterns was refused
+    types, extended = porb_cont((1, 2, 3, 3, 3, 4, 5, 5, 6, 7, 8, 9, 11), 4, -1)
+    assert len(types) == 40
+    start = time.perf_counter()
+    got = basket_kernel(types, extended, -1, 4)
+    assert time.perf_counter() - start < 1
+    assert got == (
+        (Q(5, 1, 1, 1, 3), Q(5, 1, 2, 4, 4)),
+        (Q(5, 1, 1, 2, 2), Q(5, 1, 3, 3, 4)),
+    )
 
 
 small_types = st.sampled_from(list(_valid_types(6)))

@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 import wflag.search as search_module
 from wflag.formats import FORMATS, CocharacterParam, enumerate_parameters, hilbert_series
-from wflag.orbifold import QuotientSingularity, initial_term, qorb, type_vectors
+from wflag.linalg import solve
+from wflag.orbifold import (
+    QuotientSingularity,
+    _certified,
+    _coefficient_system,
+    _shift,
+    basket_kernel,
+    fits,
+    initial_term,
+    qorb,
+    type_vectors,
+)
 from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
 from wflag.search import (
     G2_FANO_TABLE,
@@ -245,13 +256,15 @@ def test_exact_stage_needs_an_exact_division():
         ("g2", -1, {"u_max": 3}),
         ("g2", 1, {"u_max": 3}),
         ("gr25", 1, {"q_max": 12}),
+        ("g2", -7, {"u_max": 5}),
     ],
-    ids=["g2-k-1-u3", "g2-k1-u3", "gr25-k1-q12"],
+    ids=["g2-k-1-u3", "g2-k1-u3", "gr25-k1-q12", "g2-k-7-u5"],
 )
 def test_integrality_filter_matches_rational_functions(monkeypatch, format_name, k, params):
     """The first exact filter against the unfiltered rational-function path:
-    for every tuple with kept types, R = (P_X − P_I)·C when that product is a
-    polynomial, and no solution when it is not."""
+    for every tuple with kept types, the target is (P_X − P_I)·C·t^{−l} when
+    that product is a polynomial, and there is no solution when it is not.
+    At k = −7 the shift l is negative."""
     calls = []
 
     def spy(kept, N0, parts, k, n):
@@ -272,8 +285,12 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
         for kept, N0, parts, solutions in calls:
             series = H / UniPolynomial(denominator_poly(parts, sum(parts)))
             _, C = type_vectors(kept, k, 3)
-            product = (series - initial_term(series, 3, k)) * UniPolynomial(C)
-            R = _integral_target(kept, N0, parts, 3)
+            l = _shift(k, 3)
+            product = (series - initial_term(series, 3, k)) * RationalFunction(
+                UniPolynomial(C) * UniPolynomial.monomial(max(-l, 0)),
+                UniPolynomial.monomial(max(l, 0)),
+            )
+            R = _integral_target(kept, N0, parts, k, 3)
             if product.den == UniPolynomial([1]):
                 integral += 1
                 assert R is not None and UniPolynomial(R) == product.num
@@ -463,6 +480,54 @@ def test_integer_kernel_walk_on_the_k_minus_3_census():
         _assert_identity(c)
 
 
+def _whole_kernel_walk(types, extended_weights, k, n):
+    """The walk `basket_kernel` made before it split the kernel into
+    components: every 0/1 pattern of the whole kernel basis."""
+    types = tuple(types)
+    if len(types) < 2:
+        return ()
+    vecs, _ = type_vectors(types, k, n)
+    rows, rhs = _coefficient_system(vecs, [])
+    D, _, kernel = solve(rows, rhs)
+    out = []
+    for mask in range(1, 1 << len(kernel)):
+        total = [0] * len(types)
+        for i, vec in enumerate(kernel):
+            if (mask >> i) & 1:
+                total = [a + b for a, b in zip(total, vec)]
+        if any(v not in (0, D) for v in total):
+            continue
+        member = [v // D for v in total]
+        subset = tuple(t for t, used in zip(types, member) if used)
+        if len(subset) < 2 or not fits(subset, extended_weights):
+            continue
+        if _certified(rows, rhs, member):
+            out.append(subset)
+    out.sort(key=lambda s: tuple((t.r, t.weights) for t in s))
+    return tuple(out)
+
+
+def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch):
+    """`basket_kernel` against the whole-kernel walk on the types of every
+    emitting tuple of g2 k=1 u≤5 (3 of 20 calls find collections) and of
+    g2 k=−3 u≤6 (kernels up to dimension 14)."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return basket_kernel(*args)
+
+    monkeypatch.setattr(search_module, "basket_kernel", spy)
+    search(SearchConfig(format_name="g2", k=1, n=3, u_max=5))
+    search(SearchConfig(format_name="g2", k=-3, n=3, u_max=6))
+    found = 0
+    for args in calls:
+        got = basket_kernel(*args)
+        assert got == _whole_kernel_walk(*args), args
+        found += bool(got)
+    assert len(calls) == 23 and found == 3
+
+
 def test_search_dedup_and_order():
     config = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
     merged = search(config)
@@ -558,7 +623,7 @@ def test_search_finds_early_table_rows():
     for row in G2_FANO_TABLE:
         if row["u"] > 4:
             continue
-        basket = tuple(sorted(row["basket"], key=lambda it: (it[0].r, it[0].weights)))
+        basket = tuple(sorted(row["basket"]))
         key = (row["weights"], tuple((s.r, s.weights, m) for s, m in basket))
         assert key in by_key, f"missing table row {row['weights']}"
         cand = by_key[key]
