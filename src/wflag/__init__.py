@@ -8,14 +8,12 @@ from .formats import (
     FormatSpec,
     ambient_weights,
     enumerate_parameters,
-    graded_series_coefficients,
     hilbert_series,
 )
 from .orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
     basket_kernel,
-    baskets,
     gcd_closure,
     initial_term,
     porb_cont,
@@ -33,15 +31,11 @@ from .search import (
     Candidate,
     SearchConfig,
     SweepResult,
-    degree_of,
-    is_terminal_type,
     iter_search,
     merge_candidates,
     pos_wt,
     search_embedding,
-    solve_multiplicities,
     sweep_parameters,
-    terminal_basket,
 )
 
 __all__ = [
@@ -51,12 +45,10 @@ __all__ = [
     "FormatSpec",
     "ambient_weights",
     "enumerate_parameters",
-    "graded_series_coefficients",
     "hilbert_series",
     "OrbifoldContribution",
     "QuotientSingularity",
     "basket_kernel",
-    "baskets",
     "gcd_closure",
     "initial_term",
     "porb_cont",
@@ -70,15 +62,11 @@ __all__ = [
     "Candidate",
     "SearchConfig",
     "SweepResult",
-    "degree_of",
-    "is_terminal_type",
     "iter_search",
     "merge_candidates",
     "pos_wt",
     "search_embedding",
-    "solve_multiplicities",
     "sweep_parameters",
-    "terminal_basket",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ Subcommands (names fixed):
 * ``report``     -- regenerate the six-row Fano reference table
 
 Exit codes: 0 on success, 1 on a domain error (invalid parameters, failed
-identity, missing table row), 2 on a usage error.
+identity, missing table row, a file that cannot be read or written), 2 on a
+usage error.
 
 File formats accepted by ``initial`` and ``decompose``:
 
@@ -29,8 +30,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 from typing import IO, Sequence
 
 from . import records
@@ -73,6 +74,18 @@ def _read_input(path: str, parse):
         raise DomainError(f"{path}: {exc}") from None
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise DomainError(f"{path}: malformed entry ({exc!r})") from None
+
+
+@contextmanager
+def _file_errors(verb: str, path: str):
+    """An OSError on the file at path becomes a DomainError that names it.
+    A broken pipe is an OSError too, and goes on to `main`."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise DomainError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
 def _series_from_json(obj: object) -> RationalFunction:
@@ -240,7 +253,8 @@ def _run_sweep(
     cached: list[Candidate] = []
     completed: set[records.SweepKey] = set()
     if resume_path and os.path.exists(resume_path):
-        cache = records.load_cache(resume_path)
+        with _file_errors("read", resume_path):
+            cache = records.load_cache(resume_path)
         cached = cache.candidates
         completed = cache.completed
         progress.write(
@@ -256,12 +270,14 @@ def _run_sweep(
     if write_path and os.path.exists(write_path):
         # a sweep killed mid-write leaves a torn last line; appending after
         # it would bury it in the middle of the file
-        records.drop_torn_tail(write_path)
+        with _file_errors("write", write_path):
+            records.drop_torn_tail(write_path)
     writer_stream: IO[str] | None = None
     fresh: list[Candidate] = []
     try:
         if write_path:
-            writer_stream = open(write_path, "a", encoding="utf-8")
+            with _file_errors("write", write_path):
+                writer_stream = open(write_path, "a", encoding="utf-8")
             writer = records.ResultWriter(writer_stream)
         done = 0
         if todo:
@@ -270,7 +286,8 @@ def _run_sweep(
                 done += 1
                 fresh.extend(result.candidates)
                 if write_path:
-                    writer.write_result(result)
+                    with _file_errors("write", write_path):
+                        writer.write_result(result)
                 mu = ",".join(str(a) for a in result.mu)
                 progress.write(
                     f"# [{done}/{len(todo)}] mu=({mu}) u={result.u}: "
@@ -318,7 +335,8 @@ def _table_row_mismatches(row: dict, cand: Candidate) -> list[str]:
 def cmd_report(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
     if getattr(args, "from_path", None):
-        cache = records.load_cache(args.from_path)
+        with _file_errors("read", args.from_path):
+            cache = records.load_cache(args.from_path)
         candidates = merge_candidates(cache.candidates)
     else:
         config = SearchConfig(
@@ -352,7 +370,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         out_lines.extend(f"  {note}" for note in footnotes)
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _file_errors("write", args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

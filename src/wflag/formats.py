@@ -36,8 +36,6 @@ from itertools import combinations_with_replacement
 
 from .ratfun import (
     DomainError,
-    RationalFunction,
-    denominator_poly,
     div_one_minus_t_pow,
     int_exact_div,
     int_mul,
@@ -50,7 +48,6 @@ from .weyl import (
     freudenthal_multiplicities,
     identity_matrix,
     mat_vec,
-    restricted_character,
     vscale,
     weyl_elements,
 )
@@ -93,12 +90,6 @@ class EmbeddingData:
     numerator_reduced: tuple[int, ...]  # H / (1-t)^codimension
     adjunction_number: int  # q = deg H
     sigma: int  # canonical degree of the image, q - sum(weights)
-
-    @property
-    def series(self) -> RationalFunction:
-        """P itself, H / prod(1 - t^w), built on demand."""
-        den = denominator_poly(self.weights, sum(self.weights))
-        return RationalFunction(self.numerator, den)
 
 
 def _transposition_matrix(n: int, i: int) -> Matrix:
@@ -152,15 +143,7 @@ FORMATS: dict[str, FormatSpec] = {"g2": G2_FORMAT, "gr25": GR25_FORMAT}
 @cache
 def _weight_system(fmt: FormatSpec) -> tuple[tuple[Vector, int], ...]:
     """Weights (with multiplicity) of the defining module, sorted."""
-    mults = freudenthal_multiplicities(
-        fmt.highest_weight,
-        fmt.positive_roots,
-        fmt.lie_rank,
-        fmt.invariant_form,
-        fmt.weyl_vector,
-        fmt.weyl_generators,
-    )
-    return tuple(sorted(mults.items()))
+    return tuple(sorted(weight_multiplicities(fmt, 1).items()))
 
 
 def weight_multiplicities(fmt: FormatSpec, d: int) -> dict[Vector, int]:
@@ -363,35 +346,6 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
         adjunction_number=q,
         sigma=q - sum(weights),
     )
-
-
-def graded_series_coefficients(
-    fmt: FormatSpec, param: CocharacterParam, order: int
-) -> list[int]:
-    """First coefficients of the Hilbert series, degree by degree.
-
-    Independent of the closed form: each graded piece is a restricted Weyl
-    character computed by exact Laurent division.  Slow but direct; used to
-    cross-check `hilbert_series`.
-    """
-    weights = ambient_weights(fmt, param)
-    wmin = min(weights)
-    out = [0] * (order + 1)
-    out[0] = 1
-    delta = fmt.auxiliary_cocharacter
-    for d in range(1, order // wmin + 1):
-        char = restricted_character(
-            fmt.weyl_generators,
-            vscale(d, fmt.highest_weight),
-            fmt.weyl_vector,
-            param.mu,
-            delta,
-        )
-        for (a, _), c in char.items():
-            m = a + d * param.u
-            if 0 <= m <= order:
-                out[m] += c
-    return out
 
 
 # -- parameter enumeration -------------------------------------------------

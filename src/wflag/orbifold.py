@@ -230,30 +230,6 @@ def fits(types, extended_weights) -> bool:
     return all(c <= counts[r] for r, c in Counter(t.r for t in types).items())
 
 
-def baskets(
-    types, extended_weights
-) -> tuple[tuple[QuotientSingularity, ...], ...]:
-    """All nonempty collections of distinct types that `fits` on the variety."""
-    by_r: dict[int, list[QuotientSingularity]] = {}
-    for t in types:
-        by_r.setdefault(t.r, []).append(t)
-    per_r: list[list[tuple[QuotientSingularity, ...]]] = []
-    for r, group in sorted(by_r.items()):
-        choices: list[tuple[QuotientSingularity, ...]] = [()]
-        # the types of a group share one index, so the rule caps the size
-        for size in range(1, len(group) + 1):
-            if not fits(group[:size], extended_weights):
-                break
-            choices.extend(combinations(group, size))
-        per_r.append(choices)
-    out = []
-    for combo in product(*per_r):
-        basket = tuple(chain.from_iterable(combo))
-        if basket:
-            out.append(basket)
-    return tuple(out)
-
-
 def type_vectors(
     types: Sequence[QuotientSingularity], k: int, n: int
 ) -> tuple[list[list[int]], list[int]]:

@@ -108,16 +108,6 @@ class UniPolynomial:
     def __neg__(self) -> UniPolynomial:
         return UniPolynomial([-c for c in self.coeffs])
 
-    def __sub__(self, other: UniPolynomial | Scalar) -> UniPolynomial:
-        if isinstance(other, (int, Fraction)):
-            other = UniPolynomial([other])
-        if not isinstance(other, UniPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> UniPolynomial:
-        return UniPolynomial([other]) - self
-
     def __mul__(self, other: UniPolynomial | Scalar) -> UniPolynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -247,9 +237,6 @@ class UniPolynomial:
             else:
                 parts.append("+ " + term)
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UniPolynomial({[str(c) for c in self.coeffs]})"
 
 
 P_ZERO = UniPolynomial()
@@ -496,12 +483,7 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    @property
-    def degree(self) -> int:
-        """deg num - deg den (the degree as a rational function)."""
-        return self.num.degree - self.den.degree
-
-    # -- field operations --------------------------------------------------
+    # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: RationalFunction | UniPolynomial | Scalar) -> RationalFunction:
         other = _coerce_rat(other)
@@ -522,9 +504,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: UniPolynomial | Scalar) -> RationalFunction:
-        return (-self) + other
-
     def __mul__(self, other: RationalFunction | UniPolynomial | Scalar) -> RationalFunction:
         other = _coerce_rat(other)
         if other is NotImplemented:
@@ -532,19 +511,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalFunction | UniPolynomial | Scalar) -> RationalFunction:
-        other = _coerce_rat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: UniPolynomial | Scalar) -> RationalFunction:
-        if self.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return _coerce_rat(other) * RationalFunction(self.den, self.num)
 
     # -- analysis ----------------------------------------------------------
 
@@ -559,9 +525,6 @@ class RationalFunction:
         if self.den == P_ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
 def _coerce_poly(x: UniPolynomial | Sequence[Scalar] | Scalar) -> UniPolynomial:

@@ -24,7 +24,6 @@ renderings are derived views over the same candidate set.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -351,9 +350,3 @@ def emit_text(candidates: Sequence[Candidate], stream: IO[str]) -> None:
 
 
 EMITTERS = {"json": emit_json, "csv": emit_csv, "text": emit_text}
-
-
-def render(candidates: Sequence[Candidate], kind: str) -> str:
-    buf = io.StringIO()
-    EMITTERS[kind](candidates, buf)
-    return buf.getvalue()

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
-from math import comb, gcd, prod
+from math import comb, prod
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Sequence
 
@@ -57,7 +57,6 @@ from .formats import (
 )
 from .linalg import solve
 from .orbifold import (
-    OrbifoldContribution,
     QuotientSingularity,
     _certified,
     _coefficient_system,
@@ -72,8 +71,6 @@ from .orbifold import (
 )
 from .ratfun import (
     DomainError,
-    RationalFunction,
-    UniPolynomial,
     cyclotomic_valuation,
     denominator_poly,
     div_one_minus_t_pow,
@@ -221,61 +218,6 @@ def _pole_caps(H: Sequence[int], wmax: int, s: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# degree and the reference solver
-
-
-def degree_of(series: RationalFunction, n: int) -> Fraction:
-    """Exact value of (1−t)^{n+1}·P at t=1 (the top self-intersection)."""
-    one_minus_t = UniPolynomial([1, -1])
-    num = series.num * one_minus_t ** (n + 1)
-    den = series.den
-    while True:
-        dv = den.evaluate(Fraction(1))
-        if dv != 0:
-            return num.evaluate(Fraction(1)) / dv
-        quo, rem = divmod(num, one_minus_t)
-        if rem:
-            raise DomainError("dimension mismatch")
-        num = quo
-        den = den // one_minus_t
-
-
-def solve_multiplicities(
-    series: RationalFunction,
-    init: RationalFunction,
-    contribs: Sequence[OrbifoldContribution],
-) -> list[int] | None:
-    """Multiplicities m ≥ 0 with series = init + Σ mᵢ·contribᵢ, else None.
-
-    The contributions share one canonical weight k and one dimension n.
-    Over the common denominator C of the contributions this is the integer
-    system Σ mᵢ·Vᵢ = (series − init)·C·t^{−l} (see `type_vectors`); the
-    solution with free multiplicities zero is returned once it passes that
-    identity.
-    """
-    target = series - init
-    if not contribs:
-        return [] if target.is_zero() else None
-    k, n = contribs[0].k, len(contribs[0].singularity.weights)
-    V, C = type_vectors([c.singularity for c in contribs], k, n)
-    R = target * RationalFunction(UniPolynomial(C))
-    if R.den.degree > 0 or any(c.denominator != 1 for c in R.num.coeffs):
-        return None  # V·m is an integer polynomial for every integer m
-    R = _shifted(-_shift(k, n), [c.numerator for c in R.num.coeffs])
-    if R is None:
-        return None
-    rows, rhs = _coefficient_system(V, R)
-    solved = solve(rows, rhs)
-    if solved is None:
-        return None
-    D, x, _ = solved
-    if any(v < 0 or v % D for v in x):
-        return None
-    m = [v // D for v in x]
-    return m if _certified(rows, rhs, m) else None
-
-
-# ---------------------------------------------------------------------------
 # integer helpers for the scan hot path
 
 
@@ -342,9 +284,13 @@ def _exact_solutions(
     k: int,
     n: int,
 ) -> list[dict[QuotientSingularity, int]]:
-    """All nonnegative integer solutions m of P_X − P_I = N0/∏(1 − t^{p_i})
-    = Σ m_Q·P_Q whose support admits no internal zero-sum relation (those
-    have a smaller representative that is also returned).
+    """The integer vertices m ≥ 0 of the solutions of P_X − P_I =
+    N0/∏(1 − t^{p_i}) = Σ m_Q·P_Q: in each independent component of the
+    kernel, the solutions with as many zero coordinates as the component
+    has dimensions, combined over the components.  The integer solutions
+    between two vertices are not returned.  For table row 2, c×1/2(1,1,1) +
+    (9−c)×(1/4(1,1,3) + 1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact
+    identity for every 0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
 
     Over the common denominator C of the types this is Σ m_Q·V_Q = R·t^{−l}
     with R = (P_X − P_I)·C.  V·m is an integer polynomial for every integer
@@ -632,34 +578,7 @@ def search(config: SearchConfig) -> list[Candidate]:
 
 
 # ---------------------------------------------------------------------------
-# classification helpers and the reference table
-
-
-def is_terminal_type(sing: QuotientSingularity) -> bool:
-    """True for three-dimensional types equivalent to 1/r(-1, a, -a).
-
-    Equivalence allows rescaling all weights by a unit c mod r.
-    """
-    if len(sing.weights) != 3:
-        raise DomainError("terminality test requires threefold types")
-    r = sing.r
-    for c in range(1, r):
-        if gcd(c, r) != 1:
-            continue
-        scaled = sorted(c * w % r for w in sing.weights)
-        for i, w in enumerate(scaled):
-            if w == r - 1:
-                rest = scaled[:i] + scaled[i + 1 :]
-                if (rest[0] + rest[1]) % r == 0 and all(x for x in rest):
-                    return True
-    return False
-
-
-def terminal_basket(candidate: Candidate) -> bool:
-    """True when the candidate carries a nonempty basket of terminal types only."""
-    return bool(candidate.basket) and all(
-        is_terminal_type(sing) for sing, _ in candidate.basket
-    )
+# the reference table
 
 
 def _q(r: int, a: int, b: int, c: int) -> QuotientSingularity:

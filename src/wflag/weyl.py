@@ -1,4 +1,4 @@
-"""Weyl group machinery: closure, weight multiplicities, restricted characters.
+"""Weyl group machinery: closure, dominance and weight multiplicities.
 
 All vectors are integer coordinate tuples; reflections are given as integer
 matrices acting on those coordinates.  Two different pairings appear:
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import prod
 
 from .linalg import det, solve
 
@@ -121,20 +120,7 @@ def simple_root_coordinates(
     return tuple(c // D for c in x)
 
 
-# -- dimensions and multiplicities -----------------------------------------
-
-
-def weyl_dimension(
-    highest: Vector, positive_roots: tuple[Vector, ...], form: Matrix, rho: Vector
-) -> int:
-    """Dimension of the irreducible module with the given highest weight."""
-    lam_rho = vadd(highest, rho)
-    dim, rem = divmod(
-        prod(form_pair(form, lam_rho, a) for a in positive_roots),
-        prod(form_pair(form, rho, a) for a in positive_roots),
-    )
-    assert rem == 0 and dim > 0
-    return dim
+# -- weight multiplicities -------------------------------------------------
 
 
 def freudenthal_multiplicities(
@@ -210,81 +196,3 @@ def freudenthal_multiplicities(
         for mat, _ in elements:
             full[mat_vec(mat, mu)] = m
     return full
-
-
-# -- restricted characters -------------------------------------------------
-
-
-def alternating_projection(
-    elements: tuple[tuple[Matrix, int], ...], v: Vector, mu: Vector, delta: Vector
-) -> dict[tuple[int, int], int]:
-    """sum over w of sign(w) * x^{<w v, mu>} y^{<w v, delta>} as a sparse dict."""
-    out: dict[tuple[int, int], int] = {}
-    for m, s in elements:
-        w = mat_vec(m, v)
-        key = (dot(w, mu), dot(w, delta))
-        out[key] = out.get(key, 0) + s
-    return {k: c for k, c in out.items() if c}
-
-
-def laurent_divide_2d(
-    numer: dict[tuple[int, int], int], denom: dict[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    """Exact division of two-variable Laurent polynomials.
-
-    Requires the denominator to have a unique term of maximal second exponent
-    with coefficient +-1 (true for Weyl denominators projected along a regular
-    dominant direction).  Works level by level in the second exponent; each
-    subtraction only touches strictly lower levels, so one descending pass
-    suffices.
-    """
-    if not numer:
-        return {}
-    top_h = max(k[1] for k in denom)
-    leads = [k for k in denom if k[1] == top_h]
-    if len(leads) != 1 or abs(denom[leads[0]]) != 1:
-        raise ArithmeticError("denominator has no usable leading term")
-    f0, h0 = leads[0]
-    c0 = denom[leads[0]]
-    floor = min(k[1] for k in numer) - min(k[1] for k in denom)
-
-    levels: dict[int, dict[int, int]] = {}
-    for (f, h), c in numer.items():
-        levels.setdefault(h, {})[f] = c
-    rest = [(k, c) for k, c in denom.items() if k != (f0, h0)]
-    quotient: dict[tuple[int, int], int] = {}
-    while levels:
-        h = max(levels)
-        lev = {f: c for f, c in levels.pop(h).items() if c}
-        if not lev:
-            continue
-        if h - h0 < floor:
-            raise ArithmeticError("inexact Laurent division")
-        qlev = {f - f0: c * c0 for f, c in lev.items()}
-        for f, c in qlev.items():
-            quotient[(f, h - h0)] = c
-        for (fw, hw), cw in rest:
-            tgt = levels.setdefault(h - h0 + hw, {})
-            for f, c in qlev.items():
-                key = f + fw
-                tgt[key] = tgt.get(key, 0) - c * cw
-    return {k: c for k, c in quotient.items() if c}
-
-
-def restricted_character(
-    generators: tuple[Matrix, ...],
-    highest: Vector,
-    rho: Vector,
-    mu: Vector,
-    delta: Vector,
-) -> dict[tuple[int, int], int]:
-    """Character of the irreducible module with the given highest weight,
-    pushed down to exponents (<v, mu>, <v, delta>).
-
-    delta must pair strictly positively with every positive root; mu is
-    arbitrary (in particular it may be orthogonal to some roots).
-    """
-    elements = weyl_elements(generators)
-    numer = alternating_projection(elements, vadd(highest, rho), mu, delta)
-    den = alternating_projection(elements, rho, mu, delta)
-    return laurent_divide_2d(numer, den)

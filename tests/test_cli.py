@@ -413,10 +413,9 @@ deviations from the previously published table:
 """
 
 
-def test_report_table1_bytes(tmp_path, capsys):
-    # a record file holding exactly the six table rows (the report reads
-    # only weights, basket, degree and kernels of each candidate)
-    cache = tmp_path / "records.ndjson"
+def _write_table_records(cache) -> None:
+    """A record file holding exactly the six table rows (the report reads
+    only weights, basket, degree and kernels of each candidate)."""
     with open(cache, "w", encoding="utf-8") as fh:
         writer = ResultWriter(fh)
         for row in G2_FANO_TABLE:
@@ -427,9 +426,46 @@ def test_report_table1_bytes(tmp_path, capsys):
             writer.write_result(
                 SweepResult("g2", row["mu"], row["u"], -1, 3, (cand,), 1, 0)
             )
+
+
+def test_report_table1_bytes(tmp_path, capsys):
+    cache = tmp_path / "records.ndjson"
+    _write_table_records(cache)
     code, out, _ = run_cli(capsys, "report", "table1", "--from", str(cache))
     assert code == 0
     assert out == REPORT_TABLE1
+
+
+SEARCH_G2_U2 = ("search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("report", "table1", "--from", "missing.ndjson"), "cannot read missing.ndjson"),
+        (("report", "table1", "--from", "."), "cannot read ."),
+        ((*SEARCH_G2_U2, "--resume", "."), "cannot read ."),
+        ((*SEARCH_G2_U2, "--out", "missing/x.ndjson"), "cannot write missing/x.ndjson"),
+        (
+            ("report", "table1", "--from", "table.ndjson", "--out", "missing/t.txt"),
+            "cannot write missing/t.txt",
+        ),
+    ],
+    ids=[
+        "from-missing-file",
+        "from-directory",
+        "resume-directory",
+        "out-missing-directory",
+        "report-out-missing-directory",
+    ],
+)
+def test_unusable_file_is_an_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _write_table_records(tmp_path / "table.ndjson")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

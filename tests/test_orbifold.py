@@ -8,13 +8,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import baskets
 
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
     _kernel_components,
     basket_kernel,
-    baskets,
     gcd_closure,
     initial_term,
     porb_cont,

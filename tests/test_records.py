@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wflag.formats import CocharacterParam
-from wflag.orbifold import QuotientSingularity
 from wflag.records import (
+    EMITTERS,
     RecordCache,
     RecordError,
     ResultWriter,
@@ -20,12 +20,8 @@ from wflag.records import (
     candidate_to_json,
     compact_weights,
     drop_torn_tail,
-    emit_csv,
-    emit_json,
-    emit_text,
     fraction_from_json,
     fraction_to_json,
-    render,
     sweep_key_of,
 )
 from wflag.search import (
@@ -161,14 +157,20 @@ def test_drop_torn_tail(tmp_path, small_result):
     assert path.read_bytes() == whole
 
 
+def _render(candidates, kind: str) -> str:
+    buf = io.StringIO()
+    EMITTERS[kind](candidates, buf)
+    return buf.getvalue()
+
+
 def test_emitters_present_identical_candidate_sets(small_candidates):
-    as_json = render(small_candidates, "json").strip().splitlines()
+    as_json = _render(small_candidates, "json").strip().splitlines()
     parsed = [candidate_from_json(json.loads(line)) for line in as_json]
     assert parsed == list(small_candidates)
 
-    csv_lines = render(small_candidates, "csv").strip().splitlines()
+    csv_lines = _render(small_candidates, "csv").strip().splitlines()
     assert len(csv_lines) == len(small_candidates) + 1  # header
-    text_lines = render(small_candidates, "text").strip().splitlines()
+    text_lines = _render(small_candidates, "text").strip().splitlines()
     assert len(text_lines) == len(small_candidates) + 2  # header + rule
 
     # every weight multiset and degree appears in each rendering
@@ -179,7 +181,7 @@ def test_emitters_present_identical_candidate_sets(small_candidates):
 
 
 def test_text_rendering_bytes(small_candidates):
-    assert render(small_candidates, "text") == (
+    assert _render(small_candidates, "text") == (
         "mu      u  ambient             degree  basket"
         "                                          BK\n"
         "------  -  ------------------  ------  ----------------------------------------------  --\n"
@@ -192,13 +194,13 @@ def test_text_rendering_bytes(small_candidates):
         "(-1,1)  3  P[1,2^3,3^5,4^3]    3/4     3 x 1/2(1,1,1), 6 x 1/3(1,1,2), 3 x 1/4(3,3,3)"
         "  N\n"
     )
-    assert render([], "text") == (
+    assert _render([], "text") == (
         "mu  u  ambient  degree  basket  BK\n--  -  -------  ------  ------  --\n"
     )
 
 
 def test_csv_contains_expected_cells(small_candidates):
-    out = render(small_candidates, "csv")
+    out = _render(small_candidates, "csv")
     assert out.startswith("format,mu,u,weights,k,n,degree,basket,kernel,smooth")
     assert "9/10" in out
     assert "9 x 1/2(1,1,1), 1/5(3,4,4)" in out

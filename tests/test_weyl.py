@@ -2,21 +2,22 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    alternating_projection,
+    laurent_divide_2d,
+    restricted_character,
+    weyl_dimension,
+)
 
 from wflag.weyl import (
-    alternating_projection,
     dot,
     form_pair,
     freudenthal_multiplicities,
     identity_matrix,
-    laurent_divide_2d,
     mat_vec,
-    restricted_character,
     simple_root_coordinates,
     to_dominant,
-    vadd,
     vscale,
-    weyl_dimension,
     weyl_elements,
 )
 
