@@ -6,50 +6,41 @@ cocharacter ``mu`` plus a positive central shift ``u``; together they induce
 positive weights on the ambient coordinates and hence a weighted-projective
 embedding of the variety.
 
-The Hilbert series of the weighted image is computed in closed form.  Writing
-the character of the degree-d part restricted along ``mu`` via the Weyl
-character formula and summing the geometric series over d gives
+Hilbert series come from one stored polynomial per format.  Graded by s for
+the degree and by x for the torus weights, the Hilbert series of the cone
+over the variety is
 
-    P(t) = [sum_w sgn(w) t^{<w rho, mu>} / (1 - t^{<w lam, mu> + u})]
-           / [sum_w sgn(w) t^{<w rho, mu>}]
+    sum_d s^d char V(d lam) = K(s, x) / prod_chi (1 - s x^chi),
 
-valid when no root is orthogonal to ``mu``.  When some are, numerator and
-denominator both vanish identically; we then expand both along a second
-auxiliary direction delta (regular, so the degeneracy is resolved), s = 1+eps,
-and take the first nonvanishing coefficient of each, which recovers P exactly.
+chi running over the weights of the defining module V(lam), with
+multiplicity.  K is the K-polynomial of the coordinate ring (Miller and
+Sturmfels, Combinatorial Commutative Algebra, ch. 8; for Gr(2,5) its 12 terms
+are the Pfaffian resolution of Buchsbaum and Eisenbud).  It depends on the
+format alone, so it is stored as a table of terms (a, nu, c), each standing
+for c s^a x^nu: 12 terms for ``gr25``, 250 for ``g2``.  An embedding (mu, u)
+specialises s to t^u and x^nu to t^{<nu, mu>}, which sends each factor
+1 - s x^chi to 1 - t^w for an ambient weight w.  So the Hilbert numerator H,
+with P = H / prod(1 - t^w), is K specialised, with no division at all.
 
-Every term of that Weyl sum is an integer: a sign times a generalized
-binomial coefficient C(<w rho, delta>, j).  So the closed form is summed in
-integer polynomials over the common denominator prod (1 - t^g)^{j+1}, the g
-running over the distinct <w lam, mu> + u, and no gcd is ever taken.  The
-result is certified instead: the lower-order sums must vanish, and the
-numerator times prod (1 - t^w) must divide exactly over Z by the
-denominator, every quotient step an integer division.  The quotient is the
-Hilbert numerator H, which must also have H(0) = 1, degree q and Gorenstein
-(anti)symmetry.
+The tests check each table against (sum_{d <= D} s^d char V(d lam)) times
+prod_chi (1 - s x^chi), truncated at the degree D of H at mu = 0, u = 1.
+Each H is certified as well: H(0) = 1, its degree is q, it has Gorenstein
+(anti)symmetry, and it divides exactly by (1 - t)^codimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
 
-from .ratfun import (
-    DomainError,
-    div_one_minus_t_pow,
-    int_exact_div,
-    int_mul,
-    mul_one_minus_t_pow,
-)
+from .ratfun import DomainError, div_one_minus_t_pow
 from .weyl import (
     Matrix,
     Vector,
     dot,
     freudenthal_multiplicities,
     identity_matrix,
-    mat_vec,
     vscale,
-    weyl_elements,
 )
 
 
@@ -68,6 +59,12 @@ class FormatSpec:
     invariant_form: Matrix
     auxiliary_cocharacter: Vector  # pairs > 0 with every positive root
     adjunction_coefficients: tuple[int, int]  # q = c_u * u + c_m * sum(mu)
+    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The fields above fix it,
+    # so it stays out of equality and of the hash: a FormatSpec keys several
+    # caches, and hashing the table on every lookup would cost time
+    k_polynomial: tuple[tuple[int, Vector, int], ...] = field(
+        repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,94 @@ class EmbeddingData:
     sigma: int  # canonical degree of the image, q - sum(weights)
 
 
+# K-polynomials, one per format, in the order (a, nu).  Each term is a run
+# of integers: a, the entries of nu, then c.  Text costs nothing to compile,
+# where a literal of 250 nested tuples costs milliseconds in every process
+# that imports this module without a bytecode cache.  The tests regenerate
+# the tables from the weight multiplicities (tests/oracles.py, `k_polynomial`).
+_GR25_K = """
+     0  0  0  0  0  0  1    2  0  1  1  1  1 -1    2  1  0  1  1  1 -1
+     2  1  1  0  1  1 -1    2  1  1  1  0  1 -1    2  1  1  1  1  0 -1
+     3  1  1  1  1  2  1    3  1  1  1  2  1  1    3  1  1  2  1  1  1
+     3  1  2  1  1  1  1    3  2  1  1  1  1  1    5  2  2  2  2  2 -1
+"""
+_G2_K = """
+      0   0   0   1     2  -4  -2  -1     2  -3  -2  -1     2  -3  -1  -1
+      2  -2  -2  -1     2  -2  -1  -2     2  -2   0  -1     2  -1  -1  -2
+      2  -1   0  -2     2   0  -1  -1     2   0   0  -4     2   0   1  -1
+      2   1   0  -2     2   1   1  -2     2   2   0  -1     2   2   1  -2
+      2   2   2  -1     2   3   1  -1     2   3   2  -1     2   4   2  -1
+      3  -5  -3   1     3  -5  -2   1     3  -4  -3   1     3  -4  -2   3
+      3  -4  -1   1     3  -3  -2   4     3  -3  -1   4     3  -2  -2   3
+      3  -2  -1   7     3  -2   0   3     3  -1  -2   1     3  -1  -1   7
+      3  -1   0   7     3  -1   1   1     3   0  -1   4     3   0   0   9
+      3   0   1   4     3   1  -1   1     3   1   0   7     3   1   1   7
+      3   1   2   1     3   2   0   3     3   2   1   7     3   2   2   3
+      3   3   1   4     3   3   2   4     3   4   1   1     3   4   2   3
+      3   4   3   1     3   5   2   1     3   5   3   1     4  -6  -3  -1
+      4  -5  -3  -2     4  -5  -2  -2     4  -4  -3  -2     4  -4  -2  -4
+      4  -4  -1  -2     4  -3  -3  -1     4  -3  -2  -6     4  -3  -1  -6
+      4  -3   0  -1     4  -2  -2  -4     4  -2  -1 -10     4  -2   0  -4
+      4  -1  -2  -2     4  -1  -1 -10     4  -1   0 -10     4  -1   1  -2
+      4   0  -1  -6     4   0   0 -12     4   0   1  -6     4   1  -1  -2
+      4   1   0 -10     4   1   1 -10     4   1   2  -2     4   2   0  -4
+      4   2   1 -10     4   2   2  -4     4   3   0  -1     4   3   1  -6
+      4   3   2  -6     4   3   3  -1     4   4   1  -2     4   4   2  -4
+      4   4   3  -2     4   5   2  -2     4   5   3  -2     4   6   3  -1
+      5  -6  -3   1     5  -5  -3   1     5  -5  -2   1     5  -4  -3   1
+      5  -4  -2   2     5  -4  -1   1     5  -3  -3   1     5  -3  -2   3
+      5  -3  -1   3     5  -3   0   1     5  -2  -2   2     5  -2  -1   5
+      5  -2   0   2     5  -1  -2   1     5  -1  -1   5     5  -1   0   5
+      5  -1   1   1     5   0  -1   3     5   0   0   6     5   0   1   3
+      5   1  -1   1     5   1   0   5     5   1   1   5     5   1   2   1
+      5   2   0   2     5   2   1   5     5   2   2   2     5   3   0   1
+      5   3   1   3     5   3   2   3     5   3   3   1     5   4   1   1
+      5   4   2   2     5   4   3   1     5   5   2   1     5   5   3   1
+      5   6   3   1     6  -6  -3   1     6  -5  -3   1     6  -5  -2   1
+      6  -4  -3   1     6  -4  -2   2     6  -4  -1   1     6  -3  -3   1
+      6  -3  -2   3     6  -3  -1   3     6  -3   0   1     6  -2  -2   2
+      6  -2  -1   5     6  -2   0   2     6  -1  -2   1     6  -1  -1   5
+      6  -1   0   5     6  -1   1   1     6   0  -1   3     6   0   0   6
+      6   0   1   3     6   1  -1   1     6   1   0   5     6   1   1   5
+      6   1   2   1     6   2   0   2     6   2   1   5     6   2   2   2
+      6   3   0   1     6   3   1   3     6   3   2   3     6   3   3   1
+      6   4   1   1     6   4   2   2     6   4   3   1     6   5   2   1
+      6   5   3   1     6   6   3   1     7  -6  -3  -1     7  -5  -3  -2
+      7  -5  -2  -2     7  -4  -3  -2     7  -4  -2  -4     7  -4  -1  -2
+      7  -3  -3  -1     7  -3  -2  -6     7  -3  -1  -6     7  -3   0  -1
+      7  -2  -2  -4     7  -2  -1 -10     7  -2   0  -4     7  -1  -2  -2
+      7  -1  -1 -10     7  -1   0 -10     7  -1   1  -2     7   0  -1  -6
+      7   0   0 -12     7   0   1  -6     7   1  -1  -2     7   1   0 -10
+      7   1   1 -10     7   1   2  -2     7   2   0  -4     7   2   1 -10
+      7   2   2  -4     7   3   0  -1     7   3   1  -6     7   3   2  -6
+      7   3   3  -1     7   4   1  -2     7   4   2  -4     7   4   3  -2
+      7   5   2  -2     7   5   3  -2     7   6   3  -1     8  -5  -3   1
+      8  -5  -2   1     8  -4  -3   1     8  -4  -2   3     8  -4  -1   1
+      8  -3  -2   4     8  -3  -1   4     8  -2  -2   3     8  -2  -1   7
+      8  -2   0   3     8  -1  -2   1     8  -1  -1   7     8  -1   0   7
+      8  -1   1   1     8   0  -1   4     8   0   0   9     8   0   1   4
+      8   1  -1   1     8   1   0   7     8   1   1   7     8   1   2   1
+      8   2   0   3     8   2   1   7     8   2   2   3     8   3   1   4
+      8   3   2   4     8   4   1   1     8   4   2   3     8   4   3   1
+      8   5   2   1     8   5   3   1     9  -4  -2  -1     9  -3  -2  -1
+      9  -3  -1  -1     9  -2  -2  -1     9  -2  -1  -2     9  -2   0  -1
+      9  -1  -1  -2     9  -1   0  -2     9   0  -1  -1     9   0   0  -4
+      9   0   1  -1     9   1   0  -2     9   1   1  -2     9   2   0  -1
+      9   2   1  -2     9   2   2  -1     9   3   1  -1     9   3   2  -1
+      9   4   2  -1    11   0   0   1
+"""
+
+
+def _k_terms(table: str, rank: int) -> tuple[tuple[int, Vector, int], ...]:
+    """The terms (a, nu, c) of a K table whose weights have rank entries."""
+    ints = [int(x) for x in table.split()]
+    step = rank + 2
+    return tuple(
+        (ints[i], tuple(ints[i + 1 : i + step - 1]), ints[i + step - 1])
+        for i in range(0, len(ints), step)
+    )
+
+
 def _transposition_matrix(n: int, i: int) -> Matrix:
     m = [list(r) for r in identity_matrix(n)]
     m[i], m[i + 1] = m[i + 1], m[i]
@@ -110,6 +195,7 @@ G2_FORMAT = FormatSpec(
     invariant_form=((2, -3), (-3, 6)),
     auxiliary_cocharacter=(1, 1),
     adjunction_coefficients=(11, 0),
+    k_polynomial=_k_terms(_G2_K, 2),
 )
 
 GR25_FORMAT = FormatSpec(
@@ -135,6 +221,7 @@ GR25_FORMAT = FormatSpec(
     invariant_form=identity_matrix(5),
     auxiliary_cocharacter=(4, 3, 2, 1, 0),
     adjunction_coefficients=(5, 2),
+    k_polynomial=_k_terms(_GR25_K, 5),
 )
 
 FORMATS: dict[str, FormatSpec] = {"g2": G2_FORMAT, "gr25": GR25_FORMAT}
@@ -177,155 +264,37 @@ def ambient_weights(fmt: FormatSpec, param: CocharacterParam) -> tuple[int, ...]
     return tuple(sorted(ws))
 
 
-# -- closed-form Hilbert series -------------------------------------------
+# -- Hilbert series ---------------------------------------------------------
 
-_CERT_MESSAGE = "truncation insufficient or format data inconsistent"
-
-
-def _gbinom(h: int, j: int) -> int:
-    """Generalized binomial coefficient C(h, j) for any integer h."""
-    num, den = 1, 1
-    for i in range(j):
-        num *= h - i
-        den *= i + 1
-    assert num % den == 0
-    return num // den
-
-
-@cache
-def _weyl_orbit_data(fmt: FormatSpec) -> tuple[tuple, ...]:
-    """Per Weyl element w: sgn w, w rho, the row C(<w rho, delta>, j),
-    w lam and the row C(<w lam, delta>, j).
-
-    None of it depends on the parameter.  The rows run up to j = the number
-    of positive roots, the highest expansion order the closed form can need.
-    """
-    delta = fmt.auxiliary_cocharacter
-    top = len(fmt.positive_roots) + 1
-    out = []
-    for m, s in weyl_elements(fmt.weyl_generators):
-        wr = mat_vec(m, fmt.weyl_vector)
-        wl = mat_vec(m, fmt.highest_weight)
-        h, e = dot(wr, delta), dot(wl, delta)
-        out.append((
-            s,
-            wr,
-            tuple(_gbinom(h, j) for j in range(top)),
-            wl,
-            tuple(_gbinom(e, j) for j in range(top)),
-        ))
-    return tuple(out)
-
-
-def _add_into(acc: list[int], p: list[int]) -> None:
-    if len(acc) < len(p):
-        acc.extend([0] * (len(p) - len(acc)))
-    for i, c in enumerate(p):
-        acc[i] += c
-
-
-def _closed_form_numerator(
-    fmt: FormatSpec, param: CocharacterParam, weights: tuple[int, ...]
-) -> list[int]:
-    """H with P = H / prod(1 - t^w), from the closed form, in integers.
-
-    Expanding numerator and denominator of the closed form along delta,
-    order j of the denominator is b_j = sum sgn(w) C(<w rho, delta>, j)
-    t^{<w rho, mu>} and order j of the numerator is N_j / D_j over
-    D_j = prod over the distinct g = <w lam, mu> + u of (1 - t^g)^{j+1}.
-    With k the first order where b_k != 0, the sums N_j (j < k) must vanish
-    and N_k prod(1 - t^w) must divide exactly over Z by b_k D_k; the quotient
-    is H.  Both are certified, raising ArithmeticError otherwise.
-    """
-    mu, u = param.mu, param.u
-    terms = [
-        (s, dot(wr, mu), hb, dot(wl, mu) + u, eb)
-        for s, wr, hb, wl, eb in _weyl_orbit_data(fmt)
-    ]
-    fmin = min(f for _, f, _, _, _ in terms)
-    span = max(f for _, f, _, _, _ in terms) - fmin + 1
-
-    def rho_part(members, j: int) -> list[int]:
-        # sum of sgn(w) C(<w rho, delta>, j) t^{<w rho, mu> - fmin}
-        p = [0] * span
-        for s, f, hb in members:
-            p[f - fmin] += s * hb[j]
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    everything = [(s, f, hb) for s, f, hb, _, _ in terms]
-    for k in range(len(fmt.positive_roots) + 1):
-        b_k = rho_part(everything, k)
-        if b_k:
-            break
-    else:
-        raise ArithmeticError(_CERT_MESSAGE)
-
-    # group the Weyl sum by the orbit point of the highest weight; every term
-    # in a group shares the same geometric-series denominator (1 - t^g)^{j+1}
-    groups: dict[tuple[int, tuple[int, ...]], list] = {}
-    for s, f, hb, g, eb in terms:
-        groups.setdefault((g, eb), []).append((s, f, hb))
-
-    # by_g[g][j]: order-j numerator of all groups with that g, over (1 - t^g)^{j+1}
-    by_g: dict[int, list[list[int]]] = {}
-    for (g, eb), members in groups.items():
-        # 1 / (1 - t^g (1+eps)^e) = sum_j n[j] eps^j / (1 - t^g)^{j+1}
-        n = [[1]]
-        for j in range(1, k + 1):
-            acc: list[int] = []
-            for i in range(1, j + 1):
-                if eb[i]:
-                    term = mul_one_minus_t_pow(n[j - i], g, i - 1)
-                    _add_into(acc, [0] * g + [eb[i] * c for c in term])
-            n.append(acc)
-        pref = [rho_part(members, j) for j in range(k + 1)]
-        sums = by_g.setdefault(g, [[] for _ in range(k + 1)])
-        for j in range(k + 1):
-            for i in range(j + 1):
-                _add_into(
-                    sums[j], mul_one_minus_t_pow(int_mul(pref[j - i], n[i]), g, j - i)
-                )
-
-    def order_sum(j: int) -> list[int]:
-        # N_j = sum_g by_g[g][j] * prod_{g' != g} (1 - t^{g'})^{j+1}
-        total: list[int] = []
-        for g, sums in by_g.items():
-            p = sums[j]
-            for g2 in by_g:
-                if g2 != g:
-                    p = mul_one_minus_t_pow(p, g2, j + 1)
-            _add_into(total, p)
-        return total
-
-    if any(any(order_sum(j)) for j in range(k)):
-        raise ArithmeticError(_CERT_MESSAGE)
-    dividend = order_sum(k)
-    for w in weights:
-        dividend = mul_one_minus_t_pow(dividend, w)
-    divisor = b_k
-    for g in by_g:
-        divisor = mul_one_minus_t_pow(divisor, g, k + 1)
-    try:
-        return int_exact_div(dividend, divisor)
-    except ArithmeticError:
-        raise ArithmeticError(_CERT_MESSAGE) from None
+_CERT_MESSAGE = "Hilbert numerator fails its certificate: format data inconsistent"
 
 
 @cache
 def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
     """The weighted embedding attached to (format, parameter), fully certified.
 
-    The numerator H (with P = H / prod(1 - t^w) over the ambient weights)
-    comes out of one exact division over Z, and is checked to have H(0) = 1,
-    the degree predicted by the adjunction coefficients, and the
-    (anti)palindromic symmetry Gorenstein duality demands.
+    The numerator H (with P = H / prod(1 - t^w) over the ambient weights) is
+    the format's K-polynomial specialised at s = t^u, x^nu = t^{<nu, mu>}:
+    each term (a, nu, c) adds c to the coefficient of t^{a u + <nu, mu>}.
+    No exponent is negative.  A term of s-degree a has nu in the convex hull
+    of the a-fold sums of module weights, and a module weight chi gives the
+    ambient weight <chi, mu> + u > 0; so a u + <nu, mu> is at least
+    a * min(ambient weights) >= 0.  H is checked to have H(0) = 1, the degree
+    predicted by the adjunction coefficients, the (anti)palindromic symmetry
+    Gorenstein duality demands, and exact division by (1 - t)^codimension.
     """
     weights = ambient_weights(fmt, param)
-    h = _closed_form_numerator(fmt, param, weights)
+    mu, u = param.mu, param.u
+    exponents = [a * u + dot(nu, mu) for a, nu, _ in fmt.k_polynomial]
+    if min(exponents) < 0:  # only a table that breaks the argument above
+        raise ArithmeticError(_CERT_MESSAGE)
+    h = [0] * (max(exponents) + 1)
+    for i, (_, _, c) in zip(exponents, fmt.k_polynomial):
+        h[i] += c
+    while h and not h[-1]:
+        h.pop()
     cu, cm = fmt.adjunction_coefficients
-    q = cu * param.u + cm * sum(param.mu)
+    q = cu * u + cm * sum(mu)
     e = fmt.codimension
     sign = (-1) ** e
     if len(h) != q + 1 or h[0] != 1 or h[::-1] != [sign * c for c in h]:
@@ -338,8 +307,8 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
         raise ArithmeticError(_CERT_MESSAGE) from None
     return EmbeddingData(
         format_name=fmt.name,
-        mu=param.mu,
-        u=param.u,
+        mu=mu,
+        u=u,
         weights=weights,
         numerator=tuple(h),
         numerator_reduced=tuple(reduced),
@@ -353,7 +322,7 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
 
 def _params_g2(
     fmt: FormatSpec, u_max: int, q_max: int | None
-) -> list[CocharacterParam]:
+) -> dict[tuple[int, ...], CocharacterParam]:
     found: dict[tuple[int, ...], CocharacterParam] = {}
     for u in range(1, u_max + 1):
         if q_max is not None and fmt.adjunction_coefficients[0] * u > q_max:
@@ -367,12 +336,12 @@ def _params_g2(
                     continue
                 if ws not in found:
                     found[ws] = param
-    return list(found.values())
+    return found
 
 
 def _params_gr25(
     fmt: FormatSpec, u_max: int | None, q_max: int | None
-) -> list[CocharacterParam]:
+) -> dict[tuple[int, ...], CocharacterParam]:
     if q_max is None:
         raise DomainError(
             "q_max is required here: ambient weights are unbounded for fixed u"
@@ -394,7 +363,7 @@ def _params_gr25(
                 continue
             if ws not in found:
                 found[ws] = param
-    return list(found.values())
+    return found
 
 
 @cache
@@ -410,17 +379,9 @@ def enumerate_parameters(
     if fmt.name == "g2":
         if u_max is None:
             raise DomainError("u_max is required for this format")
-        params = _params_g2(fmt, u_max, q_max)
+        found = _params_g2(fmt, u_max, q_max)
     elif fmt.name == "gr25":
-        params = _params_gr25(fmt, u_max, q_max)
+        found = _params_gr25(fmt, u_max, q_max)
     else:
         raise DomainError(f"unknown format {fmt.name!r}")
-    return tuple(
-        sorted(
-            params,
-            key=lambda p: (
-                sum(ambient_weights(fmt, p)),
-                ambient_weights(fmt, p),
-            ),
-        )
-    )
+    return tuple(found[ws] for ws in sorted(found, key=lambda ws: (sum(ws), ws)))

@@ -3,8 +3,8 @@
 There is no floating point anywhere.  `UniPolynomial` and `RationalFunction`
 compute over Q with `fractions.Fraction`; rational functions are kept in a
 canonical form (numerator and denominator coprime, denominator monic) so that
-equality is plain structural equality.  The hot paths (the closed-form
-Hilbert series, the per-tuple scan and its exact stage) instead use the
+equality is plain structural equality.  The hot paths (the reduced Hilbert
+numerator, the per-tuple scan and its exact stage) instead use the
 helpers on plain integer coefficient lists below (product, multiplication
 and exact division by (1 − t^r), exact long division, cyclotomic
 polynomials and the number of times they divide a polynomial), which never
@@ -246,7 +246,7 @@ T = UniPolynomial([0, 1])
 
 # -- integer coefficient lists ---------------------------------------------
 #
-# The hot paths (the closed-form Hilbert series, the per-tuple scan and its
+# The hot paths (the reduced Hilbert numerator, the per-tuple scan and its
 # exact stage) work on plain ``list[int]`` coefficient lists, index i holding
 # the coefficient of t^i.  No gcd is ever taken; divisions are exact or they
 # fail.

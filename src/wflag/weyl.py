@@ -65,7 +65,10 @@ def form_pair(form: Matrix, u: Vector, v: Vector) -> int:
 def weyl_elements(generators: tuple[Matrix, ...]) -> tuple[tuple[Matrix, int], ...]:
     """All group elements generated by the given matrices, with determinant signs.
 
-    Returned sorted by matrix entries so the order is reproducible.
+    Returned sorted by matrix entries so the order is reproducible.  A sweep
+    never needs the whole group (`weyl_orbit` walks orbits instead); the
+    Weyl-character reference methods of the tests do, and the benchmark's
+    tracer (perfbench/spans.py) wraps this function by name.
     """
     n = len(generators[0])
     gen_signs = [det(g) for g in generators]
@@ -82,6 +85,27 @@ def weyl_elements(generators: tuple[Matrix, ...]) -> tuple[tuple[Matrix, int], .
                     fresh.append(prod)
         frontier = fresh
     return tuple(sorted(seen.items()))
+
+
+def weyl_orbit(v: Vector, generators: tuple[Matrix, ...]) -> set[Vector]:
+    """The Weyl orbit of v, walked by applying the generating reflections.
+
+    Cheaper than mapping v through every group element: no matrix is
+    multiplied, and each orbit point costs one matrix-vector product per
+    generator.
+    """
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in generators:
+                y = mat_vec(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
 
 
 # -- dominance and simple-root coordinates ---------------------------------
@@ -137,7 +161,6 @@ def freudenthal_multiplicities(
     then expanded over Weyl orbits.
     """
     simple = tuple(positive_roots[:rank])
-    elements = weyl_elements(generators)
     root_coords: list[tuple[int, ...]] = []
     for a in positive_roots:
         ca = simple_root_coordinates(a, simple)
@@ -145,9 +168,10 @@ def freudenthal_multiplicities(
         root_coords.append(ca)
 
     # the lowest weight bounds the box of candidate dominant weights
-    orbit = {mat_vec(m, highest) for m, _ in elements}
     lowest = next(
-        v for v in orbit if all(form_pair(form, v, a) <= 0 for a in simple)
+        v
+        for v in weyl_orbit(highest, generators)
+        if all(form_pair(form, v, a) <= 0 for a in simple)
     )
     box = simple_root_coordinates(vsub(highest, lowest), simple)
     assert box is not None and all(x >= 0 for x in box)
@@ -193,6 +217,6 @@ def freudenthal_multiplicities(
 
     full: dict[Vector, int] = {}
     for mu, m in mults.items():
-        for mat, _ in elements:
-            full[mat_vec(mat, mu)] = m
+        for v in weyl_orbit(mu, generators):
+            full[v] = m
     return full

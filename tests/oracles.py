@@ -5,7 +5,11 @@ recomputes something the program computes another way:
 
 * `graded_series_coefficients` — the Hilbert series degree by degree from
   restricted Weyl characters (`restricted_character`, by exact Laurent
-  division), against the closed form of `wflag.formats.hilbert_series`;
+  division), against the numerators of `wflag.formats.hilbert_series`;
+* `closed_form_numerator` — the Hilbert numerator of one embedding from a
+  Weyl-character closed form, against the same numerators;
+* `k_polynomial` — each format's K-polynomial from the weight
+  multiplicities, against the table stored in `wflag.formats`;
 * `weyl_dimension` — the Weyl dimension formula, against the Freudenthal
   multiplicities of `wflag.weyl`;
 * `embedding_series` — the series H / ∏(1 − t^w) of an embedding as a
@@ -20,6 +24,7 @@ recomputes something the program computes another way:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, prod
 from typing import Sequence
@@ -29,6 +34,7 @@ from wflag.formats import (
     EmbeddingData,
     FormatSpec,
     ambient_weights,
+    weight_multiplicities,
 )
 from wflag.linalg import solve
 from wflag.orbifold import (
@@ -41,7 +47,15 @@ from wflag.orbifold import (
     fits,
     type_vectors,
 )
-from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
+from wflag.ratfun import (
+    DomainError,
+    RationalFunction,
+    UniPolynomial,
+    denominator_poly,
+    int_exact_div,
+    int_mul,
+    mul_one_minus_t_pow,
+)
 from wflag.search import Candidate
 from wflag.weyl import (
     Matrix,
@@ -176,6 +190,194 @@ def graded_series_coefficients(
             if 0 <= m <= order:
                 out[m] += c
     return out
+
+
+# -- the Weyl closed form of the Hilbert numerator --------------------------
+
+
+def _gbinom(h: int, j: int) -> int:
+    """Generalized binomial coefficient C(h, j) for any integer h."""
+    num, den = 1, 1
+    for i in range(j):
+        num *= h - i
+        den *= i + 1
+    assert num % den == 0
+    return num // den
+
+
+@cache
+def _weyl_orbit_data(fmt: FormatSpec) -> tuple[tuple, ...]:
+    """Per Weyl element w: sgn w, w rho, the row C(<w rho, delta>, j),
+    w lam and the row C(<w lam, delta>, j).
+
+    None of it depends on the parameter.  The rows run up to j = the number
+    of positive roots, the highest expansion order the closed form can need.
+    """
+    delta = fmt.auxiliary_cocharacter
+    top = len(fmt.positive_roots) + 1
+    out = []
+    for m, s in weyl_elements(fmt.weyl_generators):
+        wr = mat_vec(m, fmt.weyl_vector)
+        wl = mat_vec(m, fmt.highest_weight)
+        h, e = dot(wr, delta), dot(wl, delta)
+        out.append((
+            s,
+            wr,
+            tuple(_gbinom(h, j) for j in range(top)),
+            wl,
+            tuple(_gbinom(e, j) for j in range(top)),
+        ))
+    return tuple(out)
+
+
+def _add_into(acc: list[int], p: list[int]) -> None:
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, c in enumerate(p):
+        acc[i] += c
+
+
+def closed_form_numerator(
+    fmt: FormatSpec, param: CocharacterParam, weights: tuple[int, ...]
+) -> list[int]:
+    """H with P = H / prod(1 - t^w), from a Weyl-character closed form.
+
+    Writing the character of the degree-d part restricted along mu by the
+    Weyl character formula and summing the geometric series over d gives
+
+        P(t) = [sum_w sgn(w) t^{<w rho, mu>} / (1 - t^{<w lam, mu> + u})]
+               / [sum_w sgn(w) t^{<w rho, mu>}]
+
+    when no root is orthogonal to mu.  When some are, numerator and
+    denominator both vanish identically; both are then expanded along the
+    regular direction delta (`auxiliary_cocharacter`), s = 1 + eps, and the
+    first nonvanishing order of each recovers P exactly.  Every term is an
+    integer, a sign times a generalized binomial coefficient, so the sum is
+    taken in integer polynomials and no gcd is ever taken.
+
+    Expanding numerator and denominator of the closed form along delta,
+    order j of the denominator is b_j = sum sgn(w) C(<w rho, delta>, j)
+    t^{<w rho, mu>} and order j of the numerator is N_j / D_j over
+    D_j = prod over the distinct g = <w lam, mu> + u of (1 - t^g)^{j+1}.
+    With k the first order where b_k != 0, the sums N_j (j < k) must vanish
+    and N_k prod(1 - t^w) must divide exactly over Z by b_k D_k; the quotient
+    is H.  Both are certified, raising ArithmeticError otherwise.
+    """
+    mu, u = param.mu, param.u
+    terms = [
+        (s, dot(wr, mu), hb, dot(wl, mu) + u, eb)
+        for s, wr, hb, wl, eb in _weyl_orbit_data(fmt)
+    ]
+    fmin = min(f for _, f, _, _, _ in terms)
+    span = max(f for _, f, _, _, _ in terms) - fmin + 1
+
+    def rho_part(members, j: int) -> list[int]:
+        # sum of sgn(w) C(<w rho, delta>, j) t^{<w rho, mu> - fmin}
+        p = [0] * span
+        for s, f, hb in members:
+            p[f - fmin] += s * hb[j]
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    everything = [(s, f, hb) for s, f, hb, _, _ in terms]
+    for k in range(len(fmt.positive_roots) + 1):
+        b_k = rho_part(everything, k)
+        if b_k:
+            break
+    else:
+        raise ArithmeticError("closed form does not certify")
+
+    # group the Weyl sum by the orbit point of the highest weight; every term
+    # in a group shares the same geometric-series denominator (1 - t^g)^{j+1}
+    groups: dict[tuple[int, tuple[int, ...]], list] = {}
+    for s, f, hb, g, eb in terms:
+        groups.setdefault((g, eb), []).append((s, f, hb))
+
+    # by_g[g][j]: order-j numerator of all groups with that g, over (1 - t^g)^{j+1}
+    by_g: dict[int, list[list[int]]] = {}
+    for (g, eb), members in groups.items():
+        # 1 / (1 - t^g (1+eps)^e) = sum_j n[j] eps^j / (1 - t^g)^{j+1}
+        n = [[1]]
+        for j in range(1, k + 1):
+            acc: list[int] = []
+            for i in range(1, j + 1):
+                if eb[i]:
+                    term = mul_one_minus_t_pow(n[j - i], g, i - 1)
+                    _add_into(acc, [0] * g + [eb[i] * c for c in term])
+            n.append(acc)
+        pref = [rho_part(members, j) for j in range(k + 1)]
+        sums = by_g.setdefault(g, [[] for _ in range(k + 1)])
+        for j in range(k + 1):
+            for i in range(j + 1):
+                _add_into(
+                    sums[j], mul_one_minus_t_pow(int_mul(pref[j - i], n[i]), g, j - i)
+                )
+
+    def order_sum(j: int) -> list[int]:
+        # N_j = sum_g by_g[g][j] * prod_{g' != g} (1 - t^{g'})^{j+1}
+        total: list[int] = []
+        for g, sums in by_g.items():
+            p = sums[j]
+            for g2 in by_g:
+                if g2 != g:
+                    p = mul_one_minus_t_pow(p, g2, j + 1)
+            _add_into(total, p)
+        return total
+
+    if any(any(order_sum(j)) for j in range(k)):
+        raise ArithmeticError("closed form does not certify")
+    dividend = order_sum(k)
+    for w in weights:
+        dividend = mul_one_minus_t_pow(dividend, w)
+    divisor = b_k
+    for g in by_g:
+        divisor = mul_one_minus_t_pow(divisor, g, k + 1)
+    try:
+        return int_exact_div(dividend, divisor)
+    except ArithmeticError:
+        raise ArithmeticError("closed form does not certify") from None
+
+
+# -- K-polynomials ----------------------------------------------------------
+
+
+def k_polynomial(fmt: FormatSpec) -> tuple[tuple[int, Vector, int], ...]:
+    """The terms (a, nu, c) of the format's K-polynomial, sorted by (a, nu).
+
+    K = (sum_{d <= D} s^d char V(d lam)) * prod_chi (1 - s x^chi) truncated
+    at s-degree D, the degree of H at mu = 0, u = 1; chi runs over the module
+    weights with multiplicity, and the characters are the Freudenthal
+    multiplicities of `weight_multiplicities`.
+    """
+    top = fmt.adjunction_coefficients[0]
+    terms: dict[tuple[int, Vector], int] = {}
+    for d in range(top + 1):
+        for nu, m in weight_multiplicities(fmt, d).items():
+            terms[(d, nu)] = m
+    for chi, mult in weight_multiplicities(fmt, 1).items():
+        for _ in range(mult):
+            times = dict(terms)
+            for (a, nu), c in terms.items():
+                if a < top:
+                    key = (a + 1, vadd(nu, chi))
+                    times[key] = times.get(key, 0) - c
+            terms = {key: c for key, c in times.items() if c}
+    return tuple((a, nu, c) for (a, nu), c in sorted(terms.items()))
+
+
+def k_table_source(name: str, terms, width: int = 79) -> str:
+    """Python source of a K table, laid out as in `wflag.formats`."""
+    rows = [(a, *nu, c) for a, nu, c in terms]
+    pad = max(len(str(x)) for row in rows for x in row)
+    items = [" ".join(f"{x:>{pad}}" for x in row) for row in rows]
+    lines, line = [f'{name} = """'], ""
+    for item in items:
+        if line and len(line) + 3 + len(item) > width:
+            lines.append(line)
+            line = ""
+        line = f"{line}   {item}" if line else f"    {item}"
+    return "\n".join(lines + [line, '"""'])
 
 
 def embedding_series(data: EmbeddingData) -> RationalFunction:

@@ -3,7 +3,13 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from oracles import embedding_series, graded_series_coefficients
+from oracles import (
+    closed_form_numerator,
+    embedding_series,
+    graded_series_coefficients,
+    k_polynomial,
+    k_table_source,
+)
 
 from wflag.formats import (
     CocharacterParam,
@@ -122,18 +128,57 @@ def test_closed_form_matches_graded_characters_on_censuses():
             assert coeffs == graded_series_coefficients(fmt, param, q), param
 
 
+def _flipped(fmt, i):
+    """The format with the sign of its i-th K term flipped."""
+    terms = list(fmt.k_polynomial)
+    a, nu, c = terms[i]
+    terms[i] = (a, nu, -c)
+    return dataclasses.replace(fmt, k_polynomial=tuple(terms))
+
+
 @pytest.mark.parametrize(
     "fmt,param",
     [
         # H comes out, but of the wrong degree
         (dataclasses.replace(GR25_FORMAT, adjunction_coefficients=(5, 3)), P((0, 1, 2, 3, 4), 1)),
-        # N_k prod(1 - t^w) is not divisible by b_k D_k
-        (dataclasses.replace(GR25_FORMAT, weyl_vector=(5, 3, 2, 1, 0)), P((0, 0, 1, 1, 2), 1)),
+        # one flipped coefficient of K breaks the Gorenstein antisymmetry
+        (_flipped(GR25_FORMAT, 6), P((0, 0, 1, 1, 2), 1)),
     ],
 )
 def test_closed_form_certificate_rejects_inconsistent_formats(fmt, param):
+    # the K table is not part of the cache key, so the cache is bypassed
     with pytest.raises(ArithmeticError, match="format data inconsistent"):
-        hilbert_series(fmt, param)
+        hilbert_series.__wrapped__(fmt, param)
+
+
+@pytest.mark.parametrize(
+    "fmt,param", [(GR25_FORMAT, P((0, 1, 2, 3, 4), 1)), (G2_FORMAT, P((-3, 4), 7))]
+)
+def test_every_flipped_k_coefficient_is_rejected(fmt, param):
+    for i in range(len(fmt.k_polynomial)):
+        with pytest.raises(ArithmeticError, match="format data inconsistent"):
+            hilbert_series.__wrapped__(_flipped(fmt, i), param)
+
+
+@pytest.mark.parametrize("fmt", [G2_FORMAT, GR25_FORMAT], ids=lambda f: f.name)
+def test_stored_k_polynomial_matches_weight_multiplicities(fmt):
+    # on a mismatch the message is the table to paste into wflag/formats.py
+    expected = k_polynomial(fmt)
+    source = k_table_source(f"_{fmt.name.upper()}_K", expected)
+    assert fmt.k_polynomial == expected, "regenerated table:\n" + source
+    assert len(expected) == {"g2": 250, "gr25": 12}[fmt.name]
+
+
+def test_numerators_match_the_weyl_closed_form():
+    censuses = [
+        (GR25_FORMAT, enumerate_parameters(GR25_FORMAT, None, 25)),
+        (G2_FORMAT, enumerate_parameters(G2_FORMAT, 7)),
+    ]
+    assert [len(params) for _, params in censuses] == [282, 23]
+    for fmt, params in censuses:
+        for param in params:
+            e = hilbert_series(fmt, param)
+            assert list(e.numerator) == closed_form_numerator(fmt, param, e.weights), param
 
 
 def test_weight_multiplicities_api():

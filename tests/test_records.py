@@ -49,7 +49,7 @@ def small_result():
         n=3,
         candidates=tuple(cands),
         tuples_scanned=scanned,
-        elapsed_ms=12,
+        elapsed_ms=12.345,
     )
 
 

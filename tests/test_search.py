@@ -580,6 +580,17 @@ def test_pool_never_exceeds_the_embeddings(monkeypatch):
     assert [(r.mu, r.u) for r in results] == [(p.mu, p.u) for p in params]
 
 
+def test_sweep_time_is_a_float_in_ms():
+    # whole milliseconds would read 0 for most gr25 embeddings
+    params = sweep_parameters(SearchConfig(format_name="gr25", q_max=7))
+    config = SearchConfig(format_name="gr25", k=1, n=3, params=params)
+    results = list(search_module.iter_search(config))
+    assert results
+    for r in results:
+        assert isinstance(r.elapsed_ms, float)
+        assert r.elapsed_ms > 0 and round(r.elapsed_ms, 3) == r.elapsed_ms
+
+
 def test_search_submodule_is_not_shadowed():
     import wflag.search
 

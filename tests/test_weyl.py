@@ -19,6 +19,7 @@ from wflag.weyl import (
     to_dominant,
     vscale,
     weyl_elements,
+    weyl_orbit,
 )
 
 # rank-2 exceptional root system in simple-root coordinates
@@ -59,6 +60,11 @@ def test_weyl_group_orders_and_signs():
     s5 = weyl_elements(S5_GENS)
     assert len(s5) == 120
     assert dict(s5)[identity_matrix(5)] == 1
+    # walking the reflections reaches the orbit through every group element
+    for gens, elements, v in ((G2_GENS, g2, (1, 0)), (S5_GENS, s5, (3, 1, 1, 0, 0))):
+        assert weyl_orbit(v, gens) == {mat_vec(m, v) for m, _ in elements}
+    assert len(weyl_orbit(G2_LAM, G2_GENS)) == 6
+    assert len(weyl_orbit(S5_LAM, S5_GENS)) == 10
 
 
 def test_weyl_dimension_goldens():
