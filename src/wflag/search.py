@@ -40,12 +40,12 @@ tuples within the bounds.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import comb, prod
-from multiprocessing import get_context
 from typing import Iterable, Iterator, Sequence
 
 from .formats import (
@@ -528,11 +528,30 @@ def sweep_parameters(config: SearchConfig) -> tuple[CocharacterParam, ...]:
     return tuple(params)
 
 
+def _start_worker(turn) -> None:
+    """Pool initializer: move the i-th worker to start onto the i-th allowed
+    CPU, round-robin, then allow its inherited set again (`turn` holds i)."""
+    i = turn.get()
+    turn.put(i + 1)  # passed on at once: a replacement worker never waits
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) >= 2:
+            os.sched_setaffinity(0, {sorted(allowed)[i % len(allowed)]})
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):  # no such call here, or refused
+        pass
+
+
 def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     """Run the sweep, yielding one result per embedding in enumeration order.
 
     Results are identical for any worker count; with jobs > 1 the embeddings
     are distributed over a process pool and merged back in order.
+
+    Each worker starts on its own allowed CPU, then gets its inherited set
+    back so the kernel can still rebalance.  Linux otherwise left both forked
+    workers on the parent's CPU for about 0.5 s on a 2-core machine, longer
+    than the g2 k=−1 u≤5 sweep, so `--jobs 2` ran no faster than one job.
     """
     params = sweep_parameters(config)
     tasks = [(config, p) for p in params]
@@ -540,8 +559,11 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
         for task in tasks:
             yield _sweep_one(task)
         return
-    ctx = get_context("fork")
-    with ctx.Pool(processes=min(config.jobs, len(tasks))) as pool:
+    import multiprocessing  # about 12 ms, which a serial sweep need not pay
+    ctx = multiprocessing.get_context("fork")
+    turn = ctx.SimpleQueue()
+    turn.put(0)
+    with ctx.Pool(min(config.jobs, len(tasks)), _start_worker, (turn,)) as pool:
         for result in pool.imap(_sweep_one, tasks, chunksize=1):
             yield result
 

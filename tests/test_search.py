@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import queue
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -551,12 +554,10 @@ def test_search_matches_worker_pool():
 
 
 def test_pool_never_exceeds_the_embeddings(monkeypatch):
-    import wflag.search as search_module
-
     sizes = []
 
     class SpyPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None, initargs=()):
             sizes.append(processes)
 
         def __enter__(self):
@@ -570,14 +571,109 @@ def test_pool_never_exceeds_the_embeddings(monkeypatch):
 
     class SpyContext:
         Pool = SpyPool
+        SimpleQueue = queue.SimpleQueue
 
-    monkeypatch.setattr(search_module, "get_context", lambda method: SpyContext())
+    # iter_search imports multiprocessing when it starts a pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext())
     params = sweep_parameters(SearchConfig(format_name="g2", u_max=2))[:2]
     assert len(params) == 2
     config = SearchConfig(format_name="g2", k=-1, n=3, jobs=4, params=params)
     results = list(search_module.iter_search(config))
     assert sizes == [2]
     assert [(r.mu, r.u) for r in results] == [(p.mu, p.u) for p in params]
+
+
+def _last_cpu() -> int:
+    """Field 39 of /proc/self/stat: the CPU this process last ran on."""
+    with open("/proc/self/stat", encoding="ascii") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
+
+
+def _placement_report(conn) -> None:
+    """In a forked child: start as a pool worker would, given an allowed CPU
+    other than the one the child runs on, and report where it ran next and
+    which CPUs it may use."""
+    cpus = sorted(os.sched_getaffinity(0))
+    i = next(i for i, cpu in enumerate(cpus) if cpu != _last_cpu())
+    turn = queue.SimpleQueue()
+    turn.put(i)
+    search_module._start_worker(turn)
+    conn.send((cpus[i], _last_cpu(), sorted(os.sched_getaffinity(0))))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placement needs sched_setaffinity and two allowed CPUs",
+)
+def test_worker_starts_on_the_cpu_it_was_given():
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_placement_report, args=(send,))
+    child.start()
+    assert receive.poll(30), "the child sent no report"
+    given, ran_on, allowed = receive.recv()
+    child.join(30)
+    assert not child.is_alive() and child.exitcode == 0
+    assert ran_on == given
+    # the inherited set is restored: the worker is not left pinned
+    assert allowed == sorted(os.sched_getaffinity(0))
+
+
+def _drain(q) -> list:
+    items = []
+    while not q.empty():
+        items.append(q.get())
+    return items
+
+
+def test_refused_placement_does_not_break_a_sweep(monkeypatch):
+    refused = multiprocessing.get_context("fork").SimpleQueue()
+
+    def refuse(pid, cpus):
+        refused.put(sorted(cpus))
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    # first in this process: a worker whose initializer raised would be
+    # replaced again and again, and the sweep below would never end
+    turn = queue.SimpleQueue()
+    turn.put(0)
+    search_module._start_worker(turn)
+    assert turn.get() == 1
+    _drain(refused)
+    base = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
+    serial = [candidate_key(c) for c in search(base)]
+    assert serial
+    parallel = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs=2)
+    assert [candidate_key(c) for c in search(parallel)] == serial
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        assert len(_drain(refused)) == 2  # each worker tried once, and went on
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_more_workers_than_cpus_wrap_round_robin(monkeypatch):
+    placed = multiprocessing.get_context("fork").SimpleQueue()
+    place = os.sched_setaffinity
+
+    def spy(pid, cpus):
+        placed.put(sorted(cpus))
+        place(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    params = sweep_parameters(SearchConfig(format_name="g2", u_max=3))[:3]
+    assert len(params) == 3
+    base = SearchConfig(format_name="g2", k=-1, n=3, params=params)
+    serial = [candidate_key(c) for c in search(base)]
+    parallel = SearchConfig(format_name="g2", k=-1, n=3, params=params, jobs=3)
+    assert [candidate_key(c) for c in search(parallel)] == serial
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) >= 2:
+        # each worker moves onto one CPU, then gets the whole set back
+        calls = _drain(placed)
+        assert sorted(c for c in calls if len(c) == 1) == sorted(
+            [cpus[i % len(cpus)]] for i in range(3)
+        )
+        assert [c for c in calls if len(c) > 1] == [cpus] * 3
 
 
 def test_sweep_time_is_a_float_in_ms():
