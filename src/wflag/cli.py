@@ -88,12 +88,19 @@ def _file_errors(verb: str, path: str):
         raise DomainError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
+def _json_int(obj: object) -> int:
+    """A JSON integer; a float, a bool or a string is no integer entry."""
+    if type(obj) is not int:
+        raise DomainError(f"expected an integer, got {json.dumps(obj)}")
+    return obj
+
+
 def _series_from_json(obj: object) -> RationalFunction:
     if not isinstance(obj, dict) or "numerator" not in obj:
         raise DomainError("expected an object with a 'numerator' key")
     num = UniPolynomial([records.fraction_from_json(c) for c in obj["numerator"]])
     if "weights" in obj:
-        weights = [int(w) for w in obj["weights"]]
+        weights = [_json_int(w) for w in obj["weights"]]
         if any(w < 1 for w in weights):
             raise DomainError("denominator weights must be positive")
         den = UniPolynomial([1])
@@ -115,8 +122,8 @@ def _basket_from_json(obj: object) -> list[tuple[QuotientSingularity, int]]:
     for item in obj:
         if not isinstance(item, dict) or "r" not in item or "type" not in item:
             raise DomainError("each entry needs 'r' and 'type' keys")
-        sing = QuotientSingularity(int(item["r"]), tuple(int(a) for a in item["type"]))
-        mult = int(item.get("multiplicity", 1))
+        sing = QuotientSingularity(_json_int(item["r"]), map(_json_int, item["type"]))
+        mult = _json_int(item.get("multiplicity", 1))
         if mult < 0:
             raise DomainError("multiplicities must be nonnegative")
         out.append((sing, mult))

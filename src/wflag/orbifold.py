@@ -6,6 +6,19 @@ and isolated cyclic quotient singularities decomposes as an initial term
 singularity.  This module computes those closed forms exactly and provides the
 combinatorics of which singularity collections ("baskets") are admissible on a
 given weighted projective variety.
+
+It also holds the exact stage of the search, which writes a decomposition as
+one integer system.  Over the common denominator C = (1−t)ⁿ·∏(1−t^r) of a set
+of types, r running over their distinct indices, the contribution of a type Q
+is t^l·V_Q/C with V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) and the one shift
+l = ⌊(k+n+1)/2⌋ + 1 of every type (β_Q and l as in `_inverse_numerator`).
+Leaving t^l out keeps V_Q a polynomial when l < 0.  So P_X − P_I = Σ m_Q·P_Q
+is the integer system V·m = R·t^{−l} with R = (P_X − P_I)·C, built by
+`_integer_system`: `decompositions` solves it for the multiplicities of a
+basket, and `basket_kernel`, with R = 0, for the collections whose
+contributions sum to zero.  Both walk the kernel per independent component
+(`_kernel_components`), and every solution they return passes the
+certificate V·m == R·t^{−l} in integers (`_certified`).
 """
 from __future__ import annotations
 
@@ -13,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, product
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Sequence
 
@@ -24,6 +37,7 @@ from .ratfun import (
     RF_ZERO,
     RationalFunction,
     UniPolynomial,
+    div_one_minus_t_pow,
     mul_one_minus_t_pow,
     series_of,
 )
@@ -230,19 +244,27 @@ def fits(types, extended_weights) -> bool:
     return all(c <= counts[r] for r, c in Counter(t.r for t in types).items())
 
 
-def type_vectors(
-    types: Sequence[QuotientSingularity], k: int, n: int
-) -> tuple[list[list[int]], list[int]]:
-    """The contributions of the types over one common denominator.
-
-    Returns (V, C) with C = (1−t)ⁿ·∏(1−t^r), r running over the distinct
-    indices, and V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) for each type Q, so that the
-    contribution of Q is t^l·V_Q / C with the one shift l = `_shift`(k, n)
-    of every type.  Leaving t^l out keeps V_Q a polynomial when l < 0.  The
-    V_Q are integer coefficient lists padded to one common length (at
-    least 1).
+def _integer_system(
+    types, N0: Sequence[int], parts: Sequence[int], k: int, n: int
+) -> tuple[list[list[int]], list[int]] | None:
+    """Σ m_Q·V_Q = R·t^{−l} for P_X − P_I = N0/∏(1 − t^{p_i}) as (rows, rhs),
+    one equation per power of t and one column V_Q per type (see the module
+    docstring); N0 = () gives the system of the zero-sum collections.  None
+    when R·t^{−l}, built first by one sparse pass per factor, is not a
+    polynomial: V·m is one for every integer m, so there is no solution.
     """
     indices = sorted({t.r for t in types})
+    R = mul_one_minus_t_pow(N0, 1, n)
+    for r in indices:
+        R = mul_one_minus_t_pow(R, r)
+    try:
+        for w in parts:
+            R = div_one_minus_t_pow(R, w)
+    except ArithmeticError:
+        return None
+    R = _shifted(-_shift(k, n), R)
+    if R is None:
+        return None
     vecs = []
     for t in types:
         v = list(_inverse_numerator(t, k, n)[1])
@@ -250,25 +272,13 @@ def type_vectors(
             if r != t.r:
                 v = mul_one_minus_t_pow(v, r)
         vecs.append(v)
-    length = max(map(len, vecs), default=1)
-    vecs = [v + [0] * (length - len(v)) for v in vecs]
-    common = mul_one_minus_t_pow([1], 1, n)
-    for r in indices:
-        common = mul_one_minus_t_pow(common, r)
-    return vecs, common
-
-
-def _coefficient_system(
-    V: Sequence[Sequence[int]], R: Sequence[int]
-) -> tuple[list[list[int]], list[int]]:
-    """Σ m_Q·V_Q = R as (rows, rhs), one equation per power of t."""
-    length = max(len(V[0]), len(R))
-    rows = [[v[i] if i < len(v) else 0 for v in V] for i in range(length)]
-    return rows, list(R) + [0] * (length - len(R))
+    length = max([len(R), *map(len, vecs)])
+    rows = [[v[i] if i < len(v) else 0 for v in vecs] for i in range(length)]
+    return rows, R + [0] * (length - len(R))
 
 
 def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
-    """The certificate of every solution m: V·m == R in integers."""
+    """The certificate of every solution m: V·m == R·t^{−l} in integers."""
     return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
 
 
@@ -316,8 +326,7 @@ def basket_kernel(
     m = len(types)
     if m < 2:
         return ()
-    vecs, _ = type_vectors(types, k, n)
-    rows, rhs = _coefficient_system(vecs, [])
+    rows, rhs = _integer_system(types, (), (), k, n)
     D, _, kernel = solve(rows, rhs)
     per_comp: list[list[tuple[int, ...]]] = []
     for coords, comp in _kernel_components(kernel):
@@ -343,3 +352,114 @@ def basket_kernel(
         if _certified(rows, rhs, member):
             out.append(subset)
     return tuple(sorted(out))
+
+
+def decompositions(
+    types, N0: Sequence[int], parts: Sequence[int], k: int, n: int
+) -> list[dict[QuotientSingularity, int]]:
+    """The baskets the exact stage finds for P_X − P_I = N0/∏(1 − t^{p_i}),
+    each a map from type to multiplicity, before the fitting rule.
+
+    N0 = 0 gives the one empty basket: P_X = P_I, a smooth member.
+    Otherwise a type is dropped first when its P_Q has a higher degree than
+    P_X − P_I (the `kept` rule, which has no soundness argument; see
+    `wflag.search`), and the kept types go to `_exact_solutions`.
+    """
+    dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
+    if dN0 < 0:
+        return [{}]
+    # deg P_Q = l + deg β_Q − n − r_Q, and deg(P_X − P_I) = deg N0 − Σp
+    top = dN0 - sum(parts) + n + 1 - _shift(k, n)
+    kept = [q for q in types if len(_inverse_numerator(q, k, n)[1]) - q.r <= top]
+    return _exact_solutions(kept, N0, parts, k, n) if kept else []
+
+
+def _exact_solutions(
+    kept, N0: Sequence[int], parts: Sequence[int], k: int, n: int
+) -> list[dict[QuotientSingularity, int]]:
+    """The integer vertices m ≥ 0 of the solutions of P_X − P_I =
+    N0/∏(1 − t^{p_i}) = Σ m_Q·P_Q over the kept types, pairwise distinct:
+    in each independent component of the kernel, the solutions with as many
+    zero coordinates as the component has dimensions, combined over the
+    components.  The integer solutions between two vertices are not
+    returned.  For table row 2, c×1/2(1,1,1) + (9−c)×(1/4(1,1,3) +
+    1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact identity for every
+    0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
+
+    The system is that of `_integer_system`, solved only when R·t^{−l} is
+    a polynomial; every solution passes the certificate V·m == R·t^{−l}.
+    """
+    system = _integer_system(kept, N0, parts, k, n)
+    if system is None:
+        return []
+    solved = solve(*system)
+    if solved is None:
+        return []
+    return _enumerate_kernel_solutions(kept, *solved, *system)
+
+
+def _enumerate_kernel_solutions(kept, D, particular, kernel, rows, rhs):
+    """The solutions are particular/D plus rational combinations of the
+    integer kernel vectors; every test below is one on integers."""
+    # choices within distinct components of the kernel are independent
+    components = _kernel_components(kernel)
+    involved = {i for coords, _ in components for i in coords}
+    # coordinates outside the kernel support agree across all solutions
+    for i, v in enumerate(particular):
+        if i not in involved and (v < 0 or v % D):
+            return []
+
+    # every extreme solution has at least dim-many vanishing coordinates in
+    # each component, so pin the combination coefficients by choosing which
+    # (a combination lam/E of the vectors gives the coordinate
+    # (E·particular[i] + Σ lam·vec[i]) / (D·E))
+    per_comp: list[list[dict[int, int]]] = []
+    for coords, vecs in components:
+        dim = len(vecs)
+        if comb(len(coords), dim) > 20_000:
+            raise DomainError("kernel search space too large")
+        assigns: list[dict[int, int]] = []
+        seen_vals: set[tuple[int, ...]] = set()
+        for zero_set in combinations(coords, dim):
+            solved = solve(
+                [[vec[i] for vec in vecs] for i in zero_set],
+                [-particular[i] for i in zero_set],
+            )
+            if solved is None or solved[2]:
+                continue
+            E, lam, _ = solved
+            vals: dict[int, int] = {}
+            for i in coords:
+                v = E * particular[i] + sum(
+                    lv * vec[i] for lv, vec in zip(lam, vecs)
+                )
+                if v < 0 or v % (D * E):
+                    break
+                vals[i] = v // (D * E)
+            else:
+                key = tuple(vals[i] for i in coords)
+                if key not in seen_vals:
+                    seen_vals.add(key)
+                    assigns.append(vals)
+        if not assigns:
+            return []
+        per_comp.append(assigns)
+
+    total = 1
+    for assigns in per_comp:
+        total *= len(assigns)
+        if total > 4096:
+            raise DomainError("kernel search space too large")
+    # the assignments of a component differ on its coordinates, and the
+    # components' coordinates are disjoint, so the combinations are distinct
+    solutions: list[dict[QuotientSingularity, int]] = []
+    for combo in product(*per_comp):
+        # particular/D is integral outside the kernel support (checked
+        # above), and the components overwrite every involved coordinate
+        m = [v // D for v in particular]
+        for vals in combo:
+            for i, v in vals.items():
+                m[i] = v
+        if _certified(rows, rhs, m):
+            solutions.append({s: v for s, v in zip(kept, m) if v})
+    return solutions

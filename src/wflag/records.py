@@ -46,11 +46,10 @@ def fraction_to_json(x: Fraction) -> dict[str, str]:
 
 
 def fraction_from_json(obj: object) -> Fraction:
-    if isinstance(obj, dict):
+    """A rational from {"num", "den"}, a string or an int, never a bool or a float."""
+    if isinstance(obj, dict) and {type(obj.get("num")), type(obj.get("den"))} <= {int, str}:
         return Fraction(int(obj["num"]), int(obj["den"]))
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, int):
+    if isinstance(obj, str) or type(obj) is int:
         return Fraction(obj)
     raise ValueError(f"cannot read a rational from {obj!r}")
 

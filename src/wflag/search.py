@@ -11,18 +11,17 @@ singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
 The work is arranged as a funnel: a divisor-count bound inside the tuple
-enumeration first, then cheap integer filters, then the integrality of
-R = (P_X − P_I)·C over the common denominator C of the contributions (sparse
-exact divisions by each 1 − t^{p_i}), and for the rare survivors the integer
-coefficient system V·m = R·t^{−l} (every contribution carries the same power
-t^l, left out of V), solved by fraction-free elimination over ℤ
-(`linalg.solve`, whose solutions are integer vectors over one common
-denominator D).  Every emitted basket m is
-certified by the identity V·m == R·t^{−l} in integers, so the filters cannot
-produce false positives.  They can miss true ones: before the exact stage a
-type is dropped when its P_Q has a higher degree than P_X − P_I, a rule with
-no soundness argument that drops certified decompositions (g2 (−2,2) u=5
-at k = 1, for one).
+enumeration first, then cheap integer filters, then the exact stage of
+`orbifold.decompositions`: the integrality of R = (P_X − P_I)·C over the
+common denominator C of the contributions (sparse exact divisions by each
+1 − t^{p_i}), and for the rare survivors the integer system V·m = R·t^{−l},
+solved by fraction-free elimination over ℤ (`linalg.solve`).  The `orbifold` module
+docstring sets out C, l and V.  Every emitted basket m is certified by the
+identity V·m == R·t^{−l} in integers, so the filters cannot produce false
+positives.  They can miss true ones: before the integer system is built, a
+type is dropped when its P_Q has a higher degree than P_X − P_I (the `kept`
+rule), a rule with no soundness argument that drops certified decompositions
+(g2 (−2,2) u=5 at k = 1, for one).
 
 The bound caps #{i : d | p_i} by bound_d = min(cap_d, s − 2 when d is
 prime) for 2 ≤ d ≤ max(ambient), a table built once per embedding.  For
@@ -44,7 +43,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import groupby
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -55,19 +54,12 @@ from .formats import (
     enumerate_parameters,
     hilbert_series,
 )
-from .linalg import solve
 from .orbifold import (
     QuotientSingularity,
-    _certified,
-    _coefficient_system,
-    _inverse_numerator,
-    _kernel_components,
-    _shift,
-    _shifted,
     basket_kernel,
+    decompositions,
     fits,
     porb_cont,
-    type_vectors,
 )
 from .ratfun import (
     DomainError,
@@ -75,7 +67,6 @@ from .ratfun import (
     denominator_poly,
     div_one_minus_t_pow,
     int_mul,
-    mul_one_minus_t_pow,
 )
 
 
@@ -251,133 +242,6 @@ def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> l
 
 
 # ---------------------------------------------------------------------------
-# the exact stage: integrality of R, then the integer system
-
-
-def _integral_target(
-    kept: Sequence[QuotientSingularity],
-    N0: list[int],
-    parts: Sequence[int],
-    k: int,
-    n: int,
-) -> list[int] | None:
-    """R·t^{−l} for R = N0·C/∏(1 − t^{p_i}), C = (1−t)ⁿ∏(1−t^r) over the
-    indices r of the types and l = `_shift`(k, n), or None when it is not a
-    polynomial; one sparse pass per factor.  Every contribution is t^l·V_Q/C
-    (`type_vectors`), so V·m = R·t^{−l} is the system for any k.
-    """
-    R = mul_one_minus_t_pow(N0, 1, n)
-    for r in sorted({sng.r for sng in kept}):
-        R = mul_one_minus_t_pow(R, r)
-    try:
-        for w in parts:
-            R = div_one_minus_t_pow(R, w)
-    except ArithmeticError:
-        return None
-    return _shifted(-_shift(k, n), R)
-
-
-def _exact_solutions(
-    kept: list[QuotientSingularity],
-    N0: list[int],
-    parts: Sequence[int],
-    k: int,
-    n: int,
-) -> list[dict[QuotientSingularity, int]]:
-    """The integer vertices m ≥ 0 of the solutions of P_X − P_I =
-    N0/∏(1 − t^{p_i}) = Σ m_Q·P_Q: in each independent component of the
-    kernel, the solutions with as many zero coordinates as the component
-    has dimensions, combined over the components.  The integer solutions
-    between two vertices are not returned.  For table row 2, c×1/2(1,1,1) +
-    (9−c)×(1/4(1,1,3) + 1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact
-    identity for every 0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
-
-    Over the common denominator C of the types this is Σ m_Q·V_Q = R·t^{−l}
-    with R = (P_X − P_I)·C.  V·m is an integer polynomial for every integer
-    m, so when R·t^{−l} is not one there is no solution; this test runs
-    first, before any type vector is built.
-    """
-    R = _integral_target(kept, N0, parts, k, n)
-    if R is None:
-        return []
-    V, _ = type_vectors(kept, k, n)
-    rows, rhs = _coefficient_system(V, R)
-    solved = solve(rows, rhs)
-    if solved is None:
-        return []
-    return _enumerate_kernel_solutions(kept, *solved, rows, rhs)
-
-
-def _enumerate_kernel_solutions(kept, D, particular, kernel, rows, rhs):
-    """The solutions are particular/D plus rational combinations of the
-    integer kernel vectors; every test below is one on integers."""
-    # choices within distinct components of the kernel are independent
-    components = _kernel_components(kernel)
-    involved = {i for coords, _ in components for i in coords}
-    # coordinates outside the kernel support agree across all solutions
-    for i, v in enumerate(particular):
-        if i not in involved and (v < 0 or v % D):
-            return []
-
-    # every extreme solution has at least dim-many vanishing coordinates in
-    # each component, so pin the combination coefficients by choosing which
-    # (a combination lam/E of the vectors gives the coordinate
-    # (E·particular[i] + Σ lam·vec[i]) / (D·E))
-    per_comp: list[list[dict[int, int]]] = []
-    for coords, vecs in components:
-        dim = len(vecs)
-        if comb(len(coords), dim) > 20_000:
-            raise DomainError("kernel search space too large")
-        assigns: list[dict[int, int]] = []
-        seen_vals: set[tuple[int, ...]] = set()
-        for zero_set in combinations(coords, dim):
-            solved = solve(
-                [[vec[i] for vec in vecs] for i in zero_set],
-                [-particular[i] for i in zero_set],
-            )
-            if solved is None or solved[2]:
-                continue
-            E, lam, _ = solved
-            vals: dict[int, int] = {}
-            for i in coords:
-                v = E * particular[i] + sum(
-                    lv * vec[i] for lv, vec in zip(lam, vecs)
-                )
-                if v < 0 or v % (D * E):
-                    break
-                vals[i] = v // (D * E)
-            else:
-                key = tuple(vals[i] for i in coords)
-                if key not in seen_vals:
-                    seen_vals.add(key)
-                    assigns.append(vals)
-        if not assigns:
-            return []
-        per_comp.append(assigns)
-
-    total = 1
-    for assigns in per_comp:
-        total *= len(assigns)
-        if total > 4096:
-            raise DomainError("kernel search space too large")
-    solutions: list[dict[QuotientSingularity, int]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for combo in product(*per_comp):
-        # particular/D is integral outside the kernel support (checked
-        # above), and the components overwrite every involved coordinate
-        m = [v // D for v in particular]
-        for vals in combo:
-            for i, v in vals.items():
-                m[i] = v
-        key = tuple((i, v) for i, v in enumerate(m) if v)
-        if key in seen or not _certified(rows, rhs, m):
-            continue
-        seen.add(key)
-        solutions.append({s: v for s, v in zip(kept, m) if v})
-    return solutions
-
-
-# ---------------------------------------------------------------------------
 # per-embedding scan
 
 
@@ -406,7 +270,6 @@ def search_embedding(
     wmax = max(ambient)
     bounds = _divisor_bounds(wmax, s, _pole_caps(H, wmax, s))
 
-    l = _shift(k, n)
     try:
         for parts in _iter_pos_wt(ambient, s, total, bounds):
             scanned += 1
@@ -420,28 +283,13 @@ def search_embedding(
                 (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
                 for i in range(max(len(H), len(prod_ai)))
             ]
-            dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
 
             types, extended = porb_cont(parts, n, k)
-            if dN0 < 0:
-                # P_X = P_I exactly: smooth member
-                solutions = [{}]
-            else:
-                rat_rhs = dN0 - total
-                # unproven, see the module docstring; deg B_Q = l + deg β_Q
-                kept = [
-                    sng
-                    for sng in types
-                    if l + len(_inverse_numerator(sng, k, n)[1]) - 1 - n - sng.r
-                    <= rat_rhs
-                ]
-                if not kept:
-                    continue
-                solutions = [
-                    solution
-                    for solution in _exact_solutions(kept, N0, parts, k, n)
-                    if fits(solution, extended)
-                ]
+            solutions = [
+                solution
+                for solution in decompositions(types, N0, parts, k, n)
+                if fits(solution, extended)
+            ]
             if solutions:
                 _emit(
                     candidates, data, format_name, parts, solutions, types,

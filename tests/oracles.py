@@ -17,6 +17,8 @@ recomputes something the program computes another way:
 * `degree_of` and `solve_multiplicities` — the degree, and the
   multiplicities of given contributions, from rational functions rather
   than the integer lists of the sweep;
+* `common_denominator` — the denominator C of the sweep's integer system,
+  from `UniPolynomial` products;
 * `baskets` — every collection of distinct types that fits;
 * `is_terminal_type` and `terminal_basket` — the terminal classification of
   threefold quotient types.
@@ -27,6 +29,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from wflag.formats import (
@@ -40,12 +43,7 @@ from wflag.linalg import solve
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
-    _certified,
-    _coefficient_system,
-    _shift,
-    _shifted,
     fits,
-    type_vectors,
 )
 from wflag.ratfun import (
     DomainError,
@@ -436,24 +434,20 @@ def solve_multiplicities(
 ) -> list[int] | None:
     """Multiplicities m ≥ 0 with series = init + Σ mᵢ·contribᵢ, else None.
 
-    The contributions share one canonical weight k and one dimension n.
-    Over the common denominator C of the contributions this is the integer
-    system Σ mᵢ·Vᵢ = (series − init)·C·t^{−l} (see `type_vectors`); the
-    solution with free multiplicities zero is returned once it passes that
-    identity.
+    Multiplied by the product M of the contributions' distinct denominators,
+    this is the system Σ mᵢ·(contribᵢ·M) = (series − init)·M of integer
+    polynomials, one equation per power of t.  The solution with free
+    multiplicities zero is returned once it passes that system in integers.
     """
-    target = series - init
-    if not contribs:
-        return [] if target.is_zero() else None
-    k, n = contribs[0].k, len(contribs[0].singularity.weights)
-    V, C = type_vectors([c.singularity for c in contribs], k, n)
-    R = target * RationalFunction(UniPolynomial(C))
+    M = prod({c.value.den for c in contribs}, start=UniPolynomial([1]))
+    cols = [c.value.num * M.exact_div(c.value.den) for c in contribs]
+    R = (series - init) * M
     if R.den.degree > 0 or any(c.denominator != 1 for c in R.num.coeffs):
-        return None  # V·m is an integer polynomial for every integer m
-    R = _shifted(-_shift(k, n), [c.numerator for c in R.num.coeffs])
-    if R is None:
-        return None
-    rows, rhs = _coefficient_system(V, R)
+        return None  # the left side is an integer polynomial for integer m
+    assert all(c.denominator == 1 for p in cols for c in p.coeffs)
+    length = max(len(p.coeffs) for p in (R.num, *cols))
+    rows = [[int(p[i]) for p in cols] for i in range(length)]
+    rhs = [int(R.num[i]) for i in range(length)]
     solved = solve(rows, rhs)
     if solved is None:
         return None
@@ -461,7 +455,16 @@ def solve_multiplicities(
     if any(v < 0 or v % D for v in x):
         return None
     m = [v // D for v in x]
-    return m if _certified(rows, rhs, m) else None
+    certified = all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
+    return m if certified else None
+
+
+def common_denominator(types: Sequence[QuotientSingularity], n: int) -> UniPolynomial:
+    """C = (1−t)ⁿ·∏(1−t^r) over the distinct indices r of the types."""
+    C = UniPolynomial.one_minus_t_pow(1) ** n
+    for r in sorted({t.r for t in types}):
+        C = C * UniPolynomial.one_minus_t_pow(r)
+    return C
 
 
 # -- terminal classification ------------------------------------------------

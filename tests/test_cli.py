@@ -476,6 +476,13 @@ def test_unusable_file_is_an_error(tmp_path, monkeypatch, capsys, argv, message)
         ("decompose", [{"r": "z", "type": [1, 1, 1]}], "--basket"),
         ("decompose", [{"r": 2, "type": [1, 1, 1], "multiplicity": {}}], "--basket"),
         ("initial", {"numerator": [{"num": "1", "den": "0"}]}, "--series"),
+        # a float or a bool is no integer entry: none is rounded to one
+        ("decompose", [{**X7_BASKET[0], "multiplicity": 1.5}], "--basket"),
+        ("decompose", [{**X7_BASKET[0], "r": 2.5}], "--basket"),
+        ("decompose", [{**X7_BASKET[0], "type": [1, 1, 1.9]}], "--basket"),
+        ("decompose", [{**X7_BASKET[0], "multiplicity": True}], "--basket"),
+        ("decompose", {**X7_SERIES, "weights": [1, 1, 1, 1.5, 2.2]}, "--series"),
+        ("decompose", {**X7_SERIES, "numerator": [True, 0, 0, 0, 0, 0, 0, -1]}, "--series"),
         ("search", None, "--n"),
         ("initial", None, "--n"),
         ("decompose", None, "--n"),

@@ -1,0 +1,59 @@
+"""No module of the package takes a private name from another.
+
+A name with a leading underscore belongs to the module that defines it.  A
+module that needs such a name from a sibling should be given a public one,
+or the code that uses it should move next to it.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wflag"
+
+
+def _private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each private name taken from a wflag module: by
+    ``from .x import _name`` or ``from wflag.x import _name``, or as
+    ``x._name`` on a module bound by ``from . import x``."""
+    tree = ast.parse(source)
+    found: list[tuple[int, str]] = []
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "wflag"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                if node.module in (None, "wflag"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_each_form():
+    source = (
+        "from . import records\n"
+        "from .orbifold import QuotientSingularity, _shift\n"
+        "from wflag.search import _emit as emit\n"
+        "records._integer_from_json(1)\n"
+        "records.fraction_from_json(1)\n"
+    )
+    assert _private_imports(source) == [
+        (2, "_shift"), (3, "_emit"), (4, "records._integer_from_json"),
+    ]

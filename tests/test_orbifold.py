@@ -8,12 +8,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import baskets
+from oracles import baskets, common_denominator
 
+import wflag.search as search_module
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
+    _integer_system,
     _kernel_components,
+    _shift,
     basket_kernel,
     gcd_closure,
     initial_term,
@@ -27,6 +30,7 @@ from wflag.ratfun import (
     RationalFunction,
     UniPolynomial,
 )
+from wflag.search import SearchConfig, search
 
 
 def Q(r, *weights):
@@ -311,6 +315,38 @@ def test_kernel_components_join_overlapping_supports():
         ([5], [kernel[2]]),
     ]
     assert _kernel_components([]) == []
+
+
+@pytest.mark.parametrize("k, u_max", [(-7, 5), (-3, 4), (-1, 4), (1, 4)])
+def test_system_columns_are_the_contributions(monkeypatch, k, u_max):
+    """Column Q of `_integer_system`, times t^l/C, is qorb(Q).value, for
+    every type of every scanned tuple of a small g2 census; at k = −7 the
+    shift l is negative.  A column depends on the type and on the tuple's
+    indices."""
+    seen = set()
+
+    def spy(parts, n, k):
+        result = porb_cont(parts, n, k)
+        seen.add(result[0])
+        return result
+
+    monkeypatch.setattr(search_module, "porb_cont", spy)
+    search(SearchConfig(format_name="g2", k=k, n=3, u_max=u_max))
+    l = _shift(k, 3)
+    t_l, t_minus_l = UniPolynomial.monomial(max(l, 0)), UniPolynomial.monomial(max(-l, 0))
+    checked = set()
+    for types in seen - {()}:
+        rows, rhs = _integer_system(types, (), (), k, 3)
+        assert not any(rhs)
+        indices = frozenset(t.r for t in types)
+        C = common_denominator(types, 3)
+        for j, sing in enumerate(types):
+            if (sing, indices) in checked:
+                continue
+            checked.add((sing, indices))
+            column = UniPolynomial([row[j] for row in rows])
+            assert RationalFunction(column * t_l, C * t_minus_l) == qorb(sing, k, 3).value
+    assert checked
 
 
 def test_kernel_walk_per_component():

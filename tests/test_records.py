@@ -68,6 +68,14 @@ def test_fraction_from_alternate_forms():
         fraction_from_json([1, 2])
 
 
+@pytest.mark.parametrize(
+    "obj", [True, 1.5, {"num": True, "den": "1"}, {"num": "1", "den": 2.0}]
+)
+def test_fraction_from_json_rejects_bools_and_floats(obj):
+    with pytest.raises(ValueError, match="cannot read a rational"):
+        fraction_from_json(obj)
+
+
 def test_candidate_round_trip(small_candidates):
     assert small_candidates
     for cand in small_candidates:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    common_denominator,
     degree_of,
     embedding_series,
     is_terminal_type,
@@ -19,25 +20,24 @@ from oracles import (
     terminal_basket,
 )
 
+import wflag.orbifold as orbifold_module
 import wflag.search as search_module
 from wflag.formats import FORMATS, CocharacterParam, enumerate_parameters, hilbert_series
 from wflag.linalg import solve
 from wflag.orbifold import (
     QuotientSingularity,
     _certified,
-    _coefficient_system,
+    _exact_solutions,
+    _integer_system,
     _shift,
     basket_kernel,
     fits,
     initial_term,
     qorb,
-    type_vectors,
 )
 from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
 from wflag.search import (
     G2_FANO_TABLE,
-    _exact_solutions,
-    _integral_target,
     Candidate,
     SearchConfig,
     candidate_key,
@@ -278,7 +278,7 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
         calls.append((kept, N0, parts, solutions))
         return solutions
 
-    monkeypatch.setattr(search_module, "_exact_solutions", spy)
+    monkeypatch.setattr(orbifold_module, "_exact_solutions", spy)
     fmt = FORMATS[format_name]
     integral = rejected = 0
     for param in enumerate_parameters(fmt, **params):
@@ -290,19 +290,18 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
         search_embedding(format_name, param, k=k, n=3)
         for kept, N0, parts, solutions in calls:
             series = RationalFunction(H.num, denominator_poly(parts, sum(parts)))
-            _, C = type_vectors(kept, k, 3)
             l = _shift(k, 3)
             product = (series - initial_term(series, 3, k)) * RationalFunction(
-                UniPolynomial(C) * UniPolynomial.monomial(max(-l, 0)),
+                common_denominator(kept, 3) * UniPolynomial.monomial(max(-l, 0)),
                 UniPolynomial.monomial(max(l, 0)),
             )
-            R = _integral_target(kept, N0, parts, k, 3)
+            system = _integer_system(kept, N0, parts, k, 3)
             if product.den == UniPolynomial([1]):
                 integral += 1
-                assert R is not None and UniPolynomial(R) == product.num
+                assert system is not None and UniPolynomial(system[1]) == product.num
             else:
                 rejected += 1
-                assert R is None and solutions == []
+                assert system is None and solutions == []
     assert integral and rejected
 
 
@@ -419,8 +418,9 @@ def test_search_embedding_u3_candidates():
 
 def _kept_filter_drop() -> Candidate:
     """A certified decomposition at g2 (−2,2) u=5, k=1 that the search does
-    not emit: the degree rule on the types (`kept` in `search_embedding`)
-    drops 1/7(3,5,5), whose P_Q has a higher degree than P_X − P_I."""
+    not emit: the degree rule on the types (`kept` in
+    `orbifold.decompositions`) drops 1/7(3,5,5), whose P_Q has a higher
+    degree than P_X − P_I."""
     return Candidate(
         "g2", (-2, 2), 5, (1, 3, 3, 3, 3, 5, 5, 5, 5, 7, 7, 7), 1, 3,
         Fraction(2, 7), ((Q(3, 1, 2, 2), 9), (Q(7, 3, 5, 5), 3)), (), False,
@@ -434,7 +434,7 @@ def test_decomposition_dropped_by_the_kept_filter_is_certified():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the degree rule on the types in search_embedding is unproven "
+    reason="the degree rule on the types in orbifold.decompositions is unproven "
     "and drops this certified decomposition",
 )
 def test_kept_filter_keeps_certified_decompositions():
@@ -486,14 +486,31 @@ def test_integer_kernel_walk_on_the_k_minus_3_census():
         _assert_identity(c)
 
 
+def test_exact_solutions_are_pairwise_distinct(monkeypatch):
+    """The combinations of per-component vertices are distinct solutions, so
+    `_exact_solutions` needs no set of those already returned; on g2 k=−3
+    u≤6, whose kernels reach dimension 14."""
+    calls = []
+
+    def spy(*args):
+        calls.append(_exact_solutions(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(orbifold_module, "_exact_solutions", spy)
+    search(SearchConfig(format_name="g2", k=-3, n=3, u_max=6))
+    for solutions in calls:
+        keys = {tuple(sorted(solution.items())) for solution in solutions}
+        assert len(keys) == len(solutions)
+    assert max(map(len, calls)) >= 4
+
+
 def _whole_kernel_walk(types, extended_weights, k, n):
     """The walk `basket_kernel` made before it split the kernel into
     components: every 0/1 pattern of the whole kernel basis."""
     types = tuple(types)
     if len(types) < 2:
         return ()
-    vecs, _ = type_vectors(types, k, n)
-    rows, rhs = _coefficient_system(vecs, [])
+    rows, rhs = _integer_system(types, (), (), k, n)
     D, _, kernel = solve(rows, rhs)
     out = []
     for mask in range(1, 1 << len(kernel)):
