@@ -70,7 +70,7 @@ def _read_input(path: str, parse):
         raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}")
-    except DomainError as exc:
+    except (DomainError, records.RecordError) as exc:
         raise DomainError(f"{path}: {exc}") from None
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise DomainError(f"{path}: malformed entry ({exc!r})") from None
@@ -88,19 +88,12 @@ def _file_errors(verb: str, path: str):
         raise DomainError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
-def _json_int(obj: object) -> int:
-    """A JSON integer; a float, a bool or a string is no integer entry."""
-    if type(obj) is not int:
-        raise DomainError(f"expected an integer, got {json.dumps(obj)}")
-    return obj
-
-
 def _series_from_json(obj: object) -> RationalFunction:
     if not isinstance(obj, dict) or "numerator" not in obj:
         raise DomainError("expected an object with a 'numerator' key")
     num = UniPolynomial([records.fraction_from_json(c) for c in obj["numerator"]])
     if "weights" in obj:
-        weights = [_json_int(w) for w in obj["weights"]]
+        weights = [records.int_from_json(w) for w in obj["weights"]]
         if any(w < 1 for w in weights):
             raise DomainError("denominator weights must be positive")
         den = UniPolynomial([1])
@@ -122,11 +115,7 @@ def _basket_from_json(obj: object) -> list[tuple[QuotientSingularity, int]]:
     for item in obj:
         if not isinstance(item, dict) or "r" not in item or "type" not in item:
             raise DomainError("each entry needs 'r' and 'type' keys")
-        sing = QuotientSingularity(_json_int(item["r"]), map(_json_int, item["type"]))
-        mult = _json_int(item.get("multiplicity", 1))
-        if mult < 0:
-            raise DomainError("multiplicities must be nonnegative")
-        out.append((sing, mult))
+        out.append(records.basket_entry_from_json({"multiplicity": 1, **item}))
     return out
 
 
@@ -205,8 +194,6 @@ def cmd_initial(args: argparse.Namespace) -> int:
     series = _read_input(args.series, _series_from_json)
     init = initial_term(series, args.n, args.k)
     a_poly = init * (UniPolynomial.one_minus_t_pow(1) ** (args.n + 1))
-    if a_poly.den != UniPolynomial([1]):
-        raise DomainError("initial term is not supported on (1 - t)^(n+1)")
     print(f"numerator: {a_poly.num}")
     print(f"denominator: (1 - t)^{args.n + 1}")
     print(f"initial term: {init}")
@@ -309,15 +296,12 @@ def _run_sweep(
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.format not in FORMATS:
-        raise DomainError(f"unknown format {args.format!r}")
     _check_dimension(args.n)
     _check_jobs(args.jobs)
     config = SearchConfig(
         format_name=args.format,
         k=args.k,
         n=args.n,
-        u_min=args.u_min,
         u_max=args.u_max,
         q_max=args.q_max,
         jobs=args.jobs,
@@ -341,7 +325,7 @@ def _table_row_mismatches(row: dict, cand: Candidate) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
-    if getattr(args, "from_path", None):
+    if args.from_path:
         with _file_errors("read", args.from_path):
             cache = records.load_cache(args.from_path)
         candidates = merge_candidates(cache.candidates)
@@ -441,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=sorted(FORMATS))
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--u-min", type=int, default=None)
     p.add_argument("--u-max", type=int, default=None)
     p.add_argument("--q-max", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)

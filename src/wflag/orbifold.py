@@ -8,24 +8,28 @@ combinatorics of which singularity collections ("baskets") are admissible on a
 given weighted projective variety.
 
 It also holds the exact stage of the search, which writes a decomposition as
-one integer system.  Over the common denominator C = (1−t)ⁿ·∏(1−t^r) of a set
-of types, r running over their distinct indices, the contribution of a type Q
-is t^l·V_Q/C with V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) and the one shift
-l = ⌊(k+n+1)/2⌋ + 1 of every type (β_Q and l as in `_inverse_numerator`).
-Leaving t^l out keeps V_Q a polynomial when l < 0.  So P_X − P_I = Σ m_Q·P_Q
-is the integer system V·m = R·t^{−l} with R = (P_X − P_I)·C, built by
-`_integer_system`: `decompositions` solves it for the multiplicities of a
-basket, and `basket_kernel`, with R = 0, for the collections whose
-contributions sum to zero.  Both walk the kernel per independent component
-(`_kernel_components`), and every solution they return passes the
-certificate V·m == R·t^{−l} in integers (`_certified`).
+one integer system.  For P_X = H/∏(1−t^{p_i}) and c = k + n + 1, the initial
+term is P_I = A/(1−t)^{n+1}, with A symmetric of degree c and its first
+⌊c/2⌋ + 1 coefficients those of P_X·(1−t)^{n+1} (`initial_numerator`); so
+P_X − P_I = N0/∏(1−t^{p_i}) with N0 = H − A·∏(1−t^{p_i})/(1−t)^{n+1}.  Over
+the common denominator C = (1−t)ⁿ·∏(1−t^r) of a set of types, r running over
+their distinct indices, the contribution of a type Q is t^l·V_Q/C with
+V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) and the one shift l = ⌊(k+n+1)/2⌋ + 1 of
+every type (β_Q and l as in `_inverse_numerator`).  Leaving t^l out keeps
+V_Q a polynomial when l < 0.  So P_X − P_I = Σ m_Q·P_Q is the integer system
+V·m = R·t^{−l} with R = (P_X − P_I)·C = N0·C/∏(1−t^{p_i}), built by
+`_integer_system`: `decompositions` builds N0 from H and solves it for the
+multiplicities of a basket, and `basket_kernel`, with R = 0, for the
+collections whose contributions sum to zero.  Both walk the kernel per
+independent component (`_kernel_components`), and every solution they
+return passes the certificate V·m == R·t^{−l} in integers (`_certified`).
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, gcd
 from operator import mul
 from typing import Sequence
@@ -33,7 +37,6 @@ from typing import Sequence
 from .linalg import solve
 from .ratfun import (
     DomainError,
-    P_ZERO,
     RF_ZERO,
     RationalFunction,
     UniPolynomial,
@@ -154,28 +157,32 @@ def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
     )
 
 
-def initial_term(series: RationalFunction, n: int, k: int) -> RationalFunction:
-    """The smooth part of an orbifold Hilbert series decomposition.
+def initial_numerator(prefix: Sequence, n: int, k: int) -> list:
+    """The numerator A of the initial term P_I = A/(1−t)^{n+1}, from the
+    coefficients c_0 .. c_h of P_X with h = ⌊c/2⌋ and c = k + n + 1.
 
-    Determined by the series coefficients up to degree floor((k+n+1)/2) and
-    extended symmetrically; the result has denominator (1-t)^(n+1).
+    A is symmetric of degree c, and its first h + 1 coefficients are those
+    of P_X·(1−t)^{n+1}; A = [] when c < 0.  The coefficients may be of any
+    exact type: integers in the sweep, `Fraction`s in `initial_term`.
     """
     c = k + n + 1
     if c < 0:
+        return []
+    low = [
+        sum((-1) ** j * comb(n + 1, j) * prefix[i - j] for j in range(min(i, n + 1) + 1))
+        for i in range(c // 2 + 1)
+    ]
+    return low + low[: c - c // 2][::-1]
+
+
+def initial_term(series: RationalFunction, n: int, k: int) -> RationalFunction:
+    """The smooth part P_I = A/(1−t)^{n+1} of an orbifold Hilbert series
+    decomposition, A as in `initial_numerator`."""
+    half = (k + n + 1) // 2
+    if half < 0:
         return RF_ZERO
-    half = c // 2
-    one_minus_t = UniPolynomial([1, -1])
-    pp = series_of(series * one_minus_t ** (n + 1), half)
-    acc = P_ZERO
-    for i in range(half + 1):
-        ci = pp[i]
-        if not ci:
-            continue
-        if c % 2 == 0 and i == half:
-            acc = acc + UniPolynomial.monomial(i, ci)
-        else:
-            acc = acc + UniPolynomial.monomial(i, ci) + UniPolynomial.monomial(c - i, ci)
-    return RationalFunction(acc, one_minus_t ** (n + 1))
+    A = initial_numerator(series_of(series, half), n, k)
+    return RationalFunction(UniPolynomial(A), UniPolynomial.one_minus_t_pow(1) ** (n + 1))
 
 
 def gcd_closure(values) -> frozenset[int]:
@@ -355,41 +362,51 @@ def basket_kernel(
 
 
 def decompositions(
-    types, N0: Sequence[int], parts: Sequence[int], k: int, n: int
+    types, H: Sequence[int], parts: Sequence[int], k: int, n: int
 ) -> list[dict[QuotientSingularity, int]]:
-    """The baskets the exact stage finds for P_X − P_I = N0/∏(1 − t^{p_i}),
-    each a map from type to multiplicity, before the fitting rule.
+    """The baskets of P_X = H/∏(1 − t^{p_i}) = P_I + Σ m_Q·P_Q over the
+    given types, each a map from type to multiplicity, before the fitting
+    rule.
+
+    The baskets are the integer vertices m ≥ 0 of the solutions, pairwise
+    distinct: in each independent component of the kernel, the solutions
+    with as many zero coordinates as the component has dimensions, combined
+    over the components.  The integer solutions between two vertices are
+    not returned.  For table row 2, c×1/2(1,1,1) + (9−c)×(1/4(1,1,3) +
+    1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact identity for every
+    0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
 
     N0 = 0 gives the one empty basket: P_X = P_I, a smooth member.
     Otherwise a type is dropped first when its P_Q has a higher degree than
     P_X − P_I (the `kept` rule, which has no soundness argument; see
-    `wflag.search`), and the kept types go to `_exact_solutions`.
+    `wflag.search`).  The system of the kept types is that of
+    `_integer_system`, solved only when R·t^{−l} is a polynomial; every
+    solution passes the certificate V·m == R·t^{−l}.
     """
+    # the coefficients of P_X up to degree ⌊c/2⌋, all that P_I depends on
+    h = (k + n + 1) // 2
+    prefix = [H[i] if i < len(H) else 0 for i in range(h + 1)]
+    for w in parts:
+        for i in range(w, h + 1):
+            prefix[i] += prefix[i - w]
+    # N0 = H − A·∏(1 − t^{p_i})/(1 − t)^{n+1}: a tuple has more than n parts,
+    # so each division by 1 − t, a running sum, is exact
+    AD = initial_numerator(prefix, n, k)
+    for w in parts:
+        AD = mul_one_minus_t_pow(AD, w)
+    for _ in range(n + 1):
+        AD = list(accumulate(AD))
+    N0 = [
+        (H[i] if i < len(H) else 0) - (AD[i] if i < len(AD) else 0)
+        for i in range(max(len(H), len(AD)))
+    ]
     dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
     if dN0 < 0:
         return [{}]
     # deg P_Q = l + deg β_Q − n − r_Q, and deg(P_X − P_I) = deg N0 − Σp
     top = dN0 - sum(parts) + n + 1 - _shift(k, n)
     kept = [q for q in types if len(_inverse_numerator(q, k, n)[1]) - q.r <= top]
-    return _exact_solutions(kept, N0, parts, k, n) if kept else []
-
-
-def _exact_solutions(
-    kept, N0: Sequence[int], parts: Sequence[int], k: int, n: int
-) -> list[dict[QuotientSingularity, int]]:
-    """The integer vertices m ≥ 0 of the solutions of P_X − P_I =
-    N0/∏(1 − t^{p_i}) = Σ m_Q·P_Q over the kept types, pairwise distinct:
-    in each independent component of the kernel, the solutions with as many
-    zero coordinates as the component has dimensions, combined over the
-    components.  The integer solutions between two vertices are not
-    returned.  For table row 2, c×1/2(1,1,1) + (9−c)×(1/4(1,1,3) +
-    1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact identity for every
-    0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
-
-    The system is that of `_integer_system`, solved only when R·t^{−l} is
-    a polynomial; every solution passes the certificate V·m == R·t^{−l}.
-    """
-    system = _integer_system(kept, N0, parts, k, n)
+    system = _integer_system(kept, N0, parts, k, n) if kept else None
     if system is None:
         return []
     solved = solve(*system)

@@ -275,18 +275,6 @@ def mul_one_minus_t_pow(a: Sequence[int], r: int, times: int = 1) -> list[int]:
     return out
 
 
-def denominator_poly(parts: Sequence[int], total: int) -> list[int]:
-    """Coefficients of ∏(1 − t^{p_i}) as an integer list of length total+1."""
-    den = [0] * (total + 1)
-    den[0] = 1
-    deg = 0
-    for w in parts:
-        deg += w
-        for i in range(deg, w - 1, -1):
-            den[i] -= den[i - w]
-    return den
-
-
 def div_one_minus_t_pow(a: Sequence[int], r: int) -> list[int]:
     """The quotient a / (1 − t^r) in ℤ[t], one sparse pass.
 

@@ -18,8 +18,10 @@ Exact rationals serialize as ``{"num": "<int>", "den": "<int>"}`` with the
 integers rendered as decimal strings, so degrees like 18/91 survive
 round-trips without any precision loss.  The Hilbert numerator of a
 candidate is a list of integers, each written the same way with ``"den":
-"1"``; a reader rejects any other denominator there.  CSV and aligned-text
-renderings are derived views over the same candidate set.
+"1"``; a reader rejects any other denominator there.  Every other integer
+field must be a JSON integer (`int_from_json`) and ``smooth`` a JSON bool:
+nothing is rounded or coerced.  CSV and aligned-text renderings are derived
+views over the same candidate set.
 """
 from __future__ import annotations
 
@@ -54,7 +56,20 @@ def fraction_from_json(obj: object) -> Fraction:
     raise ValueError(f"cannot read a rational from {obj!r}")
 
 
-def _integer_from_json(obj: object) -> int:
+def int_from_json(obj: object) -> int:
+    """A JSON integer; a float, a bool or a string is no integer entry."""
+    if type(obj) is not int:
+        raise RecordError(f"expected an integer, got {json.dumps(obj)}")
+    return obj
+
+
+def _bool_from_json(obj: object) -> bool:
+    if type(obj) is not bool:
+        raise RecordError(f"expected true or false, got {json.dumps(obj)}")
+    return obj
+
+
+def _coefficient_from_json(obj: object) -> int:
     x = fraction_from_json(obj)
     if x.denominator != 1:
         raise RecordError(f"numerator coefficient {x} is not an integer")
@@ -66,7 +81,16 @@ def _singularity_to_json(sing: QuotientSingularity) -> dict:
 
 
 def _singularity_from_json(obj: dict) -> QuotientSingularity:
-    return QuotientSingularity(int(obj["r"]), tuple(int(a) for a in obj["type"]))
+    return QuotientSingularity(int_from_json(obj["r"]), map(int_from_json, obj["type"]))
+
+
+def basket_entry_from_json(obj: dict) -> tuple[QuotientSingularity, int]:
+    """A basket entry {"r", "type", "multiplicity"}, each entry a JSON
+    integer and the multiplicity nonnegative."""
+    mult = int_from_json(obj["multiplicity"])
+    if mult < 0:
+        raise RecordError("multiplicities must be nonnegative")
+    return _singularity_from_json(obj), mult
 
 
 def candidate_to_json(cand: Candidate) -> dict:
@@ -95,22 +119,18 @@ def candidate_to_json(cand: Candidate) -> dict:
 def candidate_from_json(obj: dict) -> Candidate:
     return Candidate(
         format_name=str(obj["format"]),
-        mu=tuple(int(a) for a in obj["mu"]),
-        u=int(obj["u"]),
-        x_weights=tuple(int(w) for w in obj["weights"]),
-        k=int(obj["k"]),
-        n=int(obj["n"]),
+        mu=tuple(map(int_from_json, obj["mu"])),
+        u=int_from_json(obj["u"]),
+        x_weights=tuple(map(int_from_json, obj["weights"])),
+        k=int_from_json(obj["k"]),
+        n=int_from_json(obj["n"]),
         degree=fraction_from_json(obj["degree"]),
-        basket=tuple(
-            (_singularity_from_json(it), int(it["multiplicity"]))
-            for it in obj["basket"]
-        ),
+        basket=tuple(map(basket_entry_from_json, obj["basket"])),
         kernels=tuple(
-            tuple(_singularity_from_json(it) for it in group)
-            for group in obj["kernels"]
+            tuple(map(_singularity_from_json, group)) for group in obj["kernels"]
         ),
-        smooth=bool(obj["smooth"]),
-        numerator=tuple(_integer_from_json(c) for c in obj["numerator"]),
+        smooth=_bool_from_json(obj["smooth"]),
+        numerator=tuple(map(_coefficient_from_json, obj["numerator"])),
     )
 
 
@@ -126,10 +146,10 @@ def _sweep_key_to_json(key: SweepKey) -> dict:
 def _sweep_key_from_json(obj: dict) -> SweepKey:
     return (
         str(obj["format"]),
-        tuple(int(a) for a in obj["mu"]),
-        int(obj["u"]),
-        int(obj["k"]),
-        int(obj["n"]),
+        tuple(map(int_from_json, obj["mu"])),
+        int_from_json(obj["u"]),
+        int_from_json(obj["k"]),
+        int_from_json(obj["n"]),
     )
 
 

@@ -11,12 +11,15 @@ singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
 The work is arranged as a funnel: a divisor-count bound inside the tuple
-enumeration first, then cheap integer filters, then the exact stage of
-`orbifold.decompositions`: the integrality of R = (P_X − P_I)·C over the
-common denominator C of the contributions (sparse exact divisions by each
-1 − t^{p_i}), and for the rare survivors the integer system V·m = R·t^{−l},
-solved by fraction-free elimination over ℤ (`linalg.solve`).  The `orbifold` module
-docstring sets out C, l and V.  Every emitted basket m is certified by the
+enumeration first, then the candidate types of `orbifold.porb_cont`, then
+the exact stage, to which the scan hands H and the tuple:
+`orbifold.decompositions` builds P_I and P_X − P_I = N0/∏(1 − t^{p_i}),
+tests the integrality of R = (P_X − P_I)·C over the common denominator C of
+the contributions (sparse exact divisions by each 1 − t^{p_i}), and for the
+rare survivors solves the integer system V·m = R·t^{−l} by fraction-free
+elimination over ℤ (`linalg.solve`).  The scan itself does no polynomial
+algebra per tuple; the `orbifold` module docstring sets out P_I, N0, C, l
+and V.  Every emitted basket m is certified by the
 identity V·m == R·t^{−l} in integers, so the filters cannot produce false
 positives.  They can miss true ones: before the integer system is built, a
 type is dropped when its P_Q has a higher degree than P_X − P_I (the `kept`
@@ -44,7 +47,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import comb, prod
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .formats import (
@@ -61,13 +64,7 @@ from .orbifold import (
     fits,
     porb_cont,
 )
-from .ratfun import (
-    DomainError,
-    cyclotomic_valuation,
-    denominator_poly,
-    div_one_minus_t_pow,
-    int_mul,
-)
+from .ratfun import DomainError, cyclotomic_valuation
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +84,6 @@ class SearchConfig:
     format_name: str = "g2"
     k: int = -1
     n: int = 3
-    u_min: int | None = None
     u_max: int | None = None
     q_max: int | None = None
     jobs: int = 1
@@ -209,39 +205,6 @@ def _pole_caps(H: Sequence[int], wmax: int, s: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# integer helpers for the scan hot path
-
-
-def _series_prefix(H: Sequence[int], parts: Sequence[int], order: int) -> list[int]:
-    """First coefficients of H / ∏(1 − t^{p_i})."""
-    co = [H[i] if i < len(H) else 0 for i in range(order + 1)]
-    for w in parts:
-        for i in range(w, order + 1):
-            co[i] += co[i - w]
-    return co
-
-
-def _initial_coeffs(H: Sequence[int], parts: Sequence[int], k: int, n: int) -> list[int]:
-    """Integer coefficients of the initial-term numerator A with
-    P_I = A/(1−t)^{n+1}; symmetric of degree k+n+1."""
-    c = k + n + 1
-    if c < 0:
-        return []
-    half = c // 2
-    co = _series_prefix(H, parts, half)
-    signs = [(-1) ** j * comb(n + 1, j) for j in range(half + 1)]
-    pp = [
-        sum(signs[j] * co[i - j] for j in range(min(i, half) + 1))
-        for i in range(half + 1)
-    ]
-    A = [0] * (c + 1)
-    for i in range(half + 1):
-        A[i] = pp[i]
-        A[c - i] = pp[i]
-    return A
-
-
-# ---------------------------------------------------------------------------
 # per-embedding scan
 
 
@@ -273,21 +236,10 @@ def search_embedding(
     try:
         for parts in _iter_pos_wt(ambient, s, total, bounds):
             scanned += 1
-            den_n1 = denominator_poly(parts, total)
-            for _ in range(n + 1):
-                den_n1 = div_one_minus_t_pow(den_n1, 1)
-            A = _initial_coeffs(H, parts, k, n)
-            # N0 = H − A·den_n1 is the numerator of P_X − P_I over ∏(1 − t^{p_i})
-            prod_ai = int_mul(A, den_n1)
-            N0 = [
-                (H[i] if i < len(H) else 0) - (prod_ai[i] if i < len(prod_ai) else 0)
-                for i in range(max(len(H), len(prod_ai)))
-            ]
-
             types, extended = porb_cont(parts, n, k)
             solutions = [
                 solution
-                for solution in decompositions(types, N0, parts, k, n)
+                for solution in decompositions(types, H, parts, k, n)
                 if fits(solution, extended)
             ]
             if solutions:
@@ -371,8 +323,6 @@ def sweep_parameters(config: SearchConfig) -> tuple[CocharacterParam, ...]:
     else:
         fmt = FORMATS[config.format_name]
         params = enumerate_parameters(fmt, u_max=config.u_max, q_max=config.q_max)
-    if config.u_min is not None:
-        params = tuple(p for p in params if p.u >= config.u_min)
     return tuple(params)
 
 

@@ -12,8 +12,11 @@ recomputes something the program computes another way:
   multiplicities, against the table stored in `wflag.formats`;
 * `weyl_dimension` — the Weyl dimension formula, against the Freudenthal
   multiplicities of `wflag.weyl`;
-* `embedding_series` — the series H / ∏(1 − t^w) of an embedding as a
+* `one_minus_t_product` and `embedding_series` — ∏(1 − t^w) as an integer
+  list, and the series H / ∏(1 − t^w) of an embedding as a
   `RationalFunction`;
+* `reference_initial_term` — the initial term P_I monomial by monomial over ℚ,
+  against `wflag.orbifold.initial_term` and the integer N0 of the sweep;
 * `degree_of` and `solve_multiplicities` — the degree, and the
   multiplicities of given contributions, from rational functions rather
   than the integer lists of the sweep;
@@ -26,7 +29,7 @@ recomputes something the program computes another way:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, product
 from math import gcd, prod
 from operator import mul
@@ -46,13 +49,15 @@ from wflag.orbifold import (
     fits,
 )
 from wflag.ratfun import (
+    P_ZERO,
+    RF_ZERO,
     DomainError,
     RationalFunction,
     UniPolynomial,
-    denominator_poly,
     int_exact_div,
     int_mul,
     mul_one_minus_t_pow,
+    series_of,
 )
 from wflag.search import Candidate
 from wflag.weyl import (
@@ -378,10 +383,14 @@ def k_table_source(name: str, terms, width: int = 79) -> str:
     return "\n".join(lines + [line, '"""'])
 
 
+def one_minus_t_product(weights: Sequence[int]) -> list[int]:
+    """∏(1 − t^w) as an integer coefficient list."""
+    return reduce(mul_one_minus_t_pow, weights, [1])
+
+
 def embedding_series(data: EmbeddingData) -> RationalFunction:
     """P itself, H / prod(1 - t^w), built on demand."""
-    den = denominator_poly(data.weights, sum(data.weights))
-    return RationalFunction(data.numerator, den)
+    return RationalFunction(data.numerator, one_minus_t_product(data.weights))
 
 
 # -- baskets, degree and the reference solver -------------------------------
@@ -409,6 +418,30 @@ def baskets(
         if basket:
             out.append(basket)
     return tuple(out)
+
+
+def reference_initial_term(
+    series: RationalFunction, n: int, k: int
+) -> RationalFunction:
+    """The initial term P_I, monomial by monomial over ℚ: the coefficients of
+    P·(1−t)^{n+1} up to degree ⌊c/2⌋, c = k + n + 1, mirrored to degree c,
+    over (1−t)^{n+1}; zero when c < 0."""
+    c = k + n + 1
+    if c < 0:
+        return RF_ZERO
+    half = c // 2
+    one_minus_t = UniPolynomial([1, -1])
+    pp = series_of(series * one_minus_t ** (n + 1), half)
+    acc = P_ZERO
+    for i in range(half + 1):
+        ci = pp[i]
+        if not ci:
+            continue
+        if c % 2 == 0 and i == half:
+            acc = acc + UniPolynomial.monomial(i, ci)
+        else:
+            acc = acc + UniPolynomial.monomial(i, ci) + UniPolynomial.monomial(c - i, ci)
+    return RationalFunction(acc, one_minus_t ** (n + 1))
 
 
 def degree_of(series: RationalFunction, n: int) -> Fraction:

@@ -375,6 +375,35 @@ def test_non_integral_numerator_in_record_file_is_an_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("u", 3.7),
+        ("mu", [True, 1]),
+        ("smooth", 1),
+        ("basket", [{"r": 2.2, "type": [1, 1, 1], "multiplicity": 1}]),
+    ],
+)
+def test_non_integer_entry_in_record_file_is_an_error(tmp_path, capsys, field, value):
+    cache = tmp_path / "records.ndjson"
+    base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
+    code, _, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    lines = cache.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    assert record["record"] == "candidate"
+    record["candidate"][field] = value
+    cache.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    for argv in (
+        [*base, "--resume", str(cache)],
+        ["report", "table1", "--from", str(cache)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "malformed record on line 1" in err
+        assert err.count("\n") == 1
+
+
 def test_report_from_incomplete_cache(tmp_path, capsys):
     cache = str(tmp_path / "records.ndjson")
     code, _, _ = run_cli(

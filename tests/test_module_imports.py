@@ -57,3 +57,24 @@ def test_the_check_sees_each_form():
     assert _private_imports(source) == [
         (2, "_shift"), (3, "_emit"), (4, "records._integer_from_json"),
     ]
+
+
+#: The integer polynomial helpers of `wflag.ratfun` that the exact stage uses.
+POLYNOMIAL_HELPERS = {
+    "int_mul", "denominator_poly", "div_one_minus_t_pow", "mul_one_minus_t_pow",
+}
+
+
+def test_the_scan_does_no_polynomial_algebra_per_tuple():
+    """`search` hands H and each tuple to `orbifold.decompositions`, which
+    owns P_I and N0, so the scan takes no polynomial helper, by name or as
+    an attribute of a module."""
+    tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
+    used = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used & POLYNOMIAL_HELPERS == set()

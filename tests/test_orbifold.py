@@ -8,7 +8,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import baskets, common_denominator
+from oracles import (
+    baskets,
+    common_denominator,
+    one_minus_t_product,
+    reference_initial_term,
+)
 
 import wflag.search as search_module
 from wflag.orbifold import (
@@ -107,6 +112,24 @@ def test_initial_term_edges():
     # c = 0: a single middle coefficient
     init = initial_term(series, 3, -4)
     assert init == RationalFunction(P_ONE, UniPolynomial([1, -1]) ** 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=4),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(st.integers(1, 5), max_size=6),
+)
+def test_initial_term_matches_the_reference(numerator, weights):
+    """One integer-generic formula against the monomial-by-monomial one over
+    ℚ, on every c = k + n + 1 from −6 to 9: negative, even and odd."""
+    series = RationalFunction(UniPolynomial(numerator), one_minus_t_product(weights))
+    for n in range(1, 5):
+        for k in range(-8, 5):
+            assert initial_term(series, n, k) == reference_initial_term(series, n, k)
 
 
 def _gauss_solve(rows, rhs):

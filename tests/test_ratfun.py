@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import one_minus_t_product
 
 from wflag.ratfun import (
     DomainError,
@@ -16,7 +17,6 @@ from wflag.ratfun import (
     UniPolynomial,
     cyclotomic,
     cyclotomic_valuation,
-    denominator_poly,
     div_one_minus_t_pow,
     int_exact_div,
     int_mul,
@@ -237,7 +237,7 @@ def test_cyclotomic_polynomials_multiply_to_t_pow_minus_one():
 def test_cyclotomic_valuation_counts_divisible_weights(weights, b):
     # ∏(1 − t^{a_i}) vanishes at a primitive d-th root of unity once for
     # each a_i that d divides: the identity the pole-order bound rests on
-    den = denominator_poly(weights, sum(weights))
+    den = one_minus_t_product(weights)
     for d in range(1, 31):
         count = sum(1 for a in weights if a % d == 0)
         assert cyclotomic_valuation(den, d) == count

@@ -128,6 +128,46 @@ def test_cache_rejects_malformed_lines():
         RecordCache.from_stream(io.StringIO("{not json\n"))
 
 
+# a float, a bool or a string is no integer entry, and only a bool is a flag:
+# none is rounded, truncated or coerced to one
+NON_INTEGER_ENTRIES = {
+    "u 3.7": (("candidate", "u"), 3.7),
+    "mu [true, 1]": (("candidate", "mu"), [True, 1]),
+    "weights 1.0": (("candidate", "weights", 0), 1.0),
+    "k '-1'": (("candidate", "k"), "-1"),
+    "basket r 2.2": (("candidate", "basket", 0, "r"), 2.2),
+    "basket type 1.0": (("candidate", "basket", 0, "type", 0), 1.0),
+    "multiplicity 9.9": (("candidate", "basket", 0, "multiplicity"), 9.9),
+    "multiplicity -1": (("candidate", "basket", 0, "multiplicity"), -1),
+    "smooth 0": (("candidate", "smooth"), 0),
+    "smooth 'false'": (("candidate", "smooth"), "false"),
+    "sweep_key u 3.0": (("sweep_key", "u"), 3.0),
+    "sweep_key mu [-1.5, 1]": (("sweep_key", "mu"), [-1.5, 1]),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value", NON_INTEGER_ENTRIES.values(), ids=NON_INTEGER_ENTRIES
+)
+def test_cache_rejects_non_integer_entries(small_result, path, value):
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    first, *rest = buf.getvalue().splitlines(keepends=True)
+    record = json.loads(first)
+    assert record["record"] == "candidate" and record["candidate"]["basket"]
+    *keys, last = path
+    obj = record
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+    if path[0] == "candidate":
+        with pytest.raises(ValueError):
+            candidate_from_json(record["candidate"])
+    tampered = json.dumps(record) + "\n" + "".join(rest)
+    with pytest.raises(RecordError, match="malformed record on line 1"):
+        RecordCache.from_stream(io.StringIO(tampered))
+
+
 def test_cache_drops_torn_final_line(small_result):
     buf = io.StringIO()
     ResultWriter(buf).write_result(small_result)

@@ -16,6 +16,8 @@ from oracles import (
     degree_of,
     embedding_series,
     is_terminal_type,
+    one_minus_t_product,
+    reference_initial_term,
     solve_multiplicities,
     terminal_basket,
 )
@@ -27,15 +29,15 @@ from wflag.linalg import solve
 from wflag.orbifold import (
     QuotientSingularity,
     _certified,
-    _exact_solutions,
     _integer_system,
     _shift,
     basket_kernel,
+    decompositions,
     fits,
     initial_term,
     qorb,
 )
-from wflag.ratfun import DomainError, RationalFunction, UniPolynomial, denominator_poly
+from wflag.ratfun import DomainError, RationalFunction, UniPolynomial
 from wflag.search import (
     G2_FANO_TABLE,
     Candidate,
@@ -248,12 +250,18 @@ def test_solver_recovers_planted_baskets():
 
 def test_exact_stage_needs_an_exact_division():
     # X7 = X_7 ⊂ P(1,1,1,1,2): P_X − P_I = −t³/((1−t)³(1−t²)) = N0/den with
-    # den = (1−t)⁴(1−t²), and C = (1−t)³(1−t²) for the one type
+    # N0 = −t³ + t⁴, den = (1−t)⁴(1−t²), and C = (1−t)³(1−t²) for the one type
     parts = (1, 1, 1, 1, 2)
-    kept = [Q(2, 1, 1, 1)]
-    assert _exact_solutions(kept, [0, 0, 0, -1, 1], parts, 1, 3) == [{Q(2, 1, 1, 1): 1}]
-    # N0 = 1 leaves N0·C/den = 1/(1−t), which is no polynomial
-    assert _exact_solutions(kept, [1], parts, 1, 3) == []
+    types = [Q(2, 1, 1, 1)]
+    assert decompositions(types, [1, 0, 0, 0, 0, 0, 0, -1], parts, 1, 3) == [
+        {Q(2, 1, 1, 1): 1}
+    ]
+    # H = 1 + t⁶ − t⁷ gives N0 = −t³ + t⁴ + t⁶, and N0·C/den is no polynomial
+    assert _integer_system(types, [0, 0, 0, -1, 1, 0, 1], parts, 1, 3) is None
+    assert decompositions(types, [1, 0, 0, 0, 0, 0, 1, -1], parts, 1, 3) == []
+    # the smooth case: the quintic in P⁴ at k = 0 is its own initial term,
+    # so N0 = 0 and the one basket is the empty one
+    assert decompositions((), [1, 0, 0, 0, 0, -1], (1,) * 5, 0, 3) == [{}]
 
 
 @pytest.mark.parametrize(
@@ -267,41 +275,42 @@ def test_exact_stage_needs_an_exact_division():
     ids=["g2-k-1-u3", "g2-k1-u3", "gr25-k1-q12", "g2-k-7-u5"],
 )
 def test_integrality_filter_matches_rational_functions(monkeypatch, format_name, k, params):
-    """The first exact filter against the unfiltered rational-function path:
-    for every tuple with kept types, the target is (P_X − P_I)·C·t^{−l} when
-    that product is a polynomial, and there is no solution when it is not.
-    At k = −7 the shift l is negative."""
+    """The first exact filter against the unfiltered rational-function path,
+    with P_I from the reference `reference_initial_term`: for every tuple
+    with kept types, N0/∏(1 − t^{p_i}) is P_X − P_I, and the target is
+    (P_X − P_I)·C·t^{−l} when that product is a polynomial, and there is no
+    system when it is not.  At k = −7 the shift l is negative."""
     calls = []
 
     def spy(kept, N0, parts, k, n):
-        solutions = _exact_solutions(kept, N0, parts, k, n)
-        calls.append((kept, N0, parts, solutions))
-        return solutions
+        system = _integer_system(kept, N0, parts, k, n)
+        if parts:  # not a kernel system of `basket_kernel`
+            calls.append((kept, N0, parts, system))
+        return system
 
-    monkeypatch.setattr(orbifold_module, "_exact_solutions", spy)
+    monkeypatch.setattr(orbifold_module, "_integer_system", spy)
     fmt = FORMATS[format_name]
     integral = rejected = 0
     for param in enumerate_parameters(fmt, **params):
         data = hilbert_series(fmt, param)
-        # H = P·∏(1 − t^w) over the ambient weights, a polynomial
-        H = embedding_series(data) * UniPolynomial(denominator_poly(data.weights, sum(data.weights)))
-        assert H.den == UniPolynomial([1])
         calls.clear()
         search_embedding(format_name, param, k=k, n=3)
-        for kept, N0, parts, solutions in calls:
-            series = RationalFunction(H.num, denominator_poly(parts, sum(parts)))
+        for kept, N0, parts, system in calls:
+            den = one_minus_t_product(parts)
+            series = RationalFunction(data.numerator, den)
+            difference = series - reference_initial_term(series, 3, k)
+            assert RationalFunction(N0, den) == difference
             l = _shift(k, 3)
-            product = (series - initial_term(series, 3, k)) * RationalFunction(
+            product = difference * RationalFunction(
                 common_denominator(kept, 3) * UniPolynomial.monomial(max(-l, 0)),
                 UniPolynomial.monomial(max(l, 0)),
             )
-            system = _integer_system(kept, N0, parts, k, 3)
             if product.den == UniPolynomial([1]):
                 integral += 1
                 assert system is not None and UniPolynomial(system[1]) == product.num
             else:
                 rejected += 1
-                assert system is None and solutions == []
+                assert system is None
     assert integral and rejected
 
 
@@ -488,15 +497,15 @@ def test_integer_kernel_walk_on_the_k_minus_3_census():
 
 def test_exact_solutions_are_pairwise_distinct(monkeypatch):
     """The combinations of per-component vertices are distinct solutions, so
-    `_exact_solutions` needs no set of those already returned; on g2 k=−3
+    `decompositions` needs no set of those already returned; on g2 k=−3
     u≤6, whose kernels reach dimension 14."""
     calls = []
 
     def spy(*args):
-        calls.append(_exact_solutions(*args))
+        calls.append(decompositions(*args))
         return calls[-1]
 
-    monkeypatch.setattr(orbifold_module, "_exact_solutions", spy)
+    monkeypatch.setattr(search_module, "decompositions", spy)
     search(SearchConfig(format_name="g2", k=-3, n=3, u_max=6))
     for solutions in calls:
         keys = {tuple(sorted(solution.items())) for solution in solutions}
@@ -722,10 +731,10 @@ def test_every_exported_name_resolves():
 
 
 def test_sweep_parameters_bounds():
-    config = SearchConfig(format_name="g2", k=-1, n=3, u_min=3, u_max=4)
+    config = SearchConfig(format_name="g2", k=-1, n=3, u_max=4)
     params = sweep_parameters(config)
     assert params
-    assert all(3 <= p.u <= 4 for p in params)
+    assert all(p.u <= 4 for p in params)
 
 
 def test_sweep_parameters_census():
