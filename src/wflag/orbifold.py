@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 from math import comb, gcd
 from operator import mul
 from typing import Sequence
@@ -162,16 +162,15 @@ def initial_numerator(prefix: Sequence, n: int, k: int) -> list:
     coefficients c_0 .. c_h of P_X with h = ⌊c/2⌋ and c = k + n + 1.
 
     A is symmetric of degree c, and its first h + 1 coefficients are those
-    of P_X·(1−t)^{n+1}; A = [] when c < 0.  The coefficients may be of any
-    exact type: integers in the sweep, `Fraction`s in `initial_term`.
+    of P_X·(1−t)^{n+1}, which depend only on c_0 .. c_h: n + 1 sparse
+    passes of `mul_one_minus_t_pow`, cut at degree h; A = [] when c < 0.
+    The coefficients may be of any exact type: integers in the sweep,
+    `Fraction`s in `initial_term`.
     """
     c = k + n + 1
     if c < 0:
         return []
-    low = [
-        sum((-1) ** j * comb(n + 1, j) * prefix[i - j] for j in range(min(i, n + 1) + 1))
-        for i in range(c // 2 + 1)
-    ]
+    low = mul_one_minus_t_pow(prefix, 1, n + 1)[: c // 2 + 1]
     return low + low[: c - c // 2][::-1]
 
 
@@ -390,12 +389,12 @@ def decompositions(
         for i in range(w, h + 1):
             prefix[i] += prefix[i - w]
     # N0 = H − A·∏(1 − t^{p_i})/(1 − t)^{n+1}: a tuple has more than n parts,
-    # so each division by 1 − t, a running sum, is exact
+    # so each division by 1 − t is exact
     AD = initial_numerator(prefix, n, k)
     for w in parts:
         AD = mul_one_minus_t_pow(AD, w)
     for _ in range(n + 1):
-        AD = list(accumulate(AD))
+        AD = div_one_minus_t_pow(AD, 1)
     N0 = [
         (H[i] if i < len(H) else 0) - (AD[i] if i < len(AD) else 0)
         for i in range(max(len(H), len(AD)))

@@ -4,11 +4,11 @@ There is no floating point anywhere.  `UniPolynomial` and `RationalFunction`
 compute over Q with `fractions.Fraction`; rational functions are kept in a
 canonical form (numerator and denominator coprime, denominator monic) so that
 equality is plain structural equality.  The hot paths (the reduced Hilbert
-numerator, the per-tuple scan and its exact stage) instead use the
-helpers on plain integer coefficient lists below (product, multiplication
-and exact division by (1 − t^r), exact long division, cyclotomic
-polynomials and the number of times they divide a polynomial), which never
-take a gcd.
+numerator, the per-tuple scan and its exact stage) instead work on plain
+integer coefficient lists, and there the integer layer is two sparse passes:
+multiplication by 1 − t^r and exact division by it.  Everything else on
+integer lists is built from them, the number of times a cyclotomic
+polynomial divides a list included, with no gcd and no long division.
 """
 from __future__ import annotations
 
@@ -248,20 +248,8 @@ T = UniPolynomial([0, 1])
 #
 # The hot paths (the reduced Hilbert numerator, the per-tuple scan and its
 # exact stage) work on plain ``list[int]`` coefficient lists, index i holding
-# the coefficient of t^i.  No gcd is ever taken; divisions are exact or they
-# fail.
-
-
-def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+# the coefficient of t^i.  The only operations are the two sparse passes by
+# 1 − t^r below; divisions are exact or they fail.
 
 
 def mul_one_minus_t_pow(a: Sequence[int], r: int, times: int = 1) -> list[int]:
@@ -290,56 +278,46 @@ def div_one_minus_t_pow(a: Sequence[int], r: int) -> list[int]:
     return q[:-r]
 
 
-def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The quotient a / b in ℤ[t] by long division.
-
-    Every quotient step must be an exact integer division and the remainder
-    must vanish; otherwise ArithmeticError is raised.
-    """
-    a = _int_trim(a)
-    b = _int_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lead = len(b) - 1, b[-1]
-    rem = list(a)
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("polynomial quotient is not integral")
-            quot[i] = q
-            for j, bj in enumerate(b):
-                if bj:
-                    rem[i + j] -= q * bj
-    if any(rem):
-        raise ArithmeticError("polynomial division is not exact")
-    return quot
-
-
 @cache
-def cyclotomic(d: int) -> tuple[int, ...]:
-    """Φ_d: t^d − 1 divided exactly by Φ_e for every proper divisor e of d."""
-    out = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            out = int_exact_div(out, cyclotomic(e))
-    return tuple(out)
+def _mobius_exponents(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, D): the divisors e of d with μ(d/e) = −1, and those with
+    μ(d/e) = +1, so that Φ_d = ∏_D (1 − t^e) / ∏_N (1 − t^e) for d > 1."""
+    N: list[int] = []
+    D = [d]
+    m = d
+    for p in range(2, d + 1):
+        if m % p == 0:  # p is prime: its smaller factors are gone from m
+            while m % p == 0:
+                m //= p
+            N, D = N + [e // p for e in D], D + [e // p for e in N]
+    return tuple(N), tuple(D)
 
 
 def cyclotomic_valuation(a: Sequence[int], d: int) -> int:
-    """The number of times Φ_d divides the nonzero integer list a exactly."""
+    """The number of times Φ_d divides the nonzero integer list a exactly.
+
+    By the Möbius identity Φ_d = ∏_{e | d} (1 − t^e)^{μ(d/e)}, exact for
+    d > 1 (for d = 1 it gives 1 − t = −Φ_1, with the same divisibility),
+    D = ±Φ_d·N for N the factors with μ = −1 and D those with μ = +1.  Each
+    round multiplies a by N's factors, then divides exactly by D's factors
+    one at a time, and the rounds are counted until a division fails.  This
+    is sound: Φ_d | a exactly when D | a·N.  If D | a·N, each partial
+    product of D's factors also divides a·N, so no step fails; if every
+    step succeeds, the quotient q has q·D = a·N, so q = ±a/Φ_d.  A round
+    lowers the degree by deg Φ_d ≥ 1, so at most deg a rounds succeed.
+    """
     if not any(a):
         raise ZeroDivisionError("the zero polynomial has no valuation")
-    phi = cyclotomic(d)
-    v = 0
-    while True:
+    N, D = _mobius_exponents(d)
+    for v in range(len(a)):
+        for e in N:
+            a = mul_one_minus_t_pow(a, e)
         try:
-            a = int_exact_div(a, phi)
+            for e in D:
+                a = div_one_minus_t_pow(a, e)
         except ArithmeticError:
             return v
-        v += 1
+    raise AssertionError("more rounds than the degree allows")
 
 
 def _int_trim(a: Sequence[int]) -> list[int]:

@@ -63,6 +63,12 @@ def int_from_json(obj: object) -> int:
     return obj
 
 
+def _str_from_json(obj: object) -> str:
+    if type(obj) is not str:
+        raise RecordError(f"expected a string, got {json.dumps(obj)}")
+    return obj
+
+
 def _bool_from_json(obj: object) -> bool:
     if type(obj) is not bool:
         raise RecordError(f"expected true or false, got {json.dumps(obj)}")
@@ -118,7 +124,7 @@ def candidate_to_json(cand: Candidate) -> dict:
 
 def candidate_from_json(obj: dict) -> Candidate:
     return Candidate(
-        format_name=str(obj["format"]),
+        format_name=_str_from_json(obj["format"]),
         mu=tuple(map(int_from_json, obj["mu"])),
         u=int_from_json(obj["u"]),
         x_weights=tuple(map(int_from_json, obj["weights"])),
@@ -145,7 +151,7 @@ def _sweep_key_to_json(key: SweepKey) -> dict:
 
 def _sweep_key_from_json(obj: dict) -> SweepKey:
     return (
-        str(obj["format"]),
+        _str_from_json(obj["format"]),
         tuple(map(int_from_json, obj["mu"])),
         int_from_json(obj["u"]),
         int_from_json(obj["k"]),

@@ -222,7 +222,6 @@ def search_embedding(
     q = data.adjunction_number
     total = q - k
     H = data.numerator
-    Hred1 = sum(data.numerator_reduced)
     ambient = data.weights
 
     candidates: list[Candidate] = []
@@ -243,10 +242,7 @@ def search_embedding(
                 if fits(solution, extended)
             ]
             if solutions:
-                _emit(
-                    candidates, data, format_name, parts, solutions, types,
-                    extended, Hred1, k, n,
-                )
+                _emit(candidates, data, parts, solutions, types, extended, k, n)
     except DomainError as exc:
         # a cap of the kernel searches: say which tuple the sweep stopped at
         mu = ",".join(str(a) for a in param.mu)
@@ -261,26 +257,26 @@ def search_embedding(
 def _emit(
     candidates: list[Candidate],
     data: EmbeddingData,
-    format_name: str,
     parts: tuple[int, ...],
     solutions: list[dict[QuotientSingularity, int]],
     types: tuple[QuotientSingularity, ...],
     extended: tuple[int, ...],
-    Hred1: int,
     k: int,
     n: int,
 ) -> None:
     """Append one candidate per solution of a weight tuple (distinct, and
-    each tuple is scanned once), computing the tuple's kernels once."""
-    degree = Fraction(Hred1, prod(parts))
-    if degree <= 0:
-        return
+    each tuple is scanned once), computing the tuple's kernels once.
+
+    The degree is (H/(1 − t)^codim)(1)/∏p.  Its numerator is ∏w times the
+    degree of the flag variety in its weighted projective space, so the
+    degree is positive."""
+    degree = Fraction(sum(data.numerator_reduced), prod(parts))
     kernels = basket_kernel(types, extended, k, n) if types else ()
     for solution in solutions:
         basket = tuple(sorted(solution.items()))
         candidates.append(
             Candidate(
-                format_name=format_name,
+                format_name=data.format_name,
                 mu=data.mu,
                 u=data.u,
                 x_weights=parts,

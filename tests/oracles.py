@@ -6,6 +6,10 @@ recomputes something the program computes another way:
 * `graded_series_coefficients` — the Hilbert series degree by degree from
   restricted Weyl characters (`restricted_character`, by exact Laurent
   division), against the numerators of `wflag.formats.hilbert_series`;
+* `int_mul`, `int_exact_div` and `cyclotomic` — the product and the exact
+  long division of integer coefficient lists, and Φ_d built recursively by
+  long division, against `wflag.ratfun.cyclotomic_valuation`, which never
+  divides by anything but 1 − t^e;
 * `closed_form_numerator` — the Hilbert numerator of one embedding from a
   Weyl-character closed form, against the same numerators;
 * `k_polynomial` — each format's K-polynomial from the weight
@@ -54,8 +58,6 @@ from wflag.ratfun import (
     DomainError,
     RationalFunction,
     UniPolynomial,
-    int_exact_div,
-    int_mul,
     mul_one_minus_t_pow,
     series_of,
 )
@@ -192,6 +194,66 @@ def graded_series_coefficients(
             m = a + d * param.u
             if 0 <= m <= order:
                 out[m] += c
+    return out
+
+
+# -- integer polynomials by long division -----------------------------------
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def int_exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b in ℤ[t] by long division.
+
+    Every quotient step must be an exact integer division and the remainder
+    must vanish; otherwise ArithmeticError is raised.
+    """
+    a = _int_trim(a)
+    b = _int_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("polynomial quotient is not integral")
+            quot[i] = q
+            for j, bj in enumerate(b):
+                if bj:
+                    rem[i + j] -= q * bj
+    if any(rem):
+        raise ArithmeticError("polynomial division is not exact")
+    return quot
+
+
+@cache
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Φ_d: t^d − 1 divided exactly by Φ_e for every proper divisor e of d."""
+    out = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            out = int_exact_div(out, cyclotomic(e))
+    return tuple(out)
+
+
+def _int_trim(a: Sequence[int]) -> list[int]:
+    out = list(a)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 

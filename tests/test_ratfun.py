@@ -4,9 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import one_minus_t_product
+from oracles import cyclotomic, int_exact_div, int_mul, one_minus_t_product
 
 from wflag.ratfun import (
     DomainError,
@@ -15,11 +15,8 @@ from wflag.ratfun import (
     RationalFunction,
     T,
     UniPolynomial,
-    cyclotomic,
     cyclotomic_valuation,
     div_one_minus_t_pow,
-    int_exact_div,
-    int_mul,
     mul_one_minus_t_pow,
     poly_gcd,
     series_of,
@@ -245,6 +242,37 @@ def test_cyclotomic_valuation_counts_divisible_weights(weights, b):
         divides = not UniPolynomial(b) % UniPolynomial(cyclotomic(d))
         assert (v > 0) == divides
         assert cyclotomic_valuation(int_mul(b, den), d) == v + count
+
+
+def _divisions_by_reference(a: list[int], d: int) -> int:
+    """The number of exact long divisions of a by the reference Φ_d."""
+    v = 0
+    while True:
+        try:
+            a = int_exact_div(a, cyclotomic(d))
+        except ArithmeticError:
+            return v
+        v += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(1, 40), st.integers(1, 2)), max_size=3),
+    st.lists(st.integers(1, 40), max_size=4),
+    int_lists.filter(any),
+)
+@example(1, 2, [(2, 1)], [1, 3], [1, 1])
+def test_cyclotomic_valuation_matches_long_division(d, k, factors, weights, b):
+    # a = b·Φ_d^k·∏Φ_{d_i}^{k_i}·∏(1 − t^{w_j}): the sparse passes against
+    # long division by Φ_d built recursively
+    a = b
+    for di, ki in [(d, k), *factors]:
+        for _ in range(ki):
+            a = int_mul(a, cyclotomic(di))
+    a = int_mul(a, one_minus_t_product(weights))
+    assert cyclotomic_valuation(a, d) == _divisions_by_reference(a, d)
 
 
 def test_cyclotomic_valuation_of_coprime_polynomials_is_zero():

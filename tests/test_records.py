@@ -128,8 +128,8 @@ def test_cache_rejects_malformed_lines():
         RecordCache.from_stream(io.StringIO("{not json\n"))
 
 
-# a float, a bool or a string is no integer entry, and only a bool is a flag:
-# none is rounded, truncated or coerced to one
+# a float, a bool or a string is no integer entry, only a bool is a flag and
+# only a string is a format name: none is rounded, truncated or coerced to one
 NON_INTEGER_ENTRIES = {
     "u 3.7": (("candidate", "u"), 3.7),
     "mu [true, 1]": (("candidate", "mu"), [True, 1]),
@@ -143,6 +143,10 @@ NON_INTEGER_ENTRIES = {
     "smooth 'false'": (("candidate", "smooth"), "false"),
     "sweep_key u 3.0": (("sweep_key", "u"), 3.0),
     "sweep_key mu [-1.5, 1]": (("sweep_key", "mu"), [-1.5, 1]),
+    "format 5": (("candidate", "format"), 5),
+    "format ['g2']": (("candidate", "format"), ["g2"]),
+    "sweep_key format 5": (("sweep_key", "format"), 5),
+    "sweep_key format ['g2']": (("sweep_key", "format"), ["g2"]),
 }
 
 
