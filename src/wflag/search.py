@@ -322,11 +322,9 @@ def sweep_parameters(config: SearchConfig) -> tuple[CocharacterParam, ...]:
     return tuple(params)
 
 
-def _start_worker(turn) -> None:
-    """Pool initializer: move the i-th worker to start onto the i-th allowed
-    CPU, round-robin, then allow its inherited set again (`turn` holds i)."""
-    i = turn.get()
-    turn.put(i + 1)  # passed on at once: a replacement worker never waits
+def _place_worker(i: int) -> None:
+    """Move this worker onto the i-th allowed CPU, round-robin, then allow
+    its inherited set again."""
     try:
         allowed = os.sched_getaffinity(0)
         if len(allowed) >= 2:
@@ -336,11 +334,121 @@ def _start_worker(turn) -> None:
         pass
 
 
+def _work(i: int, tasks: list, task_r: int, result_w: int) -> None:
+    """Worker i: read a 4-byte task index at a time until EOF, and answer
+    each with a length-prefixed pickle of (index, SweepResult or exception)."""
+    import pickle
+
+    _place_worker(i)
+    with open(result_w, "wb") as out:
+        while head := os.read(task_r, 4):
+            index = int.from_bytes(head, "little")
+            try:
+                result = _sweep_one(tasks[index])
+            except Exception as exc:  # raised again in the parent
+                result = exc
+            payload = pickle.dumps((index, result))
+            out.write(len(payload).to_bytes(8, "little") + payload)
+            out.flush()
+
+
+def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
+    """Run the tasks on `jobs` forked workers, one task at a time each, and
+    yield the results in task order."""
+    import pickle
+    import select
+
+    pids: list[int] = []
+    task_ws: list[int] = []
+    readers = []  # the result pipes, as buffered files
+    busy: dict[int, int] = {}  # worker -> index of its task
+    done: dict[int, object] = {}
+    handed = 0
+
+    def hand_out(w: int) -> None:
+        nonlocal handed
+        if handed < len(tasks):
+            busy[w] = handed
+            try:
+                os.write(task_ws[w], handed.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # the worker is dead: its result pipe reaches EOF
+            handed += 1
+
+    try:
+        for i in range(jobs):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker leaves only by os._exit: no stdio flush
+                status = 1
+                try:
+                    for fd in (*task_ws, *(r.fileno() for r in readers), task_w, result_r):
+                        os.close(fd)
+                    _work(i, tasks, task_r, result_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(task_r)
+            os.close(result_w)
+            pids.append(pid)
+            task_ws.append(task_w)
+            readers.append(open(result_r, "rb"))
+            hand_out(i)
+        for want in range(len(tasks)):
+            while want not in done:
+                ready, _, _ = select.select([readers[w] for w in busy], [], [])
+                for reader in ready:
+                    w = readers.index(reader)
+                    head = reader.read(8)
+                    size = int.from_bytes(head, "little")
+                    payload = reader.read(size)
+                    if len(head) < 8 or len(payload) < size:
+                        _, status = os.waitpid(pids[w], 0)
+                        pids[w] = -1
+                        config, param = tasks[busy[w]]
+                        mu = ",".join(str(a) for a in param.mu)
+                        raise DomainError(
+                            f"the worker scanning {config.format_name} mu=({mu}) "
+                            f"u={param.u} died with exit status "
+                            f"{os.waitstatus_to_exitcode(status)}"
+                        )
+                    index, result = pickle.loads(payload)
+                    done[index] = result
+                    del busy[w]
+                    hand_out(w)
+            result = done.pop(want)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        for fd in task_ws:
+            os.close(fd)  # EOF: an idle worker exits
+        for reader in readers:
+            reader.close()
+        for w, pid in enumerate(pids):
+            if pid > 0:
+                if w in busy:
+                    import signal  # about 1 ms, paid only here
+
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     """Run the sweep, yielding one result per embedding in enumeration order.
 
-    Results are identical for any worker count; with jobs > 1 the embeddings
-    are distributed over a process pool and merged back in order.
+    Results are identical for any worker count.  With jobs > 1 the parent
+    forks min(jobs, embeddings) workers and hands each one embedding at a
+    time over a pipe; each answers with a pickled `SweepResult`, or the
+    exception its scan raised, which the parent raises in turn.  A worker
+    that dies before it answers ends the sweep with a `DomainError` naming
+    its embedding.  However the generator ends, the workers still busy are
+    killed and every worker is reaped before it returns.  With two workers
+    on two fast gr25 embeddings, the first result came back after about
+    8 ms (fresh processes, median of 15, 2-core machine), against 27 ms
+    with the `multiprocessing` pool this replaces (its import, `Pool(2)`
+    and the first round trip).
 
     Each worker starts on its own allowed CPU, then gets its inherited set
     back so the kernel can still rebalance.  Linux otherwise left both forked
@@ -353,13 +461,7 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
         for task in tasks:
             yield _sweep_one(task)
         return
-    import multiprocessing  # about 12 ms, which a serial sweep need not pay
-    ctx = multiprocessing.get_context("fork")
-    turn = ctx.SimpleQueue()
-    turn.put(0)
-    with ctx.Pool(min(config.jobs, len(tasks)), _start_worker, (turn,)) as pool:
-        for result in pool.imap(_sweep_one, tasks, chunksize=1):
-            yield result
+    yield from _forked_sweep(tasks, min(config.jobs, len(tasks)))
 
 
 def candidate_key(cand: Candidate) -> tuple:

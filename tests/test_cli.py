@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -113,6 +114,23 @@ def test_search_error_names_the_tuple_it_stopped_at(monkeypatch, capsys):
     assert err.endswith(
         "error: g2 mu=(-1,1) u=3 P[1,2^4,3^4,4^2,5]: kernel search space too large\n"
     )
+
+
+def test_search_error_from_a_worker_is_the_same_error_line(monkeypatch, capsys):
+    def too_large(*args):
+        raise DomainError("kernel search space too large")
+
+    monkeypatch.setattr(search_module, "basket_kernel", too_large)
+    errors = {}
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3",
+            "--jobs", jobs,
+        )
+        assert code == 1 and out == ""
+        errors[jobs] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors["1"]) == 1
+    assert errors["2"] == errors["1"]
 
 
 def test_initial_golden(tmp_path, capsys):
@@ -558,16 +576,37 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
     assert "Traceback" not in err
 
 
-def test_cli_via_module_invocation():
+def _run_module(*argv):
     # the child imports the same wflag as this process, installed or not
     src = os.path.dirname(os.path.dirname(wflag.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wflag", "qorb", "--r", "2", "--type", "1,1,1", "--k", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "wflag", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_search_output_is_independent_of_jobs(tmp_path):
+    """Forked workers print nothing and flush no inherited buffer: stdout and
+    the record file (but `timing_ms`) match a serial run byte for byte."""
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.ndjson"
+        proc = _run_module(
+            "search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3",
+            "--emit", "json", "--out", str(out), "--jobs", jobs,
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text(encoding="utf-8")
+        assert text.count('"timing_ms":') == 4 + text.count('"record":"candidate"')
+        runs.append((proc.stdout, re.sub(r'"timing_ms":[^,]*,', "", text)))
+    assert runs[0][0] and runs[1] == runs[0]
+
+
+def test_cli_via_module_invocation():
+    proc = _run_module("qorb", "--r", "2", "--type", "1,1,1", "--k", "1")
     assert proc.returncode == 0
     assert "-t^3" in proc.stdout

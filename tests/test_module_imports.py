@@ -7,6 +7,9 @@ or the code that uses it should move next to it.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,29 @@ def test_the_scan_does_no_polynomial_algebra_per_tuple():
     }
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert used & POLYNOMIAL_HELPERS == set()
+
+
+_SWEEP_IMPORTS = """
+import sys
+from wflag.search import SearchConfig, iter_search
+config = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs={jobs})
+assert len(list(iter_search(config))) == 4
+print(" ".join(sorted(name for name in ("multiprocessing", "pickle") if name in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("jobs, loaded", [(1, ""), (2, "pickle")])
+def test_a_sweep_imports_no_multiprocessing(jobs, loaded):
+    """A pooled sweep forks its workers itself, so it never imports
+    `multiprocessing` (about 20 ms); a serial sweep does not import `pickle`
+    either."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_IMPORTS.format(jobs=jobs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == loaded

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -580,32 +581,19 @@ def test_search_matches_worker_pool():
 
 
 def test_pool_never_exceeds_the_embeddings(monkeypatch):
-    sizes = []
+    forks = []
+    fork = os.fork
 
-    class SpyPool:
-        def __init__(self, processes, initializer=None, initargs=()):
-            sizes.append(processes)
+    def spy():
+        forks.append(None)  # counted in this process, before the fork
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)  # runs in this process: no worker starts
-
-    class SpyContext:
-        Pool = SpyPool
-        SimpleQueue = queue.SimpleQueue
-
-    # iter_search imports multiprocessing when it starts a pool
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext())
+    monkeypatch.setattr(os, "fork", spy)
     params = sweep_parameters(SearchConfig(format_name="g2", u_max=2))[:2]
     assert len(params) == 2
     config = SearchConfig(format_name="g2", k=-1, n=3, jobs=4, params=params)
     results = list(search_module.iter_search(config))
-    assert sizes == [2]
+    assert len(forks) == 2
     assert [(r.mu, r.u) for r in results] == [(p.mu, p.u) for p in params]
 
 
@@ -616,14 +604,12 @@ def _last_cpu() -> int:
 
 
 def _placement_report(conn) -> None:
-    """In a forked child: start as a pool worker would, given an allowed CPU
+    """In a forked child: start as a sweep worker would, given an allowed CPU
     other than the one the child runs on, and report where it ran next and
     which CPUs it may use."""
     cpus = sorted(os.sched_getaffinity(0))
     i = next(i for i, cpu in enumerate(cpus) if cpu != _last_cpu())
-    turn = queue.SimpleQueue()
-    turn.put(i)
-    search_module._start_worker(turn)
+    search_module._place_worker(i)
     conn.send((cpus[i], _last_cpu(), sorted(os.sched_getaffinity(0))))
 
 
@@ -660,12 +646,8 @@ def test_refused_placement_does_not_break_a_sweep(monkeypatch):
         raise OSError(1, "Operation not permitted")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    # first in this process: a worker whose initializer raised would be
-    # replaced again and again, and the sweep below would never end
-    turn = queue.SimpleQueue()
-    turn.put(0)
-    search_module._start_worker(turn)
-    assert turn.get() == 1
+    # first in this process: a refused move must not raise
+    search_module._place_worker(0)
     _drain(refused)
     base = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
     serial = [candidate_key(c) for c in search(base)]
@@ -700,6 +682,81 @@ def test_more_workers_than_cpus_wrap_round_robin(monkeypatch):
             [cpus[i % len(cpus)]] for i in range(3)
         )
         assert [c for c in calls if len(c) > 1] == [cpus] * 3
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging: SIGALRM interrupts the block after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_at(monkeypatch, param: CocharacterParam, fail) -> None:
+    """Make the scan of one embedding call `fail()`; the others run as usual."""
+    scan = search_module.search_embedding
+
+    def patched(format_name, p, k=-1, n=3):
+        if p == param:
+            fail()
+        return scan(format_name, p, k=k, n=n)
+
+    monkeypatch.setattr(search_module, "search_embedding", patched)
+
+
+U3 = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs=2)
+
+
+def test_a_dead_worker_is_an_error_not_a_hang(monkeypatch):
+    params = sweep_parameters(U3)
+    assert len(params) >= 3
+    victim = params[1]
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:  # never this test's own process
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_at(monkeypatch, victim, die)
+    mu = ",".join(str(a) for a in victim.mu)
+    with _deadline(60), pytest.raises(DomainError) as info:
+        list(search_module.iter_search(U3))
+    assert f"g2 mu=({mu}) u={victim.u}" in str(info.value)
+    assert f"exit status {-signal.SIGKILL}" in str(info.value)
+    _assert_no_child_left()
+
+
+def test_an_exception_in_a_worker_is_raised_in_the_parent(monkeypatch):
+    def fail():
+        raise ZeroDivisionError("raised in a worker")
+
+    _failing_at(monkeypatch, sweep_parameters(U3)[-1], fail)
+    with _deadline(60), pytest.raises(ZeroDivisionError, match="raised in a worker"):
+        list(search_module.iter_search(U3))
+    _assert_no_child_left()
+
+
+def test_closing_the_sweep_early_reaps_every_worker():
+    with _deadline(60):
+        sweep = search_module.iter_search(U3)
+        first = next(sweep)
+        sweep.close()
+    head = sweep_parameters(U3)[0]
+    assert (first.mu, first.u) == (head.mu, head.u)
+    _assert_no_child_left()
 
 
 def test_sweep_time_is_a_float_in_ms():
