@@ -10,26 +10,44 @@ given weighted projective variety.
 It also holds the exact stage of the search, which writes a decomposition as
 one integer system.  For P_X = H/∏(1−t^{p_i}) and c = k + n + 1, the initial
 term is P_I = A/(1−t)^{n+1}, with A symmetric of degree c and its first
-⌊c/2⌋ + 1 coefficients those of P_X·(1−t)^{n+1} (`initial_numerator`); so
-P_X − P_I = N0/∏(1−t^{p_i}) with N0 = H − A·∏(1−t^{p_i})/(1−t)^{n+1}.  Over
+⌊c/2⌋ + 1 coefficients those of P_X·(1−t)^{n+1} (`initial_numerator`).  Over
 the common denominator C = (1−t)ⁿ·∏(1−t^r) of a set of types, r running over
 their distinct indices, the contribution of a type Q is t^l·V_Q/C with
 V_Q = β_Q·∏_{r′≠r_Q}(1−t^{r′}) and the one shift l = ⌊(k+n+1)/2⌋ + 1 of
 every type (β_Q and l as in `_inverse_numerator`).  Leaving t^l out keeps
 V_Q a polynomial when l < 0.  So P_X − P_I = Σ m_Q·P_Q is the integer system
-V·m = R·t^{−l} with R = (P_X − P_I)·C = N0·C/∏(1−t^{p_i}), built by
-`_integer_system`: `decompositions` builds N0 from H and solves it for the
-multiplicities of a basket, and `basket_kernel`, with R = 0, for the
-collections whose contributions sum to zero.  Both walk the kernel per
-independent component (`_kernel_components`), and every solution they
-return passes the certificate V·m == R·t^{−l} in integers (`_certified`).
+V·m = R·t^{−l} with R = (P_X − P_I)·C, built by `_integer_system`:
+`decompositions` solves it for the multiplicities of a basket, and
+`basket_kernel`, with R = 0, for the collections whose contributions sum
+to zero.  Both walk the kernel per independent component
+(`_kernel_components`), and every solution they return passes the
+certificate V·m == R·t^{−l} in integers (`_certified`).
+
+`decompositions` builds its target from H in one run of sparse passes
+(`_target`).  With I the indices of all the offered types,
+
+    R′ = (P_X − P_I)·(1−t)^{n+1}·∏_I(1−t^r)
+       = H·(1−t)^{n+1}·∏_I(1−t^r)/∏(1−t^{p_i}) − A·∏_I(1−t^r),
+
+one sparse exact division per part that no factor of the numerator
+cancels.  When a division fails, no R over a subset of I is a polynomial
+(R′ is R times a polynomial), so there is no basket.  The types kept have
+indices K ⊆ I, and R = R′/((1−t)·∏_{I∖K}(1−t^r)) by exact divisions again.
+Before any full column is built, the system is read modulo t^d − 1 for d
+the largest index in K (`_rejected_at_largest_index`): every V_Q of
+another index carries the factor 1 − t^d, which vanishes there, so a
+solution m ≥ 0 in integers restricts, on the types of index d, to a
+solution of the d folded equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) =
+R·t^{−l} mod t^d − 1.  A coordinate outside the support of that system's kernel is the
+same in all its rational solutions, so when the system is inconsistent, or
+such a coordinate is negative or not an integer, the tuple has no basket.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, zip_longest
 from math import comb, gcd
 from operator import mul
 from typing import Sequence
@@ -250,27 +268,90 @@ def fits(types, extended_weights) -> bool:
     return all(c <= counts[r] for r, c in Counter(t.r for t in types).items())
 
 
-def _integer_system(
-    types, N0: Sequence[int], parts: Sequence[int], k: int, n: int
-) -> tuple[list[list[int]], list[int]] | None:
-    """Σ m_Q·V_Q = R·t^{−l} for P_X − P_I = N0/∏(1 − t^{p_i}) as (rows, rhs),
-    one equation per power of t and one column V_Q per type (see the module
-    docstring); N0 = () gives the system of the zero-sum collections.  None
-    when R·t^{−l}, built first by one sparse pass per factor, is not a
-    polynomial: V·m is one for every integer m, so there is no solution.
+def _target(
+    types, H: Sequence[int], parts: Sequence[int], k: int, n: int
+) -> tuple[list[QuotientSingularity], list[int]] | None:
+    """(kept, R·t^{−l}) for P_X = H/∏(1 − t^{p_i}): the types the `kept`
+    rule keeps and the trimmed target of their system (see the module
+    docstring); ([], []) when P_X = P_I, and None when no type is kept or
+    R·t^{−l} is not a polynomial, so that no basket exists.
     """
     indices = sorted({t.r for t in types})
-    R = mul_one_minus_t_pow(N0, 1, n)
-    for r in indices:
-        R = mul_one_minus_t_pow(R, r)
+    # a factor 1 − t^r of the numerator that is also a part cancels
+    X, rest = H, list(parts)
+    for r in [1] * (n + 1) + indices:
+        if r in rest:
+            rest.remove(r)
+        else:
+            X = mul_one_minus_t_pow(X, r)
     try:
-        for w in parts:
-            R = div_one_minus_t_pow(R, w)
+        for w in rest:
+            X = div_one_minus_t_pow(X, w)
     except ArithmeticError:
         return None
-    R = _shifted(-_shift(k, n), R)
-    if R is None:
+    # the coefficients of P_X up to degree ⌊c/2⌋, all that P_I depends on
+    h = (k + n + 1) // 2
+    prefix = [H[i] if i < len(H) else 0 for i in range(h + 1)]
+    for w in parts:
+        for i in range(w, h + 1):
+            prefix[i] += prefix[i - w]
+    A = initial_numerator(prefix, n, k)
+    for r in indices:
+        A = mul_one_minus_t_pow(A, r)
+    R = [x - a for x, a in zip_longest(X, A, fillvalue=0)]
+    top = max((i for i, v in enumerate(R) if v), default=-1)
+    if top < 0:
+        return [], []
+    # deg P_Q = l + deg β_Q − n − r_Q, and deg(P_X − P_I) = deg R′ − (n+1) − Σ_I r
+    l = _shift(k, n)
+    top -= sum(indices) + l
+    kept = [q for q in types if len(_inverse_numerator(q, k, n)[1]) - q.r <= top]
+    if not kept:
         return None
+    try:
+        R = div_one_minus_t_pow(R, 1)
+        for r in set(indices) - {q.r for q in kept}:
+            R = div_one_minus_t_pow(R, r)
+    except ArithmeticError:
+        return None
+    R = _shifted(-l, R)
+    return None if R is None else (kept, R)
+
+
+def _rejected_at_largest_index(kept, target: Sequence[int], k: int, n: int) -> bool:
+    """Whether V·m = target, the system of the kept types, has no solution
+    m ≥ 0 in integers by its image modulo t^d − 1, d the largest index: the
+    types of index d alone, with local columns β_Q·∏_{r′≠d}(1 − t^{r′}) mod
+    t^d − 1, against the folded target (soundness in the module docstring).
+    """
+    indices = sorted({t.r for t in kept})
+    d = indices[-1]
+    folded = [0] * d
+    for i, c in enumerate(target):
+        folded[i % d] += c
+    cols = []
+    for q in kept:
+        if q.r == d:
+            beta = _inverse_numerator(q, k, n)[1]
+            v = list(beta) + [0] * (d - len(beta))
+            for r in indices[:-1]:
+                v = [v[i] - v[i - r] for i in range(d)]
+            cols.append(v)
+    solved = solve(list(zip(*cols)), folded)
+    if solved is None:
+        return True
+    D, x, kernel = solved
+    support = {i for vec in kernel for i, v in enumerate(vec) if v}
+    return any(v < 0 or v % D for i, v in enumerate(x) if i not in support)
+
+
+def _integer_system(
+    types, target: Sequence[int], k: int, n: int
+) -> tuple[list[list[int]], list[int]]:
+    """Σ m_Q·V_Q = target as (rows, rhs), one equation per power of t and
+    one column V_Q per type (see the module docstring); target = [] gives
+    the system of the zero-sum collections."""
+    indices = sorted({t.r for t in types})
     vecs = []
     for t in types:
         v = list(_inverse_numerator(t, k, n)[1])
@@ -278,9 +359,9 @@ def _integer_system(
             if r != t.r:
                 v = mul_one_minus_t_pow(v, r)
         vecs.append(v)
-    length = max([len(R), *map(len, vecs)])
+    length = max([len(target), *map(len, vecs)])
     rows = [[v[i] if i < len(v) else 0 for v in vecs] for i in range(length)]
-    return rows, R + [0] * (length - len(R))
+    return rows, [*target] + [0] * (length - len(target))
 
 
 def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
@@ -332,7 +413,7 @@ def basket_kernel(
     m = len(types)
     if m < 2:
         return ()
-    rows, rhs = _integer_system(types, (), (), k, n)
+    rows, rhs = _integer_system(types, [], k, n)
     D, _, kernel = solve(rows, rhs)
     per_comp: list[list[tuple[int, ...]]] = []
     for coords, comp in _kernel_components(kernel):
@@ -375,39 +456,28 @@ def decompositions(
     1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact identity for every
     0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
 
-    N0 = 0 gives the one empty basket: P_X = P_I, a smooth member.
-    Otherwise a type is dropped first when its P_Q has a higher degree than
-    P_X − P_I (the `kept` rule, which has no soundness argument; see
-    `wflag.search`).  The system of the kept types is that of
-    `_integer_system`, solved only when R·t^{−l} is a polynomial; every
-    solution passes the certificate V·m == R·t^{−l}.
+    P_X = P_I gives the one empty basket: a smooth member.  Otherwise a
+    type is dropped first when its P_Q has a higher degree than P_X − P_I
+    (the `kept` rule, which has no soundness argument; see `wflag.search`),
+    with deg(P_X − P_I) = deg R′ − (n + 1) − Σ_I r read off R′ (`_target`,
+    R′ and I as in the module docstring).  The target R·t^{−l} of the kept
+    types, divided exactly out of R′, must be a polynomial.  The system is
+    then read modulo t^d − 1, d the largest kept index, where every column
+    of another index vanishes: if the d folded equations of the types of
+    index d are inconsistent, or fix one of their multiplicities at a
+    negative or fractional value, no basket exists.  Only then is the full
+    system of `_integer_system` built and solved; every solution passes
+    the certificate V·m == R·t^{−l}.
     """
-    # the coefficients of P_X up to degree ⌊c/2⌋, all that P_I depends on
-    h = (k + n + 1) // 2
-    prefix = [H[i] if i < len(H) else 0 for i in range(h + 1)]
-    for w in parts:
-        for i in range(w, h + 1):
-            prefix[i] += prefix[i - w]
-    # N0 = H − A·∏(1 − t^{p_i})/(1 − t)^{n+1}: a tuple has more than n parts,
-    # so each division by 1 − t is exact
-    AD = initial_numerator(prefix, n, k)
-    for w in parts:
-        AD = mul_one_minus_t_pow(AD, w)
-    for _ in range(n + 1):
-        AD = div_one_minus_t_pow(AD, 1)
-    N0 = [
-        (H[i] if i < len(H) else 0) - (AD[i] if i < len(AD) else 0)
-        for i in range(max(len(H), len(AD)))
-    ]
-    dN0 = max((i for i, v in enumerate(N0) if v), default=-1)
-    if dN0 < 0:
-        return [{}]
-    # deg P_Q = l + deg β_Q − n − r_Q, and deg(P_X − P_I) = deg N0 − Σp
-    top = dN0 - sum(parts) + n + 1 - _shift(k, n)
-    kept = [q for q in types if len(_inverse_numerator(q, k, n)[1]) - q.r <= top]
-    system = _integer_system(kept, N0, parts, k, n) if kept else None
-    if system is None:
+    found = _target(types, H, parts, k, n)
+    if found is None:
         return []
+    kept, target = found
+    if not target:
+        return [{}]
+    if _rejected_at_largest_index(kept, target, k, n):
+        return []
+    system = _integer_system(kept, target, k, n)
     solved = solve(*system)
     if solved is None:
         return []

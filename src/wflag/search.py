@@ -13,13 +13,17 @@ singularity types (which make the basket ambiguous).
 The work is arranged as a funnel: a divisor-count bound inside the tuple
 enumeration first, then the candidate types of `orbifold.porb_cont`, then
 the exact stage, to which the scan hands H and the tuple:
-`orbifold.decompositions` builds P_I and P_X − P_I = N0/∏(1 − t^{p_i}),
-tests the integrality of R = (P_X − P_I)·C over the common denominator C of
-the contributions (sparse exact divisions by each 1 − t^{p_i}), and for the
-rare survivors solves the integer system V·m = R·t^{−l} by fraction-free
-elimination over ℤ (`linalg.solve`).  The scan itself does no polynomial
-algebra per tuple; the `orbifold` module docstring sets out P_I, N0, C, l
-and V.  Every emitted basket m is certified by the
+`orbifold.decompositions` builds P_I and tests the integrality of
+R = (P_X − P_I)·C over the common denominator C of the contributions, all
+from H in one run of sparse passes (exact divisions by each 1 − t^{p_i}).
+For the survivors it reads the integer system V·m = R·t^{−l} modulo
+t^d − 1, d the largest index, where only the types of index d remain, and
+drops the tuple when those d equations have no solution or fix a
+multiplicity at a negative or fractional value.  Only the rest are solved
+in full by fraction-free elimination over ℤ (`linalg.solve`).  The scan
+itself does no polynomial algebra per tuple; the `orbifold` module
+docstring sets out P_I, C, l and V, and why the integrality test and the
+check modulo t^d − 1 are sound.  Every emitted basket m is certified by the
 identity V·m == R·t^{−l} in integers, so the filters cannot produce false
 positives.  They can miss true ones: before the integer system is built, a
 type is dropped when its P_Q has a higher degree than P_X − P_I (the `kept`

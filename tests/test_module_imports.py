@@ -109,3 +109,33 @@ def test_a_sweep_imports_no_multiprocessing(jobs, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == loaded
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def test_the_names_the_benchmark_hooks_exist():
+    """The benchmark wraps wflag functions by name (`perfbench/spans.py`)
+    and patches a few more (`perfbench/probe.py`), so a rename here fails
+    this test instead of silently dropping spans from `--trace 1`.  The
+    table of `spans.py` is read by compiling its source, which leaves no
+    bytecode in the benchmark's directory."""
+    import importlib
+
+    import wflag.cli
+    import wflag.records
+
+    path = PERFBENCH / "spans.py"
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    hooked = {}
+    for name, modname, attr in spans["FUNCTIONS"]:
+        hooked[name] = getattr(importlib.import_module(modname), attr)
+    for _, modname, clsname, attr in spans["METHODS"]:
+        assert attr in vars(getattr(importlib.import_module(modname), clsname))
+    for name in spans["CACHED"]:
+        assert hasattr(hooked[name], "cache_info"), name
+    search = importlib.import_module("wflag.search")
+    assert callable(wflag.cli.iter_search) and callable(search.iter_search)
+    assert callable(wflag.records.ResultWriter.write_sweep_done)
+    assert callable(search.pos_wt) and callable(search.sweep_parameters)

@@ -359,7 +359,7 @@ def test_system_columns_are_the_contributions(monkeypatch, k, u_max):
     t_l, t_minus_l = UniPolynomial.monomial(max(l, 0)), UniPolynomial.monomial(max(-l, 0))
     checked = set()
     for types in seen - {()}:
-        rows, rhs = _integer_system(types, (), (), k, 3)
+        rows, rhs = _integer_system(types, [], k, 3)
         assert not any(rhs)
         indices = frozenset(t.r for t in types)
         C = common_denominator(types, 3)

@@ -32,6 +32,7 @@ from wflag.orbifold import (
     _certified,
     _integer_system,
     _shift,
+    _target,
     basket_kernel,
     decompositions,
     fits,
@@ -257,12 +258,18 @@ def test_exact_stage_needs_an_exact_division():
     assert decompositions(types, [1, 0, 0, 0, 0, 0, 0, -1], parts, 1, 3) == [
         {Q(2, 1, 1, 1): 1}
     ]
+    # l = 3, so the target is R·t^{−3} = −1, and V_Q = β_Q = −1
+    assert _target(types, [1, 0, 0, 0, 0, 0, 0, -1], parts, 1, 3) == (types, [-1])
     # H = 1 + t⁶ − t⁷ gives N0 = −t³ + t⁴ + t⁶, and N0·C/den is no polynomial
-    assert _integer_system(types, [0, 0, 0, -1, 1, 0, 1], parts, 1, 3) is None
+    assert _target(types, [1, 0, 0, 0, 0, 0, 1, -1], parts, 1, 3) is None
     assert decompositions(types, [1, 0, 0, 0, 0, 0, 1, -1], parts, 1, 3) == []
     # the smooth case: the quintic in P⁴ at k = 0 is its own initial term,
     # so N0 = 0 and the one basket is the empty one
     assert decompositions((), [1, 0, 0, 0, 0, -1], (1,) * 5, 0, 3) == [{}]
+
+
+def _rf_degree(f: RationalFunction) -> int:
+    return f.num.degree - f.den.degree
 
 
 @pytest.mark.parametrize(
@@ -277,42 +284,89 @@ def test_exact_stage_needs_an_exact_division():
 )
 def test_integrality_filter_matches_rational_functions(monkeypatch, format_name, k, params):
     """The first exact filter against the unfiltered rational-function path,
-    with P_I from the reference `reference_initial_term`: for every tuple
-    with kept types, N0/∏(1 − t^{p_i}) is P_X − P_I, and the target is
-    (P_X − P_I)·C·t^{−l} when that product is a polynomial, and there is no
-    system when it is not.  At k = −7 the shift l is negative."""
+    with P_I from the reference `reference_initial_term`: for every tuple,
+    the kept types are those whose P_Q has at most the degree of P_X − P_I,
+    and the target is (P_X − P_I)·C·t^{−l} over their C when that product
+    is a polynomial, and there is none when it is not.  At k = −7 the shift
+    l is negative."""
     calls = []
 
-    def spy(kept, N0, parts, k, n):
-        system = _integer_system(kept, N0, parts, k, n)
-        if parts:  # not a kernel system of `basket_kernel`
-            calls.append((kept, N0, parts, system))
-        return system
+    def spy(types, H, parts, k, n):
+        found = _target(types, H, parts, k, n)
+        calls.append((types, parts, found))
+        return found
 
-    monkeypatch.setattr(orbifold_module, "_integer_system", spy)
+    monkeypatch.setattr(orbifold_module, "_target", spy)
     fmt = FORMATS[format_name]
+    l = _shift(k, 3)
+    shift = RationalFunction(
+        UniPolynomial.monomial(max(-l, 0)), UniPolynomial.monomial(max(l, 0))
+    )
     integral = rejected = 0
     for param in enumerate_parameters(fmt, **params):
         data = hilbert_series(fmt, param)
         calls.clear()
         search_embedding(format_name, param, k=k, n=3)
-        for kept, N0, parts, system in calls:
-            den = one_minus_t_product(parts)
-            series = RationalFunction(data.numerator, den)
+        for types, parts, found in calls:
+            series = RationalFunction(data.numerator, one_minus_t_product(parts))
             difference = series - reference_initial_term(series, 3, k)
-            assert RationalFunction(N0, den) == difference
-            l = _shift(k, 3)
-            product = difference * RationalFunction(
-                common_denominator(kept, 3) * UniPolynomial.monomial(max(-l, 0)),
-                UniPolynomial.monomial(max(l, 0)),
-            )
-            if product.den == UniPolynomial([1]):
+            if difference.is_zero():
+                assert found == ([], [])
+                continue
+            top = _rf_degree(difference)
+            kept = [q for q in types if _rf_degree(qorb(q, k, 3).value) <= top]
+            product = difference * shift * common_denominator(kept, 3)
+            if kept and product.den == UniPolynomial([1]):
                 integral += 1
-                assert system is not None and UniPolynomial(system[1]) == product.num
+                assert found is not None and found[0] == kept
+                assert UniPolynomial(found[1]) == product.num
             else:
                 rejected += 1
-                assert system is None
+                assert found is None
     assert integral and rejected
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
+        SearchConfig(format_name="g2", k=1, n=3, u_max=4),
+        SearchConfig(format_name="g2", k=-7, n=3, u_max=5),
+        SearchConfig(format_name="g2", k=-3, n=3, u_max=6),
+        SearchConfig(format_name="gr25", k=1, n=3, q_max=12),
+        # at q ≤ 12 the check rejects none of the 11 systems of gr25 k = −1
+        SearchConfig(format_name="gr25", k=-1, n=3, q_max=16),
+    ],
+    ids=["g2-k-1-u5", "g2-k1-u4", "g2-k-7-u5", "g2-k-3-u6", "gr25-k1-q12", "gr25-k-1-q16"],
+)
+def test_largest_index_check_matches_the_unfiltered_solve(monkeypatch, config):
+    """The check modulo t^d − 1 against the exact stage without it: the
+    same candidates, and every tuple it rejects has no basket.  At k = −7
+    the shift l is negative."""
+    check = orbifold_module._rejected_at_largest_index
+    rejecting = []
+
+    def spy_check(*args):
+        rejecting.append(check(*args))
+        return rejecting[-1]
+
+    rejected = []
+
+    def spy(*args):
+        rejecting.clear()
+        found = decompositions(*args)
+        if any(rejecting):
+            rejected.append(args)
+        return found
+
+    monkeypatch.setattr(orbifold_module, "_rejected_at_largest_index", spy_check)
+    monkeypatch.setattr(search_module, "decompositions", spy)
+    filtered = search(config)
+    monkeypatch.setattr(orbifold_module, "_rejected_at_largest_index", lambda *args: False)
+    assert search(config) == filtered
+    assert rejected
+    for args in rejected:
+        assert decompositions(*args) == []
 
 
 @pytest.mark.parametrize(
@@ -520,7 +574,7 @@ def _whole_kernel_walk(types, extended_weights, k, n):
     types = tuple(types)
     if len(types) < 2:
         return ()
-    rows, rhs = _integer_system(types, (), (), k, n)
+    rows, rhs = _integer_system(types, [], k, n)
     D, _, kernel = solve(rows, rhs)
     out = []
     for mask in range(1, 1 << len(kernel)):
