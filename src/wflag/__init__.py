@@ -10,6 +10,7 @@ from .formats import (
     enumerate_parameters,
     hilbert_series,
 )
+from .intpoly import DomainError
 from .orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
@@ -18,13 +19,6 @@ from .orbifold import (
     initial_term,
     porb_cont,
     qorb,
-)
-from .ratfun import (
-    DomainError,
-    RationalFunction,
-    UniPolynomial,
-    poly_gcd,
-    series_of,
 )
 from .search import (
     G2_FANO_TABLE,
@@ -70,3 +64,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The ℚ-polynomial layer, which no sweep uses, loads on first access (PEP 562)
+_RATFUN_NAMES = frozenset({"RationalFunction", "UniPolynomial", "poly_gcd", "series_of"})
+
+
+def __getattr__(name: str):
+    if name in _RATFUN_NAMES:
+        from . import ratfun
+
+        return getattr(ratfun, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

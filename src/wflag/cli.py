@@ -32,12 +32,12 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
 from . import records
 from .formats import FORMATS, CocharacterParam, ambient_weights, enumerate_parameters, hilbert_series
+from .intpoly import DomainError
 from .orbifold import QuotientSingularity, initial_term, qorb
-from .ratfun import DomainError, RationalFunction, UniPolynomial
 from .search import (
     G2_FANO_TABLE,
     Candidate,
@@ -47,6 +47,9 @@ from .search import (
     merge_candidates,
     sweep_parameters,
 )
+
+if TYPE_CHECKING:  # the subcommands that build a rational function import it
+    from .ratfun import RationalFunction
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,8 @@ def _file_errors(verb: str, path: str):
 
 
 def _series_from_json(obj: object) -> RationalFunction:
+    from .ratfun import RationalFunction, UniPolynomial
+
     if not isinstance(obj, dict) or "numerator" not in obj:
         raise DomainError("expected an object with a 'numerator' key")
     num = UniPolynomial([records.fraction_from_json(c) for c in obj["numerator"]])
@@ -169,6 +174,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload))
     else:
+        from .ratfun import UniPolynomial
+
         print(f"weights: {' '.join(str(w) for w in data.weights)}")
         print(f"numerator: {UniPolynomial(data.numerator)}")
         print(f"q: {data.adjunction_number}")
@@ -190,6 +197,8 @@ def cmd_qorb(args: argparse.Namespace) -> int:
 
 
 def cmd_initial(args: argparse.Namespace) -> int:
+    from .ratfun import UniPolynomial
+
     _check_dimension(args.n)
     series = _read_input(args.series, _series_from_json)
     init = initial_term(series, args.n, args.k)

@@ -6,9 +6,12 @@ cocharacter ``mu`` plus a positive central shift ``u``; together they induce
 positive weights on the ambient coordinates and hence a weighted-projective
 embedding of the variety.
 
-Hilbert series come from one stored polynomial per format.  Graded by s for
-the degree and by x for the torus weights, the Hilbert series of the cone
-over the variety is
+Each format stores two tables that depend on the format alone.  The weight
+table lists the weights chi of the defining module V(lam) with their
+multiplicities (13 weights for ``g2``, (0, 0) twice; 10 for ``gr25``); an
+embedding's ambient weights are the pairings <chi, mu> + u.  The K table
+gives every Hilbert series.  Graded by s for the degree and by x for the
+torus weights, the Hilbert series of the cone over the variety is
 
     sum_d s^d char V(d lam) = K(s, x) / prod_chi (1 - s x^chi),
 
@@ -22,8 +25,10 @@ specialises s to t^u and x^nu to t^{<nu, mu>}, which sends each factor
 1 - s x^chi to 1 - t^w for an ambient weight w.  So the Hilbert numerator H,
 with P = H / prod(1 - t^w), is K specialised, with no division at all.
 
-The tests check each table against (sum_{d <= D} s^d char V(d lam)) times
-prod_chi (1 - s x^chi), truncated at the degree D of H at mu = 0, u = 1.
+The tests check each K table against (sum_{d <= D} s^d char V(d lam)) times
+prod_chi (1 - s x^chi), truncated at the degree D of H at mu = 0, u = 1,
+and each weight table against Freudenthal's formula (`weight_multiplicities`,
+the one caller of `wflag.weyl`, which a sweep therefore never loads).
 Each H is certified as well: H(0) = 1, its degree is q, it has Gorenstein
 (anti)symmetry, and it divides exactly by (1 - t)^codimension.
 """
@@ -32,16 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
+from typing import TYPE_CHECKING
 
-from .ratfun import DomainError, div_one_minus_t_pow
-from .weyl import (
-    Matrix,
-    Vector,
-    dot,
-    freudenthal_multiplicities,
-    identity_matrix,
-    vscale,
-)
+from .intpoly import DomainError, div_one_minus_t_pow
+
+if TYPE_CHECKING:  # `weight_multiplicities` imports `weyl` when called
+    from .weyl import Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,11 @@ class FormatSpec:
     invariant_form: Matrix
     auxiliary_cocharacter: Vector  # pairs > 0 with every positive root
     adjunction_coefficients: tuple[int, int]  # q = c_u * u + c_m * sum(mu)
-    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The fields above fix it,
-    # so it stays out of equality and of the hash: a FormatSpec keys several
-    # caches, and hashing the table on every lookup would cost time
+    # the weights chi of V(lam) with their multiplicities, sorted, and the
+    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The fields above fix both,
+    # so they stay out of equality and of the hash: a FormatSpec keys several
+    # caches, and hashing the tables on every lookup would cost time
+    weight_system: tuple[tuple[Vector, int], ...] = field(repr=False, compare=False)
     k_polynomial: tuple[tuple[int, Vector, int], ...] = field(
         repr=False, compare=False
     )
@@ -177,10 +180,14 @@ def _k_terms(table: str, rank: int) -> tuple[tuple[int, Vector, int], ...]:
     )
 
 
+def _identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _transposition_matrix(n: int, i: int) -> Matrix:
-    m = [list(r) for r in identity_matrix(n)]
+    m = list(_identity_matrix(n))
     m[i], m[i + 1] = m[i + 1], m[i]
-    return tuple(tuple(r) for r in m)
+    return tuple(m)
 
 
 G2_FORMAT = FormatSpec(
@@ -195,6 +202,11 @@ G2_FORMAT = FormatSpec(
     invariant_form=((2, -3), (-3, 6)),
     auxiliary_cocharacter=(1, 1),
     adjunction_coefficients=(11, 0),
+    weight_system=(
+        ((-3, -2), 1), ((-3, -1), 1), ((-2, -1), 1), ((-1, -1), 1), ((-1, 0), 1),
+        ((0, -1), 1), ((0, 0), 2), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1),
+        ((2, 1), 1), ((3, 1), 1), ((3, 2), 1),
+    ),
     k_polynomial=_k_terms(_G2_K, 2),
 )
 
@@ -218,23 +230,26 @@ GR25_FORMAT = FormatSpec(
         for j in range(i + 1, 5)
         if j > i + 1
     ),
-    invariant_form=identity_matrix(5),
+    invariant_form=_identity_matrix(5),
     auxiliary_cocharacter=(4, 3, 2, 1, 0),
     adjunction_coefficients=(5, 2),
+    weight_system=(
+        ((0, 0, 0, 1, 1), 1), ((0, 0, 1, 0, 1), 1), ((0, 0, 1, 1, 0), 1),
+        ((0, 1, 0, 0, 1), 1), ((0, 1, 0, 1, 0), 1), ((0, 1, 1, 0, 0), 1),
+        ((1, 0, 0, 0, 1), 1), ((1, 0, 0, 1, 0), 1), ((1, 0, 1, 0, 0), 1),
+        ((1, 1, 0, 0, 0), 1),
+    ),
     k_polynomial=_k_terms(_GR25_K, 5),
 )
 
 FORMATS: dict[str, FormatSpec] = {"g2": G2_FORMAT, "gr25": GR25_FORMAT}
 
 
-@cache
-def _weight_system(fmt: FormatSpec) -> tuple[tuple[Vector, int], ...]:
-    """Weights (with multiplicity) of the defining module, sorted."""
-    return tuple(sorted(weight_multiplicities(fmt, 1).items()))
-
-
 def weight_multiplicities(fmt: FormatSpec, d: int) -> dict[Vector, int]:
-    """Weight multiplicities of the degree-d part of the coordinate ring."""
+    """Weight multiplicities of the degree-d part of the coordinate ring, by
+    Freudenthal's formula: the reference for the stored tables."""
+    from .weyl import freudenthal_multiplicities, vscale
+
     if d < 0:
         raise DomainError("degree must be nonnegative")
     if d == 0:
@@ -254,10 +269,10 @@ def ambient_weights(fmt: FormatSpec, param: CocharacterParam) -> tuple[int, ...]
 
     Raises DomainError if any weight fails to be positive.
     """
+    mu, u = param.mu, param.u
     ws: list[int] = []
-    for v, m in _weight_system(fmt):
-        w = dot(v, param.mu) + param.u
-        ws.extend([w] * m)
+    for v, m in fmt.weight_system:
+        ws += [sum(x * y for x, y in zip(v, mu)) + u] * m
     if any(w <= 0 for w in ws):
         raise DomainError("invalid parameters: nonpositive ambient weight")
     assert len(ws) == fmt.dimension + fmt.codimension + 1
@@ -285,7 +300,9 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
     """
     weights = ambient_weights(fmt, param)
     mu, u = param.mu, param.u
-    exponents = [a * u + dot(nu, mu) for a, nu, _ in fmt.k_polynomial]
+    exponents = [
+        a * u + sum(x * y for x, y in zip(nu, mu)) for a, nu, _ in fmt.k_polynomial
+    ]
     if min(exponents) < 0:  # only a table that breaks the argument above
         raise ArithmeticError(_CERT_MESSAGE)
     h = [0] * (max(exponents) + 1)
@@ -324,16 +341,18 @@ def _params_g2(
     fmt: FormatSpec, u_max: int, q_max: int | None
 ) -> dict[tuple[int, ...], CocharacterParam]:
     found: dict[tuple[int, ...], CocharacterParam] = {}
+    chis = [chi for chi, _ in fmt.weight_system]
     for u in range(1, u_max + 1):
         if q_max is not None and fmt.adjunction_coefficients[0] * u > q_max:
             continue
         for a in range(-(u - 1), u):
             for b in range(-(u - 1), u):
-                param = CocharacterParam((a, b), u)
-                try:
-                    ws = ambient_weights(fmt, param)
-                except DomainError:
+                # most (a, b) give some weight u + <chi, mu> <= 0, which
+                # `ambient_weights` would reject
+                if u + min(x * a + y * b for x, y in chis) <= 0:
                     continue
+                param = CocharacterParam((a, b), u)
+                ws = ambient_weights(fmt, param)
                 if ws not in found:
                     found[ws] = param
     return found

@@ -50,18 +50,13 @@ from functools import cache
 from itertools import chain, combinations, product, zip_longest
 from math import comb, gcd
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from .intpoly import DomainError, div_one_minus_t_pow, mul_one_minus_t_pow
 from .linalg import solve
-from .ratfun import (
-    DomainError,
-    RF_ZERO,
-    RationalFunction,
-    UniPolynomial,
-    div_one_minus_t_pow,
-    mul_one_minus_t_pow,
-    series_of,
-)
+
+if TYPE_CHECKING:  # `qorb` and `initial_term` import it when called
+    from .ratfun import RationalFunction, UniPolynomial
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -163,6 +158,8 @@ def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
     Raises DomainError if the canonical weight k is incompatible with the
     type, or if the type is not an isolated singularity.
     """
+    from .ratfun import RationalFunction, UniPolynomial
+
     l, beta = _inverse_numerator(sing, k, n)
     den = mul_one_minus_t_pow([0] * max(-l, 0) + [1], 1, n)
     value = RationalFunction(
@@ -195,6 +192,8 @@ def initial_numerator(prefix: Sequence, n: int, k: int) -> list:
 def initial_term(series: RationalFunction, n: int, k: int) -> RationalFunction:
     """The smooth part P_I = A/(1−t)^{n+1} of an orbifold Hilbert series
     decomposition, A as in `initial_numerator`."""
+    from .ratfun import RF_ZERO, RationalFunction, UniPolynomial, series_of
+
     half = (k + n + 1) // 2
     if half < 0:
         return RF_ZERO

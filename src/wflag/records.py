@@ -25,7 +25,6 @@ views over the same candidate set.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -323,6 +322,8 @@ def emit_json(candidates: Sequence[Candidate], stream: IO[str]) -> None:
 
 
 def emit_csv(candidates: Sequence[Candidate], stream: IO[str]) -> None:
+    import csv  # only this view needs it
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for cand in candidates:

@@ -68,7 +68,7 @@ from .orbifold import (
     fits,
     porb_cont,
 )
-from .ratfun import DomainError, cyclotomic_valuation
+from .intpoly import DomainError, cyclotomic_valuation
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ recomputes something the program computes another way:
   division), against the numerators of `wflag.formats.hilbert_series`;
 * `int_mul`, `int_exact_div` and `cyclotomic` — the product and the exact
   long division of integer coefficient lists, and Φ_d built recursively by
-  long division, against `wflag.ratfun.cyclotomic_valuation`, which never
+  long division, against `wflag.intpoly.cyclotomic_valuation`, which never
   divides by anything but 1 − t^e;
 * `closed_form_numerator` — the Hilbert numerator of one embedding from a
   Weyl-character closed form, against the same numerators;
@@ -46,6 +46,7 @@ from wflag.formats import (
     ambient_weights,
     weight_multiplicities,
 )
+from wflag.intpoly import mul_one_minus_t_pow
 from wflag.linalg import solve
 from wflag.orbifold import (
     OrbifoldContribution,
@@ -58,7 +59,6 @@ from wflag.ratfun import (
     DomainError,
     RationalFunction,
     UniPolynomial,
-    mul_one_minus_t_pow,
     series_of,
 )
 from wflag.search import Candidate

@@ -169,6 +169,13 @@ def test_stored_k_polynomial_matches_weight_multiplicities(fmt):
     assert len(expected) == {"g2": 250, "gr25": 12}[fmt.name]
 
 
+@pytest.mark.parametrize("fmt", [G2_FORMAT, GR25_FORMAT], ids=lambda f: f.name)
+def test_stored_weight_system_matches_freudenthal(fmt):
+    expected = tuple(sorted(weight_multiplicities(fmt, 1).items()))
+    assert fmt.weight_system == expected
+    assert len(expected) == {"g2": 13, "gr25": 10}[fmt.name]
+
+
 def test_numerators_match_the_weyl_closed_form():
     censuses = [
         (GR25_FORMAT, enumerate_parameters(GR25_FORMAT, None, 25)),

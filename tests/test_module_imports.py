@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from wflag import ratfun
+from wflag import intpoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wflag"
 
@@ -64,7 +64,7 @@ def test_the_check_sees_each_form():
     ]
 
 
-#: The integer polynomial operations of `wflag.ratfun`: the two sparse passes.
+#: The integer polynomial operations of `wflag.intpoly`: the two sparse passes.
 POLYNOMIAL_HELPERS = {"div_one_minus_t_pow", "mul_one_minus_t_pow"}
 
 
@@ -73,7 +73,7 @@ def test_the_scan_does_no_polynomial_algebra_per_tuple():
     owns P_I and N0, so the scan takes no polynomial helper, by name or as
     an attribute of a module.  Every listed helper exists, so a rename fails
     here instead of leaving the check with nothing to find."""
-    assert all(hasattr(ratfun, name) for name in POLYNOMIAL_HELPERS)
+    assert all(hasattr(intpoly, name) for name in POLYNOMIAL_HELPERS)
     tree = ast.parse((SRC / "search.py").read_text(encoding="utf-8"))
     used = {
         alias.name
@@ -90,7 +90,11 @@ import sys
 from wflag.search import SearchConfig, iter_search
 config = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs={jobs})
 assert len(list(iter_search(config))) == 4
-print(" ".join(sorted(name for name in ("multiprocessing", "pickle") if name in sys.modules)))
+import wflag.cli
+argv = ["search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3", "--jobs", "{jobs}"]
+assert wflag.cli.main(argv) == 0
+names = ("multiprocessing", "pickle", "wflag.ratfun", "wflag.weyl", "csv")
+print("loaded:", " ".join(name for name in names if name in sys.modules))
 """
 
 
@@ -98,7 +102,9 @@ print(" ".join(sorted(name for name in ("multiprocessing", "pickle") if name in 
 def test_a_sweep_imports_no_multiprocessing(jobs, loaded):
     """A pooled sweep forks its workers itself, so it never imports
     `multiprocessing` (about 20 ms); a serial sweep does not import `pickle`
-    either."""
+    either.  No sweep, through `iter_search` or `wflag search`, loads the
+    ℚ layer (`ratfun`), Freudenthal's formula (`weyl`) or `csv`: each
+    process would pay to compile and run them for nothing."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SWEEP_IMPORTS.format(jobs=jobs)],
@@ -108,7 +114,38 @@ def test_a_sweep_imports_no_multiprocessing(jobs, loaded):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == loaded
+    assert proc.stdout.splitlines()[-1].split(":")[1].strip() == loaded
+
+
+#: The public names of the package, as before its ℚ layer loaded lazily.
+PUBLIC_NAMES = [
+    "FORMATS", "CocharacterParam", "EmbeddingData", "FormatSpec",
+    "ambient_weights", "enumerate_parameters", "hilbert_series",
+    "OrbifoldContribution", "QuotientSingularity", "basket_kernel",
+    "gcd_closure", "initial_term", "porb_cont", "qorb",
+    "DomainError", "RationalFunction", "UniPolynomial", "poly_gcd", "series_of",
+    "G2_FANO_TABLE", "Candidate", "SearchConfig", "SweepResult", "iter_search",
+    "merge_candidates", "pos_wt", "search_embedding", "sweep_parameters",
+]
+
+
+def test_the_package_still_offers_the_q_layer_by_name():
+    """`wflag` resolves its ℚ names on first access, so `__all__`,
+    attribute access and ``from wflag import *`` work as when it imported
+    `ratfun` eagerly; an unknown name is still an AttributeError."""
+    import wflag
+    from wflag import ratfun
+
+    assert wflag.__all__ == PUBLIC_NAMES
+    assert wflag.RationalFunction is ratfun.RationalFunction
+    assert wflag.series_of is ratfun.series_of
+    assert wflag.DomainError is ratfun.DomainError is intpoly.DomainError
+    namespace: dict = {}
+    exec("from wflag import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["UniPolynomial"] is ratfun.UniPolynomial
+    with pytest.raises(AttributeError):
+        wflag.no_such_name
 
 
 PERFBENCH = SRC.parents[1] / "perfbench"

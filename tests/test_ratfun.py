@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cyclotomic, int_exact_div, int_mul, one_minus_t_product
 
+from wflag.intpoly import cyclotomic_valuation, div_one_minus_t_pow, mul_one_minus_t_pow
 from wflag.ratfun import (
     DomainError,
     P_ONE,
@@ -15,9 +16,6 @@ from wflag.ratfun import (
     RationalFunction,
     T,
     UniPolynomial,
-    cyclotomic_valuation,
-    div_one_minus_t_pow,
-    mul_one_minus_t_pow,
     poly_gcd,
     series_of,
 )
