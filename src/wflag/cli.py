@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -43,7 +44,9 @@ from .search import (
     Candidate,
     SearchConfig,
     candidate_key,
+    embedding_label,
     iter_search,
+    kernel_flag,
     merge_candidates,
     sweep_parameters,
 )
@@ -57,10 +60,13 @@ if TYPE_CHECKING:  # the subcommands that build a rational function import it
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError:
+    """The integers of a comma-separated list, () for a blank one.  Spaces
+    around an entry are allowed; an entry that is empty or has a space or an
+    underscore inside is an error (int() alone would read "1_2" as 12)."""
+    entries = [part.strip() for part in text.split(",")] if text.strip() else []
+    if not all(re.fullmatch(r"[+-]?[0-9]+", entry) for entry in entries):
         raise DomainError(f"expected a comma-separated integer list, got {text!r}")
+    return tuple(map(int, entries))
 
 
 def _read_input(path: str, parse):
@@ -231,9 +237,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def _format_param_line(name: str, param: CocharacterParam) -> str:
     data = hilbert_series(FORMATS[name], param)
-    mu = ",".join(str(a) for a in param.mu)
     return (
-        f"mu=({mu}) u={param.u} q={data.adjunction_number} "
+        f"{embedding_label(param.mu, param.u)} q={data.adjunction_number} "
         f"sigma={data.sigma} weights={records.compact_weights(data.weights)}"
     )
 
@@ -291,9 +296,8 @@ def _run_sweep(
                 if write_path:
                     with _file_errors("write", write_path):
                         writer.write_result(result)
-                mu = ",".join(str(a) for a in result.mu)
                 progress.write(
-                    f"# [{done}/{len(todo)}] mu=({mu}) u={result.u}: "
+                    f"# [{done}/{len(todo)}] {embedding_label(result.mu, result.u)}: "
                     f"{len(result.candidates)} candidates, "
                     f"{result.tuples_scanned} tuples, {result.elapsed_ms} ms\n"
                 )
@@ -326,9 +330,10 @@ def _table_row_mismatches(row: dict, cand: Candidate) -> list[str]:
     if published_degree is not None and published_degree != cand.degree:
         notes.append(f"published degree {published_degree}, computed {cand.degree}")
     if row["published_kernel"] != bool(cand.kernels):
-        pub = "Y" if row["published_kernel"] else "N"
-        got = "Y" if cand.kernels else "N"
-        notes.append(f"published BK {pub}, computed {got}")
+        notes.append(
+            f"published BK {kernel_flag(row['published_kernel'])}, "
+            f"computed {kernel_flag(cand.kernels)}"
+        )
     return notes
 
 

@@ -25,45 +25,39 @@ specialises s to t^u and x^nu to t^{<nu, mu>}, which sends each factor
 1 - s x^chi to 1 - t^w for an ambient weight w.  So the Hilbert numerator H,
 with P = H / prod(1 - t^w), is K specialised, with no division at all.
 
-The tests check each K table against (sum_{d <= D} s^d char V(d lam)) times
+No sweep needs the root datum of a format (its roots, Weyl group and
+invariant form): it lives with the tests (tests/oracles.py), which check
+each K table against (sum_{d <= D} s^d char V(d lam)) times
 prod_chi (1 - s x^chi), truncated at the degree D of H at mu = 0, u = 1,
-and each weight table against Freudenthal's formula (`weight_multiplicities`,
-the one caller of `wflag.weyl`, which a sweep therefore never loads).
-Each H is certified as well: H(0) = 1, its degree is q, it has Gorenstein
-(anti)symmetry, and it divides exactly by (1 - t)^codimension.
+and each weight table against Freudenthal's formula.  Each H is certified
+as well: H(0) = 1, its degree is q, it has Gorenstein (anti)symmetry, and
+it divides exactly by (1 - t)^codimension.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING
 
 from .intpoly import DomainError, div_one_minus_t_pow
 
-if TYPE_CHECKING:  # `weight_multiplicities` imports `weyl` when called
-    from .weyl import Matrix, Vector
+Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class FormatSpec:
-    """Compiled root datum of one homogeneous variety."""
+    """One homogeneous variety, with the two tables that fix its embeddings."""
 
     name: str
-    lie_rank: int
     dimension: int
     codimension: int
     highest_weight: Vector
-    weyl_vector: Vector
-    weyl_generators: tuple[Matrix, ...]
-    positive_roots: tuple[Vector, ...]  # simple roots occupy the first lie_rank slots
-    invariant_form: Matrix
-    auxiliary_cocharacter: Vector  # pairs > 0 with every positive root
     adjunction_coefficients: tuple[int, int]  # q = c_u * u + c_m * sum(mu)
     # the weights chi of V(lam) with their multiplicities, sorted, and the
-    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The fields above fix both,
-    # so they stay out of equality and of the hash: a FormatSpec keys several
-    # caches, and hashing the tables on every lookup would cost time
+    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The name and the
+    # highest weight fix both, so they stay out of equality and of the hash:
+    # a FormatSpec keys several caches, and hashing the tables on every
+    # lookup would cost time
     weight_system: tuple[tuple[Vector, int], ...] = field(repr=False, compare=False)
     k_polynomial: tuple[tuple[int, Vector, int], ...] = field(
         repr=False, compare=False
@@ -180,27 +174,11 @@ def _k_terms(table: str, rank: int) -> tuple[tuple[int, Vector, int], ...]:
     )
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _transposition_matrix(n: int, i: int) -> Matrix:
-    m = list(_identity_matrix(n))
-    m[i], m[i + 1] = m[i + 1], m[i]
-    return tuple(m)
-
-
 G2_FORMAT = FormatSpec(
     name="g2",
-    lie_rank=2,
     dimension=5,
     codimension=8,
     highest_weight=(3, 2),  # highest long root; the module is the adjoint one
-    weyl_vector=(5, 3),
-    weyl_generators=(((-1, 3), (0, 1)), ((1, 0), (1, -1))),
-    positive_roots=((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
-    invariant_form=((2, -3), (-3, 6)),
-    auxiliary_cocharacter=(1, 1),
     adjunction_coefficients=(11, 0),
     weight_system=(
         ((-3, -2), 1), ((-3, -1), 1), ((-2, -1), 1), ((-1, -1), 1), ((-1, 0), 1),
@@ -212,26 +190,9 @@ G2_FORMAT = FormatSpec(
 
 GR25_FORMAT = FormatSpec(
     name="gr25",
-    lie_rank=4,
     dimension=6,
     codimension=3,
     highest_weight=(1, 1, 0, 0, 0),  # second exterior power of the standard module
-    weyl_vector=(4, 3, 2, 1, 0),  # rho representative; constant shifts drop out
-    weyl_generators=tuple(_transposition_matrix(5, i) for i in range(4)),
-    positive_roots=tuple(
-        tuple(int(k == i) - int(k == j) for k in range(5))
-        for i in range(5)
-        for j in range(i + 1, 5)
-        if j == i + 1
-    )
-    + tuple(
-        tuple(int(k == i) - int(k == j) for k in range(5))
-        for i in range(5)
-        for j in range(i + 1, 5)
-        if j > i + 1
-    ),
-    invariant_form=_identity_matrix(5),
-    auxiliary_cocharacter=(4, 3, 2, 1, 0),
     adjunction_coefficients=(5, 2),
     weight_system=(
         ((0, 0, 0, 1, 1), 1), ((0, 0, 1, 0, 1), 1), ((0, 0, 1, 1, 0), 1),
@@ -243,25 +204,6 @@ GR25_FORMAT = FormatSpec(
 )
 
 FORMATS: dict[str, FormatSpec] = {"g2": G2_FORMAT, "gr25": GR25_FORMAT}
-
-
-def weight_multiplicities(fmt: FormatSpec, d: int) -> dict[Vector, int]:
-    """Weight multiplicities of the degree-d part of the coordinate ring, by
-    Freudenthal's formula: the reference for the stored tables."""
-    from .weyl import freudenthal_multiplicities, vscale
-
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
-    if d == 0:
-        return {vscale(0, fmt.highest_weight): 1}
-    return freudenthal_multiplicities(
-        vscale(d, fmt.highest_weight),
-        fmt.positive_roots,
-        fmt.lie_rank,
-        fmt.invariant_form,
-        fmt.weyl_vector,
-        fmt.weyl_generators,
-    )
 
 
 def ambient_weights(fmt: FormatSpec, param: CocharacterParam) -> tuple[int, ...]:

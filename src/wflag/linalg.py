@@ -1,27 +1,26 @@
 """The one linear-algebra kernel of the package: fraction-free elimination
-over ℤ, shared by `solve` and `det`.
+over ℤ, behind `solve`.
 
 Every linear question the search asks (is P_X − P_I an integer combination
 of orbifold terms, which collections of terms sum to zero, which simple-root
-coordinates a weight has) is a system ``rows · x = rhs`` answered here, and
-the Weyl group signs are determinants computed by the same loop.
+coordinates a weight has) is a system ``rows · x = rhs`` answered here.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 
-def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int], int]:
+def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int]]:
     """Gauss–Jordan elimination without fractions (Bareiss, Math. Comp. 22,
     1968) of the first ncols columns of the integer matrix aug, in place.
 
-    Returns (D, pivots, swaps).  Each step replaces every row a other than
-    the pivot row b by (p·a − f·b) // prev, with p the new pivot, f the
-    entry of a in the pivot column and prev the previous pivot (1 at first).
+    Returns (D, pivots).  Each step replaces every row a other than the
+    pivot row b by (p·a − f·b) // prev, with p the new pivot, f the entry
+    of a in the pivot column and prev the previous pivot (1 at first).
     Every entry stays a minor of the input, so the division is exact.  At
     the end the pivot rows hold the common pivot D (1 at rank 0) in their
-    own pivot column and 0 in the others, the rows below the rank vanish in
-    the first ncols columns, and swaps counts the row swaps.
+    own pivot column and 0 in the others, and the rows below the rank
+    vanish in the first ncols columns.
 
     A row with f = 0 is only multiplied by p/prev, and those factors
     telescope, so it is left as it is, current for the pivot stamp[r],
@@ -30,7 +29,6 @@ def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int], int]:
     m = len(aug)
     pivots: list[int] = []
     prev = 1
-    swaps = 0
     stamp = [1] * m
 
     def current(r: int) -> list[int]:
@@ -47,7 +45,6 @@ def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int], int]:
         if sel != prow:
             aug[sel], aug[prow] = aug[prow], aug[sel]
             stamp[sel], stamp[prow] = stamp[prow], stamp[sel]
-            swaps += 1
         base = current(prow)
         p = base[col]
         for r in range(m):
@@ -61,7 +58,7 @@ def _eliminate(aug: list[list[int]], ncols: int) -> tuple[int, list[int], int]:
         prev = p
     for i in range(len(pivots)):
         current(i)
-    return prev, pivots, swaps
+    return prev, pivots
 
 
 def solve(
@@ -76,7 +73,7 @@ def solve(
     """
     ncols = len(rows[0]) if rows else 0
     aug = [[*row, b] for row, b in zip(rows, rhs)]
-    D, pivots, _ = _eliminate(aug, ncols)
+    D, pivots = _eliminate(aug, ncols)
     rank = len(pivots)
     if any(row[ncols] for row in aug[rank:]):
         return None
@@ -93,11 +90,3 @@ def solve(
         kernel.append(vec)
     return sign * D, x, kernel
 
-
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
-    n = len(m)
-    D, pivots, swaps = _eliminate([list(row) for row in m], n)
-    if len(pivots) < n:
-        return 0
-    return -D if swaps % 2 else D

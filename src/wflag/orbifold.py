@@ -95,8 +95,6 @@ class OrbifoldContribution:
     support lies in the window [⌊c/2⌋+1, ⌊c/2⌋+r−1] for c = k + n + 1.
     """
 
-    singularity: QuotientSingularity
-    k: int
     value: RationalFunction
     numerator: UniPolynomial | None
 
@@ -167,9 +165,7 @@ def qorb(sing: QuotientSingularity, k: int, n: int = 3) -> OrbifoldContribution:
         UniPolynomial(mul_one_minus_t_pow(den, sing.r)),
     )
     num = _shifted(l, beta)
-    return OrbifoldContribution(
-        sing, k, value, None if num is None else UniPolynomial(num)
-    )
+    return OrbifoldContribution(value, None if num is None else UniPolynomial(num))
 
 
 def initial_numerator(prefix: Sequence, n: int, k: int) -> list:

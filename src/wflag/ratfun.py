@@ -45,12 +45,6 @@ class UniPolynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: Scalar = 1) -> UniPolynomial:
-        if exponent < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return cls([0] * exponent + [coefficient])
-
-    @classmethod
     def one_minus_t_pow(cls, r: int) -> UniPolynomial:
         """The polynomial 1 - t^r (r >= 1)."""
         if r < 1:
@@ -69,13 +63,7 @@ class UniPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
     def __iter__(self) -> Iterator[Fraction]:
-        # without it, iteration falls back to __getitem__, which never fails
         return iter(self.coeffs)
 
     @property
@@ -156,12 +144,6 @@ class UniPolynomial:
                     rem[k + j] -= q * co
         return UniPolynomial(quot), UniPolynomial(rem)
 
-    def __floordiv__(self, other: UniPolynomial) -> UniPolynomial:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: UniPolynomial) -> UniPolynomial:
-        return divmod(self, other)[1]
-
     def exact_div(self, other: UniPolynomial) -> UniPolynomial:
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -170,25 +152,6 @@ class UniPolynomial:
 
     # -- other operations --------------------------------------------------
 
-    def shift(self, k: int) -> UniPolynomial:
-        """Multiply by t^k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero():
-            return self
-        return UniPolynomial((Fraction(0),) * k + self.coeffs)
-
-    def reciprocal(self, n: int | None = None) -> UniPolynomial:
-        """t^n * p(1/t) for n >= deg p (default: n = deg p)."""
-        if n is None:
-            n = max(self.degree, 0)
-        if n < self.degree:
-            raise ValueError("reciprocal order below degree")
-        rev = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            rev[n - i] = c
-        return UniPolynomial(rev)
-
     def monic(self) -> UniPolynomial:
         if self.is_zero():
             return self
@@ -196,20 +159,6 @@ class UniPolynomial:
         if lead == 1:
             return self
         return UniPolynomial([c / lead for c in self.coeffs])
-
-    def evaluate(self, point: Scalar) -> Fraction:
-        x = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def valuation(self) -> int:
-        """Order of vanishing at t = 0 (the zero polynomial has valuation -1)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return -1
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -237,7 +186,6 @@ class UniPolynomial:
 
 P_ZERO = UniPolynomial()
 P_ONE = UniPolynomial([1])
-T = UniPolynomial([0, 1])
 
 
 # -- gcd machinery ---------------------------------------------------------
@@ -339,21 +287,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_quotient_weights(
-        cls, numer_exponents: Sequence[int], denom_exponents: Sequence[int]
-    ) -> RationalFunction:
-        """prod(1 - t^a) over numer_exponents divided by the same over denom."""
-        num = P_ONE
-        for a in numer_exponents:
-            num = num * UniPolynomial.one_minus_t_pow(a)
-        den = P_ONE
-        for a in denom_exponents:
-            den = den * UniPolynomial.one_minus_t_pow(a)
-        return cls(num, den)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -391,15 +324,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    # -- analysis ----------------------------------------------------------
-
-    def evaluate(self, point: Scalar) -> Fraction:
-        x = _as_fraction(point)
-        dv = self.den.evaluate(x)
-        if dv == 0:
-            raise DomainError("pole at evaluation point")
-        return self.num.evaluate(x) / dv
-
     def __str__(self) -> str:
         if self.den == P_ONE:
             return str(self.num)
@@ -436,8 +360,7 @@ def series_of(f: RationalFunction, order: int) -> tuple[Fraction, ...]:
     if num.is_zero():
         return (Fraction(0),) * (order + 1)
     # canonical form is coprime, so a denominator vanishing at 0 is a real pole
-    v = den.valuation()
-    if v > 0:
+    if not den.coeffs[0]:
         raise DomainError("pole at t=0")
     nc, dc = num.coeffs, den.coeffs
     inv0 = 1 / dc[0]

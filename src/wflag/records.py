@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
 from .orbifold import QuotientSingularity
-from .search import Candidate, SweepResult, compact_weights
+from .search import Candidate, SweepResult, compact_weights, kernel_flag
 
 SCHEMA_VERSION = 1
 
@@ -337,7 +337,7 @@ def emit_csv(candidates: Sequence[Candidate], stream: IO[str]) -> None:
                 cand.n,
                 str(cand.degree),
                 cand.basket_str(),
-                "Y" if cand.kernels else "N",
+                kernel_flag(cand.kernels),
                 "yes" if cand.smooth else "no",
             ]
         )
@@ -365,7 +365,7 @@ def text_row(cand: Candidate) -> tuple[str, ...]:
         "P[" + compact_weights(cand.x_weights) + "]",
         str(cand.degree),
         cand.basket_str(),
-        "Y" if cand.kernels else "N",
+        kernel_flag(cand.kernels),
     )
 
 

@@ -142,6 +142,17 @@ def compact_weights(weights: Sequence[int]) -> str:
     return ",".join(str(w) if c == 1 else f"{w}^{c}" for w, c in runs)
 
 
+def embedding_label(mu: Sequence[int], u: int) -> str:
+    """Render an embedding as ``mu=(-1,1) u=3``."""
+    return f"mu=({','.join(str(a) for a in mu)}) u={u}"
+
+
+def kernel_flag(kernels: object) -> str:
+    """The BK column: ``Y`` when a zero-sum collection makes the basket
+    ambiguous, else ``N``."""
+    return "Y" if kernels else "N"
+
+
 # ---------------------------------------------------------------------------
 # weight tuple enumeration
 
@@ -249,9 +260,9 @@ def search_embedding(
                 _emit(candidates, data, parts, solutions, types, extended, k, n)
     except DomainError as exc:
         # a cap of the kernel searches: say which tuple the sweep stopped at
-        mu = ",".join(str(a) for a in param.mu)
         raise DomainError(
-            f"{format_name} mu=({mu}) u={param.u} P[{compact_weights(parts)}]: {exc}"
+            f"{format_name} {embedding_label(param.mu, param.u)} "
+            f"P[{compact_weights(parts)}]: {exc}"
         ) from None
 
     candidates.sort(key=_candidate_order_key)
@@ -299,8 +310,7 @@ def _emit(
 # sweep driver
 
 
-def _sweep_one(args) -> SweepResult:
-    config, param = args
+def _sweep_one(config: SearchConfig, param: CocharacterParam) -> SweepResult:
     t0 = time.perf_counter()
     cands, scanned = search_embedding(config.format_name, param, k=config.k, n=config.n)
     elapsed = round((time.perf_counter() - t0) * 1000, 3)
@@ -338,9 +348,13 @@ def _place_worker(i: int) -> None:
         pass
 
 
-def _work(i: int, tasks: list, task_r: int, result_w: int) -> None:
-    """Worker i: read a 4-byte task index at a time until EOF, and answer
-    each with a length-prefixed pickle of (index, SweepResult or exception)."""
+def _work(
+    i: int, config: SearchConfig, params: Sequence[CocharacterParam],
+    task_r: int, result_w: int,
+) -> None:
+    """Worker i: read a 4-byte index into params at a time until EOF, and
+    answer each with a length-prefixed pickle of (index, SweepResult or
+    exception)."""
     import pickle
 
     _place_worker(i)
@@ -348,7 +362,7 @@ def _work(i: int, tasks: list, task_r: int, result_w: int) -> None:
         while head := os.read(task_r, 4):
             index = int.from_bytes(head, "little")
             try:
-                result = _sweep_one(tasks[index])
+                result = _sweep_one(config, params[index])
             except Exception as exc:  # raised again in the parent
                 result = exc
             payload = pickle.dumps((index, result))
@@ -356,9 +370,11 @@ def _work(i: int, tasks: list, task_r: int, result_w: int) -> None:
             out.flush()
 
 
-def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
-    """Run the tasks on `jobs` forked workers, one task at a time each, and
-    yield the results in task order."""
+def _forked_sweep(
+    config: SearchConfig, params: Sequence[CocharacterParam], jobs: int
+) -> Iterator[SweepResult]:
+    """Scan the embeddings params on `jobs` forked workers, one at a time
+    each, and yield the results in the order of params."""
     import pickle
     import select
 
@@ -371,7 +387,7 @@ def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
 
     def hand_out(w: int) -> None:
         nonlocal handed
-        if handed < len(tasks):
+        if handed < len(params):
             busy[w] = handed
             try:
                 os.write(task_ws[w], handed.to_bytes(4, "little"))
@@ -389,7 +405,7 @@ def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
                 try:
                     for fd in (*task_ws, *(r.fileno() for r in readers), task_w, result_r):
                         os.close(fd)
-                    _work(i, tasks, task_r, result_w)
+                    _work(i, config, params, task_r, result_w)
                     status = 0
                 finally:
                     os._exit(status)
@@ -399,7 +415,7 @@ def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
             task_ws.append(task_w)
             readers.append(open(result_r, "rb"))
             hand_out(i)
-        for want in range(len(tasks)):
+        for want in range(len(params)):
             while want not in done:
                 ready, _, _ = select.select([readers[w] for w in busy], [], [])
                 for reader in ready:
@@ -410,12 +426,11 @@ def _forked_sweep(tasks: list, jobs: int) -> Iterator[SweepResult]:
                     if len(head) < 8 or len(payload) < size:
                         _, status = os.waitpid(pids[w], 0)
                         pids[w] = -1
-                        config, param = tasks[busy[w]]
-                        mu = ",".join(str(a) for a in param.mu)
+                        param = params[busy[w]]
                         raise DomainError(
-                            f"the worker scanning {config.format_name} mu=({mu}) "
-                            f"u={param.u} died with exit status "
-                            f"{os.waitstatus_to_exitcode(status)}"
+                            f"the worker scanning {config.format_name} "
+                            f"{embedding_label(param.mu, param.u)} died with "
+                            f"exit status {os.waitstatus_to_exitcode(status)}"
                         )
                     index, result = pickle.loads(payload)
                     done[index] = result
@@ -460,12 +475,11 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     than the g2 k=−1 u≤5 sweep, so `--jobs 2` ran no faster than one job.
     """
     params = sweep_parameters(config)
-    tasks = [(config, p) for p in params]
-    if config.jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield _sweep_one(task)
+    if config.jobs <= 1 or len(params) <= 1:
+        for param in params:
+            yield _sweep_one(config, param)
         return
-    yield from _forked_sweep(tasks, min(config.jobs, len(tasks)))
+    yield from _forked_sweep(config, params, min(config.jobs, len(params)))
 
 
 def candidate_key(cand: Candidate) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .linalg import det, solve
+from .linalg import solve
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -63,25 +63,27 @@ def form_pair(form: Matrix, u: Vector, v: Vector) -> int:
 
 @cache
 def weyl_elements(generators: tuple[Matrix, ...]) -> tuple[tuple[Matrix, int], ...]:
-    """All group elements generated by the given matrices, with determinant signs.
+    """All group elements generated by the given reflections, with their
+    determinants.
 
-    Returned sorted by matrix entries so the order is reproducible.  A sweep
-    never needs the whole group (`weyl_orbit` walks orbits instead); the
-    Weyl-character reference methods of the tests do, and the benchmark's
-    tracer (perfbench/spans.py) wraps this function by name.
+    Each generator is a reflection, of determinant −1, so an element's
+    determinant is −1 to the length of any word for it: the closure walks
+    words and flips the sign at each letter.  Returned sorted by matrix entries so
+    the order is reproducible.  A sweep never needs the whole group
+    (`weyl_orbit` walks orbits instead); the Weyl-character reference
+    methods of the tests do, and the benchmark's tracer
+    (perfbench/spans.py) wraps this function by name.
     """
-    n = len(generators[0])
-    gen_signs = [det(g) for g in generators]
-    seen: dict[Matrix, int] = {identity_matrix(n): 1}
+    seen: dict[Matrix, int] = {identity_matrix(len(generators[0])): 1}
     frontier = list(seen)
     while frontier:
         fresh = []
         for m in frontier:
-            s = seen[m]
-            for g, gs in zip(generators, gen_signs):
+            s = -seen[m]
+            for g in generators:
                 prod = mat_mul(m, g)
                 if prod not in seen:
-                    seen[prod] = s * gs
+                    seen[prod] = s
                     fresh.append(prod)
         frontier = fresh
     return tuple(sorted(seen.items()))

@@ -12,18 +12,25 @@ recomputes something the program computes another way:
   divides by anything but 1 − t^e;
 * `closed_form_numerator` — the Hilbert numerator of one embedding from a
   Weyl-character closed form, against the same numerators;
+* `ROOT_DATA` and `weight_multiplicities` — each format's root datum, and
+  the weight multiplicities of its degree-d piece by Freudenthal's formula
+  (`wflag.weyl`), against the weight table stored in `wflag.formats`;
 * `k_polynomial` — each format's K-polynomial from the weight
   multiplicities, against the table stored in `wflag.formats`;
 * `weyl_dimension` — the Weyl dimension formula, against the Freudenthal
   multiplicities of `wflag.weyl`;
+* `leibniz_det` — a determinant as a sum over permutations, against the
+  elimination of `wflag.linalg` and the signs of `wflag.weyl.weyl_elements`;
 * `one_minus_t_product` and `embedding_series` — ∏(1 − t^w) as an integer
   list, and the series H / ∏(1 − t^w) of an embedding as a
   `RationalFunction`;
-* `reference_initial_term` — the initial term P_I monomial by monomial over ℚ,
-  against `wflag.orbifold.initial_term` and the integer N0 of the sweep;
+* `reference_initial_term` — the initial term P_I coefficient by
+  coefficient over ℚ, against `wflag.orbifold.initial_term` and the
+  integer N0 of the sweep;
 * `degree_of` and `solve_multiplicities` — the degree, and the
   multiplicities of given contributions, from rational functions rather
-  than the integer lists of the sweep;
+  than the integer lists of the sweep; `value_at` evaluates a rational
+  function, and `coefficients` pads a polynomial's coefficient list;
 * `common_denominator` — the denominator C of the sweep's integer system,
   from `UniPolynomial` products;
 * `baskets` — every collection of distinct types that fits;
@@ -32,9 +39,10 @@ recomputes something the program computes another way:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, prod
 from operator import mul
 from typing import Sequence
@@ -44,7 +52,6 @@ from wflag.formats import (
     EmbeddingData,
     FormatSpec,
     ambient_weights,
-    weight_multiplicities,
 )
 from wflag.intpoly import mul_one_minus_t_pow
 from wflag.linalg import solve
@@ -54,7 +61,6 @@ from wflag.orbifold import (
     fits,
 )
 from wflag.ratfun import (
-    P_ZERO,
     RF_ZERO,
     DomainError,
     RationalFunction,
@@ -67,11 +73,98 @@ from wflag.weyl import (
     Vector,
     dot,
     form_pair,
+    freudenthal_multiplicities,
+    identity_matrix,
     mat_vec,
     vadd,
     vscale,
     weyl_elements,
 )
+
+
+# -- root data ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RootDatum:
+    """What Freudenthal's formula and the Weyl character formula need of a
+    format, beyond its highest weight."""
+
+    lie_rank: int
+    weyl_vector: Vector
+    weyl_generators: tuple[Matrix, ...]
+    positive_roots: tuple[Vector, ...]  # simple roots occupy the first lie_rank slots
+    invariant_form: Matrix
+    auxiliary_cocharacter: Vector  # pairs > 0 with every positive root
+
+
+def _transposition_matrix(n: int, i: int) -> Matrix:
+    m = list(identity_matrix(n))
+    m[i], m[i + 1] = m[i + 1], m[i]
+    return tuple(m)
+
+
+def _type_a_roots(n: int) -> tuple[Vector, ...]:
+    """The positive roots e_i − e_j (i < j) of GL(n), simple ones first."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs.sort(key=lambda ij: ij[1] > ij[0] + 1)
+    return tuple(tuple(int(k == i) - int(k == j) for k in range(n)) for i, j in pairs)
+
+
+#: G2 in simple-root coordinates; Gr(2,5) through GL(5) acting on ℤ^5, where
+#: a constant shift of the Weyl vector drops out of every formula.
+ROOT_DATA = {
+    "g2": RootDatum(
+        lie_rank=2,
+        weyl_vector=(5, 3),
+        weyl_generators=(((-1, 3), (0, 1)), ((1, 0), (1, -1))),
+        positive_roots=((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)),
+        invariant_form=((2, -3), (-3, 6)),
+        auxiliary_cocharacter=(1, 1),
+    ),
+    "gr25": RootDatum(
+        lie_rank=4,
+        weyl_vector=(4, 3, 2, 1, 0),
+        weyl_generators=tuple(_transposition_matrix(5, i) for i in range(4)),
+        positive_roots=_type_a_roots(5),
+        invariant_form=identity_matrix(5),
+        auxiliary_cocharacter=(4, 3, 2, 1, 0),
+    ),
+}
+
+
+def weight_multiplicities(fmt: FormatSpec, d: int) -> dict[Vector, int]:
+    """Weight multiplicities of the degree-d part of the coordinate ring, by
+    Freudenthal's formula: the reference for the stored tables."""
+    if d < 0:
+        raise DomainError("degree must be nonnegative")
+    if d == 0:
+        return {vscale(0, fmt.highest_weight): 1}
+    rd = ROOT_DATA[fmt.name]
+    return freudenthal_multiplicities(
+        vscale(d, fmt.highest_weight),
+        rd.positive_roots,
+        rd.lie_rank,
+        rd.invariant_form,
+        rd.weyl_vector,
+        rd.weyl_generators,
+    )
+
+
+def leibniz_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Σ over permutations of sign·∏ entries: a determinant that shares no
+    code with the elimination."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
 
 
 # -- Weyl characters --------------------------------------------------------
@@ -181,14 +274,14 @@ def graded_series_coefficients(
     wmin = min(weights)
     out = [0] * (order + 1)
     out[0] = 1
-    delta = fmt.auxiliary_cocharacter
+    rd = ROOT_DATA[fmt.name]
     for d in range(1, order // wmin + 1):
         char = restricted_character(
-            fmt.weyl_generators,
+            rd.weyl_generators,
             vscale(d, fmt.highest_weight),
-            fmt.weyl_vector,
+            rd.weyl_vector,
             param.mu,
-            delta,
+            rd.auxiliary_cocharacter,
         )
         for (a, _), c in char.items():
             m = a + d * param.u
@@ -278,11 +371,12 @@ def _weyl_orbit_data(fmt: FormatSpec) -> tuple[tuple, ...]:
     None of it depends on the parameter.  The rows run up to j = the number
     of positive roots, the highest expansion order the closed form can need.
     """
-    delta = fmt.auxiliary_cocharacter
-    top = len(fmt.positive_roots) + 1
+    rd = ROOT_DATA[fmt.name]
+    delta = rd.auxiliary_cocharacter
+    top = len(rd.positive_roots) + 1
     out = []
-    for m, s in weyl_elements(fmt.weyl_generators):
-        wr = mat_vec(m, fmt.weyl_vector)
+    for m, s in weyl_elements(rd.weyl_generators):
+        wr = mat_vec(m, rd.weyl_vector)
         wl = mat_vec(m, fmt.highest_weight)
         h, e = dot(wr, delta), dot(wl, delta)
         out.append((
@@ -315,10 +409,11 @@ def closed_form_numerator(
 
     when no root is orthogonal to mu.  When some are, numerator and
     denominator both vanish identically; both are then expanded along the
-    regular direction delta (`auxiliary_cocharacter`), s = 1 + eps, and the
-    first nonvanishing order of each recovers P exactly.  Every term is an
-    integer, a sign times a generalized binomial coefficient, so the sum is
-    taken in integer polynomials and no gcd is ever taken.
+    regular direction delta (`RootDatum.auxiliary_cocharacter`),
+    s = 1 + eps, and the first nonvanishing order of each recovers P
+    exactly.  Every term is an integer, a sign times a generalized binomial
+    coefficient, so the sum is taken in integer polynomials and no gcd is
+    ever taken.
 
     Expanding numerator and denominator of the closed form along delta,
     order j of the denominator is b_j = sum sgn(w) C(<w rho, delta>, j)
@@ -346,7 +441,7 @@ def closed_form_numerator(
         return p
 
     everything = [(s, f, hb) for s, f, hb, _, _ in terms]
-    for k in range(len(fmt.positive_roots) + 1):
+    for k in range(len(ROOT_DATA[fmt.name].positive_roots) + 1):
         b_k = rho_part(everything, k)
         if b_k:
             break
@@ -485,24 +580,17 @@ def baskets(
 def reference_initial_term(
     series: RationalFunction, n: int, k: int
 ) -> RationalFunction:
-    """The initial term P_I, monomial by monomial over ℚ: the coefficients of
+    """The initial term P_I, coefficient by coefficient over ℚ: those of
     P·(1−t)^{n+1} up to degree ⌊c/2⌋, c = k + n + 1, mirrored to degree c,
     over (1−t)^{n+1}; zero when c < 0."""
     c = k + n + 1
     if c < 0:
         return RF_ZERO
-    half = c // 2
     one_minus_t = UniPolynomial([1, -1])
-    pp = series_of(series * one_minus_t ** (n + 1), half)
-    acc = P_ZERO
-    for i in range(half + 1):
-        ci = pp[i]
-        if not ci:
-            continue
-        if c % 2 == 0 and i == half:
-            acc = acc + UniPolynomial.monomial(i, ci)
-        else:
-            acc = acc + UniPolynomial.monomial(i, ci) + UniPolynomial.monomial(c - i, ci)
+    pp = series_of(series * one_minus_t ** (n + 1), c // 2)
+    acc = [Fraction(0)] * (c + 1)
+    for i, ci in enumerate(pp):
+        acc[i] = acc[c - i] = ci
     return RationalFunction(acc, one_minus_t ** (n + 1))
 
 
@@ -512,14 +600,29 @@ def degree_of(series: RationalFunction, n: int) -> Fraction:
     num = series.num * one_minus_t ** (n + 1)
     den = series.den
     while True:
-        dv = den.evaluate(Fraction(1))
-        if dv != 0:
-            return num.evaluate(Fraction(1)) / dv
+        if sum(den.coeffs):  # the value at t = 1
+            return sum(num.coeffs) / sum(den.coeffs)
         quo, rem = divmod(num, one_minus_t)
         if rem:
             raise DomainError("dimension mismatch")
         num = quo
-        den = den // one_minus_t
+        den = den.exact_div(one_minus_t)
+
+
+def coefficients(p: UniPolynomial, length: int) -> list[Fraction]:
+    """The coefficients of t^0 .. t^{length−1} in p, of degree below length,
+    padded with zeros."""
+    assert len(p.coeffs) <= length, "polynomial longer than the padding"
+    return [*p.coeffs, *[Fraction(0)] * (length - len(p.coeffs))]
+
+
+def value_at(f: RationalFunction, x: Fraction) -> Fraction:
+    """f(x) as num(x)/den(x); ZeroDivisionError at a pole."""
+
+    def horner(p: UniPolynomial) -> Fraction:
+        return reduce(lambda acc, c: acc * x + c, reversed(p.coeffs), Fraction(0))
+
+    return horner(f.num) / horner(f.den)
 
 
 def solve_multiplicities(
@@ -541,8 +644,8 @@ def solve_multiplicities(
         return None  # the left side is an integer polynomial for integer m
     assert all(c.denominator == 1 for p in cols for c in p.coeffs)
     length = max(len(p.coeffs) for p in (R.num, *cols))
-    rows = [[int(p[i]) for p in cols] for i in range(length)]
-    rhs = [int(R.num[i]) for i in range(length)]
+    rows = [list(map(int, row)) for row in zip(*(coefficients(p, length) for p in cols))]
+    rhs = [int(c) for c in coefficients(R.num, length)]
     solved = solve(rows, rhs)
     if solved is None:
         return None

@@ -48,6 +48,32 @@ def test_weights_rejects_nonpositive(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mu", [("--mu=-1,1",), ("--mu", "-1, 1"), ("--mu= -1 ,1 ",)])
+def test_cocharacter_entries_may_carry_outer_spaces(capsys, mu):
+    code, out, err = run_cli(capsys, "weights", "--format", "g2", *mu, "--u", "3")
+    assert (code, err) == (0, "")
+    assert out.strip() == "1 2 2 2 2 3 3 3 3 4 4 4 4 5"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # read as the weight 12 and as mu = (10, 0) when spaces were deleted
+        (("qorb", "--r", "13", "--type", "1 2", "--k", "1"), "1 2"),
+        (("weights", "--format", "g2", "--mu", "1 0,0", "--u", "40"), "1 0,0"),
+        # int() reads "1_2" as 12
+        (("qorb", "--r", "13", "--type", "1_2", "--k", "1"), "1_2"),
+        # read as mu = (-1, 1) when empty entries were skipped
+        (("weights", "--format", "g2", "--mu=,-1,,1,", "--u", "3"), ",-1,,1,"),
+    ],
+    ids=["qorb-space", "weights-space", "qorb-underscore", "weights-empty"],
+)
+def test_a_malformed_list_entry_is_an_error(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: expected a comma-separated integer list, got {text!r}\n"
+
+
 def test_hilbert_json_golden(capsys):
     code, out, _ = run_cli(
         capsys, "hilbert", "--format", "g2", "--mu", "-1,1", "--u", "3", "--json"

@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 from oracles import (
+    ROOT_DATA,
     closed_form_numerator,
     embedding_series,
     graded_series_coefficients,
     k_polynomial,
     k_table_source,
+    weight_multiplicities,
 )
 
 from wflag.formats import (
@@ -19,7 +21,6 @@ from wflag.formats import (
     ambient_weights,
     enumerate_parameters,
     hilbert_series,
-    weight_multiplicities,
 )
 from wflag.ratfun import DomainError, UniPolynomial, series_of
 
@@ -234,8 +235,9 @@ def test_enumerate_parameters_gr25():
 
 
 def test_format_registry():
-    assert set(FORMATS) == {"g2", "gr25"}
+    assert set(FORMATS) == set(ROOT_DATA) == {"g2", "gr25"}
     for fmt in FORMATS.values():
-        assert len(fmt.positive_roots) >= fmt.lie_rank
+        rd = ROOT_DATA[fmt.name]
+        assert len(rd.positive_roots) >= rd.lie_rank
         n_coords = fmt.dimension + fmt.codimension + 1
         assert len(ambient_weights(fmt, P((0,) * len(fmt.highest_weight), 1))) == n_coords

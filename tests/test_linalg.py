@@ -1,27 +1,12 @@
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import leibniz_det
 
-from wflag.linalg import det, solve
-
-
-def _leibniz_det(matrix):
-    """Σ over permutations of sign·∏ entries: a determinant that shares no
-    code with the elimination."""
-    n = len(matrix)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= matrix[i][j]
-        total += term
-    return total
+from wflag.linalg import solve
 
 
 def _rank(matrix):
@@ -30,7 +15,7 @@ def _rank(matrix):
     for size in range(min(m, n), 0, -1):
         for rs in combinations(range(m), size):
             for cs in combinations(range(n), size):
-                if _leibniz_det([[matrix[r][c] for c in cs] for r in rs]):
+                if leibniz_det([[matrix[r][c] for c in cs] for r in rs]):
                     return size
     return 0
 
@@ -85,24 +70,3 @@ def test_solve_returns_free_zero_solution_and_kernel():
     # a negative pivot still gives D > 0
     assert solve([[-2]], [1]) == (2, [-1], [])
     assert solve([[0, 0]], [0]) == (1, [0, 0], [[1, 0], [0, 1]])
-
-
-@st.composite
-def square_matrices(draw):
-    n = draw(st.integers(0, 5))
-    return [[draw(entries) for _ in range(n)] for _ in range(n)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_det_matches_leibniz_expansion(matrix):
-    assert det(matrix) == _leibniz_det(matrix)
-
-
-def test_det_matches_permutation_parity():
-    for perm in permutations(range(4)):
-        m = tuple(tuple(int(j == perm[i]) for j in range(4)) for i in range(4))
-        inversions = sum(
-            1 for a in range(4) for b in range(a + 1, 4) if perm[a] > perm[b]
-        )
-        assert det(m) == (-1) ** inversions

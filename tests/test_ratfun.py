@@ -14,7 +14,6 @@ from wflag.ratfun import (
     P_ONE,
     P_ZERO,
     RationalFunction,
-    T,
     UniPolynomial,
     poly_gcd,
     series_of,
@@ -45,9 +44,19 @@ def test_monomial_count_oracle_agrees_with_brute_force():
     assert monomial_counts(weights, order) == direct
 
 
+T = UniPolynomial([0, 1])
+
+
+def quotient(numer_weights, denom_weights) -> RationalFunction:
+    """∏(1 − t^a) over numer_weights divided by the same over denom_weights."""
+    return RationalFunction(
+        one_minus_t_product(numer_weights), one_minus_t_product(denom_weights)
+    )
+
+
 def test_series_of_weighted_projective_space():
     weights = (1, 1, 1, 1, 2)
-    f = RationalFunction.from_quotient_weights([], weights)
+    f = quotient([], weights)
     s = series_of(f, 20)
     assert [s[i] for i in range(21)] == monomial_counts(weights, 20)
 
@@ -55,7 +64,7 @@ def test_series_of_weighted_projective_space():
 def test_series_of_hypersurface():
     # (1 - t^7) / ((1-t)^4 (1-t^2))
     weights = (1, 1, 1, 1, 2)
-    f = RationalFunction.from_quotient_weights([7], weights)
+    f = quotient([7], weights)
     s = series_of(f, 20)
     dp = monomial_counts(weights, 20)
     expect = [dp[n] - (dp[n - 7] if n >= 7 else 0) for n in range(21)]
@@ -69,14 +78,6 @@ def test_series_pole_at_origin():
     # a removable factor of t must not trigger the pole error
     s = series_of(RationalFunction(T, T * UniPolynomial([1, -1])), 3)
     assert list(s) == [1, 1, 1, 1]
-
-
-def test_evaluate():
-    f = RationalFunction.from_quotient_weights([7], (1, 1, 1, 1, 2))
-    assert f.evaluate(2) == Fraction(127, 3)
-    with pytest.raises(DomainError, match="pole at evaluation point"):
-        f.evaluate(1)
-    assert f.evaluate(0) == 1
 
 
 def test_canonical_form_and_equality():
@@ -110,7 +111,7 @@ small_polys = st.builds(
 
 def naive_gcd(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a.monic()
 
 
@@ -142,23 +143,14 @@ def test_exact_div_rejects_inexact():
         UniPolynomial([1, 1]).exact_div(UniPolynomial([0, 1]))
 
 
-def test_reciprocal():
-    p = UniPolynomial([1, 2, 3])
-    assert p.reciprocal() == UniPolynomial([3, 2, 1])
-    assert p.reciprocal(4) == UniPolynomial([0, 0, 3, 2, 1])
-    with pytest.raises(ValueError):
-        p.reciprocal(1)
-
-
 def test_truncated_series_bounds():
-    s = series_of(RationalFunction.from_quotient_weights([], [1]), 2)
+    s = series_of(quotient([], [1]), 2)
     assert s == (1, 1, 1) and len(s) == 3
     with pytest.raises(IndexError):
         s[3]
 
 
 def test_polynomial_iteration_stops_at_the_degree():
-    # __getitem__ pads with zeros, so iteration must not fall back to it
     p = UniPolynomial([1, 2])
     assert list(itertools.islice(iter(p), 3)) == [1, 2]
     assert list(UniPolynomial()) == []
@@ -168,13 +160,11 @@ def test_polynomial_iteration_stops_at_the_degree():
 
 def test_polynomial_basics():
     p = UniPolynomial([0, 0, 5, 0])
-    assert p.degree == 2 and p.valuation() == 2
+    assert p.degree == 2 and p.coeffs == (0, 0, 5)
     assert UniPolynomial().degree == -1
     assert UniPolynomial.one_minus_t_pow(3) == UniPolynomial([1, 0, 0, -1])
     assert (T**3).coeffs == (0, 0, 0, 1)
     assert str(UniPolynomial([1, -1])) == "1 - t"
-    assert p.shift(2) == UniPolynomial([0, 0, 0, 0, 5])
-    assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
 
 
 int_lists = st.lists(st.integers(-20, 20), max_size=8)
@@ -237,7 +227,7 @@ def test_cyclotomic_valuation_counts_divisible_weights(weights, b):
         count = sum(1 for a in weights if a % d == 0)
         assert cyclotomic_valuation(den, d) == count
         v = cyclotomic_valuation(b, d)
-        divides = not UniPolynomial(b) % UniPolynomial(cyclotomic(d))
+        divides = not divmod(UniPolynomial(b), UniPolynomial(cyclotomic(d)))[1]
         assert (v > 0) == divides
         assert cyclotomic_valuation(int_mul(b, den), d) == v + count
 

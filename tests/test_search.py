@@ -21,6 +21,7 @@ from oracles import (
     reference_initial_term,
     solve_multiplicities,
     terminal_basket,
+    value_at,
 )
 
 import wflag.orbifold as orbifold_module
@@ -52,7 +53,7 @@ from wflag.search import (
     sweep_parameters,
 )
 
-X7 = RationalFunction.from_quotient_weights([7], [1, 1, 1, 1, 2])
+X7 = RationalFunction(one_minus_t_product([7]), one_minus_t_product([1, 1, 1, 1, 2]))
 
 
 def Q(r, *weights):
@@ -152,7 +153,7 @@ def test_degree_of_table_rows():
 
 
 def test_degree_of_rejects_residual_pole():
-    f = RationalFunction.from_quotient_weights([], [1] * 5)  # 1/(1-t)^5
+    f = RationalFunction(1, one_minus_t_product([1] * 5))  # 1/(1-t)^5
     with pytest.raises(DomainError, match="dimension mismatch"):
         degree_of(f, 3)
 
@@ -207,7 +208,7 @@ def _independent_contributions(contribs) -> bool:
     """Nonsingular evaluation system <=> planted multiplicities are unique."""
     j = len(contribs)
     rows = [
-        [c.value.evaluate(Fraction(x)) for c in contribs]
+        [value_at(c.value, Fraction(x)) for c in contribs]
         for x in range(2, j + 2)
     ]
     for col in range(j):
@@ -299,9 +300,7 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
     monkeypatch.setattr(orbifold_module, "_target", spy)
     fmt = FORMATS[format_name]
     l = _shift(k, 3)
-    shift = RationalFunction(
-        UniPolynomial.monomial(max(-l, 0)), UniPolynomial.monomial(max(l, 0))
-    )
+    shift = RationalFunction([0] * max(-l, 0) + [1], [0] * max(l, 0) + [1])
     integral = rejected = 0
     for param in enumerate_parameters(fmt, **params):
         data = hilbert_series(fmt, param)

@@ -3,12 +3,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ROOT_DATA,
     alternating_projection,
     laurent_divide_2d,
+    leibniz_det,
     restricted_character,
     weyl_dimension,
 )
 
+from wflag.formats import G2_FORMAT, GR25_FORMAT
 from wflag.weyl import (
     dot,
     form_pair,
@@ -23,34 +26,18 @@ from wflag.weyl import (
 )
 
 # rank-2 exceptional root system in simple-root coordinates
-G2_GENS = (((-1, 3), (0, 1)), ((1, 0), (1, -1)))
-G2_FORM = ((2, -3), (-3, 6))
-G2_POS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
-G2_RHO = (5, 3)
-G2_LAM = (3, 2)  # highest long root: the adjoint module
+G2 = ROOT_DATA["g2"]
+G2_GENS, G2_FORM, G2_POS, G2_RHO = (
+    G2.weyl_generators, G2.invariant_form, G2.positive_roots, G2.weyl_vector
+)
+G2_LAM = G2_FORMAT.highest_weight  # highest long root: the adjoint module
 
 # symmetric group S5 acting on Z^5 by coordinate permutation
-def _transposition(i: int) -> tuple[tuple[int, ...], ...]:
-    m = [list(r) for r in identity_matrix(5)]
-    m[i], m[i + 1] = m[i + 1], m[i]
-    return tuple(tuple(r) for r in m)
-
-
-S5_GENS = tuple(_transposition(i) for i in range(4))
-S5_FORM = identity_matrix(5)
-S5_POS = tuple(
-    tuple(int(k == i) - int(k == j) for k in range(5))
-    for i in range(5)
-    for j in range(i + 1, 5)
-    if j == i + 1
-) + tuple(
-    tuple(int(k == i) - int(k == j) for k in range(5))
-    for i in range(5)
-    for j in range(i + 1, 5)
-    if j > i + 1
+S5 = ROOT_DATA["gr25"]
+S5_GENS, S5_FORM, S5_POS, S5_RHO = (
+    S5.weyl_generators, S5.invariant_form, S5.positive_roots, S5.weyl_vector
 )
-S5_RHO = (4, 3, 2, 1, 0)
-S5_LAM = (1, 1, 0, 0, 0)  # second exterior power of the standard module
+S5_LAM = GR25_FORMAT.highest_weight  # second exterior power of the standard module
 
 
 def test_weyl_group_orders_and_signs():
@@ -65,6 +52,16 @@ def test_weyl_group_orders_and_signs():
         assert weyl_orbit(v, gens) == {mat_vec(m, v) for m, _ in elements}
     assert len(weyl_orbit(G2_LAM, G2_GENS)) == 6
     assert len(weyl_orbit(S5_LAM, S5_GENS)) == 10
+
+
+def test_weyl_signs_are_leibniz_determinants():
+    # the closure signs each element by the parity of a word in the
+    # generators, which holds because every generator is a reflection
+    for gens, order in ((G2_GENS, 12), (S5_GENS, 120)):
+        elements = weyl_elements(gens)
+        assert len(elements) == order
+        for m, sign in elements:
+            assert sign == leibniz_det(m), m
 
 
 def test_weyl_dimension_goldens():
