@@ -33,14 +33,16 @@ one sparse exact division per part that no factor of the numerator
 cancels.  When a division fails, no R over a subset of I is a polynomial
 (R′ is R times a polynomial), so there is no basket.  The types kept have
 indices K ⊆ I, and R = R′/((1−t)·∏_{I∖K}(1−t^r)) by exact divisions again.
-Before any full column is built, the system is read modulo t^d − 1 for d
-the largest index in K (`_rejected_at_largest_index`): every V_Q of
-another index carries the factor 1 − t^d, which vanishes there, so a
-solution m ≥ 0 in integers restricts, on the types of index d, to a
-solution of the d folded equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) =
-R·t^{−l} mod t^d − 1.  A coordinate outside the support of that system's kernel is the
-same in all its rational solutions, so when the system is inconsistent, or
-such a coordinate is negative or not an integer, the tuple has no basket.
+Before any full column is built, the system is read modulo t^d − 1 for
+each d ∈ K, largest first, until one d rejects the tuple
+(`_rejected_modulo_t_d_minus_1`).  For any d ∈ K, every V_Q of another
+index carries the factor 1 − t^d, which vanishes there, so a solution
+m ≥ 0 in integers restricts, on the types of index d, to a solution of the
+d folded equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1,
+whose columns are the `_local_column`s.  A coordinate outside the support
+of that system's kernel is the same in all its rational solutions, so when
+the system is inconsistent, or such a coordinate is negative or not an
+integer, the tuple has no basket.
 """
 from __future__ import annotations
 
@@ -131,6 +133,21 @@ def _inverse_numerator(
     while not beta[-1]:
         beta.pop()
     return l, tuple(beta)
+
+
+@cache
+def _local_column(
+    sing: QuotientSingularity, indices: tuple[int, ...], k: int, n: int
+) -> tuple[int, ...]:
+    """V_Q modulo t^d − 1 for d = r_Q and the sorted kept indices: β_Q·∏ of
+    1 − t^{r′ mod d} over the other indices r′, one cyclic pass each."""
+    d = sing.r
+    beta = _inverse_numerator(sing, k, n)[1]
+    v = list(beta) + [0] * (d - len(beta))
+    for r in indices:
+        if r != d:
+            v = [v[i] - v[(i - r) % d] for i in range(d)]
+    return tuple(v)
 
 
 def _shifted(l: int, beta: Sequence[int]) -> list[int] | None:
@@ -313,25 +330,17 @@ def _target(
     return None if R is None else (kept, R)
 
 
-def _rejected_at_largest_index(kept, target: Sequence[int], k: int, n: int) -> bool:
+def _rejected_modulo_t_d_minus_1(
+    kept, target: Sequence[int], d: int, k: int, n: int
+) -> bool:
     """Whether V·m = target, the system of the kept types, has no solution
-    m ≥ 0 in integers by its image modulo t^d − 1, d the largest index: the
-    types of index d alone, with local columns β_Q·∏_{r′≠d}(1 − t^{r′}) mod
-    t^d − 1, against the folded target (soundness in the module docstring).
+    m ≥ 0 in integers by its image modulo t^d − 1, for d a kept index: the
+    types of index d alone, with their `_local_column`s, against the folded
+    target (soundness in the module docstring).
     """
-    indices = sorted({t.r for t in kept})
-    d = indices[-1]
-    folded = [0] * d
-    for i, c in enumerate(target):
-        folded[i % d] += c
-    cols = []
-    for q in kept:
-        if q.r == d:
-            beta = _inverse_numerator(q, k, n)[1]
-            v = list(beta) + [0] * (d - len(beta))
-            for r in indices[:-1]:
-                v = [v[i] - v[i - r] for i in range(d)]
-            cols.append(v)
+    indices = tuple(sorted({t.r for t in kept}))
+    folded = [sum(target[i::d]) for i in range(d)]
+    cols = [_local_column(q, indices, k, n) for q in kept if q.r == d]
     solved = solve(list(zip(*cols)), folded)
     if solved is None:
         return True
@@ -457,12 +466,12 @@ def decompositions(
     with deg(P_X − P_I) = deg R′ − (n + 1) − Σ_I r read off R′ (`_target`,
     R′ and I as in the module docstring).  The target R·t^{−l} of the kept
     types, divided exactly out of R′, must be a polynomial.  The system is
-    then read modulo t^d − 1, d the largest kept index, where every column
-    of another index vanishes: if the d folded equations of the types of
-    index d are inconsistent, or fix one of their multiplicities at a
-    negative or fractional value, no basket exists.  Only then is the full
-    system of `_integer_system` built and solved; every solution passes
-    the certificate V·m == R·t^{−l}.
+    then read modulo t^d − 1 for each kept index d, largest first, where
+    every column of another index vanishes: if for some d the d folded
+    equations of the types of index d are inconsistent, or fix one of their
+    multiplicities at a negative or fractional value, no basket exists.
+    Only then is the full system of `_integer_system` built and solved;
+    every solution passes the certificate V·m == R·t^{−l}.
     """
     found = _target(types, H, parts, k, n)
     if found is None:
@@ -470,7 +479,8 @@ def decompositions(
     kept, target = found
     if not target:
         return [{}]
-    if _rejected_at_largest_index(kept, target, k, n):
+    indices = sorted({q.r for q in kept}, reverse=True)
+    if any(_rejected_modulo_t_d_minus_1(kept, target, d, k, n) for d in indices):
         return []
     system = _integer_system(kept, target, k, n)
     solved = solve(*system)

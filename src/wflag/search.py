@@ -17,18 +17,18 @@ the exact stage, to which the scan hands H and the tuple:
 R = (P_X − P_I)·C over the common denominator C of the contributions, all
 from H in one run of sparse passes (exact divisions by each 1 − t^{p_i}).
 For the survivors it reads the integer system V·m = R·t^{−l} modulo
-t^d − 1, d the largest index, where only the types of index d remain, and
-drops the tuple when those d equations have no solution or fix a
-multiplicity at a negative or fractional value.  Only the rest are solved
-in full by fraction-free elimination over ℤ (`linalg.solve`).  The scan
-itself does no polynomial algebra per tuple; the `orbifold` module
-docstring sets out P_I, C, l and V, and why the integrality test and the
-check modulo t^d − 1 are sound.  Every emitted basket m is certified by the
-identity V·m == R·t^{−l} in integers, so the filters cannot produce false
-positives.  They can miss true ones: before the integer system is built, a
-type is dropped when its P_Q has a higher degree than P_X − P_I (the `kept`
-rule), a rule with no soundness argument that drops certified decompositions
-(g2 (−2,2) u=5 at k = 1, for one).
+t^d − 1 for each kept index d, largest first, where only the types of index
+d remain, and drops the tuple when for some d those d equations have no
+solution or fix a multiplicity at a negative or fractional value.  Only the
+rest are solved in full by fraction-free elimination over ℤ
+(`linalg.solve`).  The scan itself does no polynomial algebra per tuple;
+the `orbifold` module docstring sets out P_I, C, l and V, and why the
+integrality test and the check modulo t^d − 1 are sound.  Every emitted
+basket m is certified by the identity V·m == R·t^{−l} in integers, so the
+filters cannot produce false positives.  They can miss true ones: before
+the integer system is built, a type is dropped when its P_Q has a higher
+degree than P_X − P_I (the `kept` rule), a rule with no soundness argument
+that drops certified decompositions (g2 (−2,2) u=5 at k = 1, for one).
 
 The bound caps #{i : d | p_i} by bound_d = min(cap_d, s − 2 when d is
 prime) for 2 ≤ d ≤ max(ambient), a table built once per embedding.  For
@@ -42,7 +42,8 @@ of P_X = H/∏(1 − t^{p_i}) at ζ_d is #{i : d | p_i} − v_{Φ_d}(H) when tha
 positive.  The tuples ascend and the counts only grow as a prefix gets
 longer, so every completion of a prefix with a count past its bound would
 fail too: the enumeration cuts the prefix, and `tuples_scanned` counts the
-tuples within the bounds.
+tuples within the bounds.  Each entry also starts high enough for the slots
+left to reach the sum, with at most as many top weights as the ambient has.
 """
 from __future__ import annotations
 
@@ -173,7 +174,8 @@ def _iter_pos_wt(ambient: Sequence[int], s: int, w: int, bounds: dict[int, int])
         if slots == 0:
             yield tuple(acc)
             return
-        start = max(lo, remaining - (slots - 1) * wmax)
+        # before the first top weight, at most top_cap later slots hold wmax
+        start = max(lo, remaining - (slots - 1) * wmax + max(0, slots - 1 - top_cap))
         for v in range(start, min(wmax, remaining // slots) + 1):
             # the tuples ascend, so a top weight fills every slot left
             if v == wmax and slots > top_cap:

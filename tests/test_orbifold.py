@@ -22,6 +22,7 @@ from wflag.orbifold import (
     QuotientSingularity,
     _integer_system,
     _kernel_components,
+    _local_column,
     _shift,
     basket_kernel,
     gcd_closure,
@@ -375,6 +376,28 @@ def test_system_columns_are_the_contributions(monkeypatch, k, u_max):
             column = UniPolynomial([row[j] for row in rows])
             assert RationalFunction(column * t_l, C * t_minus_l) == qorb(sing, k, 3).value
     assert checked
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        # 2 divides 4, so the columns of index 2 vanish modulo t^2 − 1
+        (Q(2, 1, 1, 1), Q(4, 1, 1, 3), Q(4, 3, 3, 3), Q(5, 1, 2, 3), Q(5, 2, 2, 2)),
+        (Q(3, 1, 1, 2), Q(5, 1, 2, 3), Q(7, 1, 1, 6), Q(7, 1, 2, 5)),
+    ],
+    ids=["K-2-4-5", "K-3-5-7"],
+)
+def test_local_columns_fold_the_system_columns(types):
+    """`_local_column` is the `_integer_system` column of its type folded
+    modulo t^d − 1, d its index, also against the larger kept indices."""
+    rows, _ = _integer_system(types, [], -1, 3)
+    indices = tuple(sorted({q.r for q in types}))
+    for j, sing in enumerate(types):
+        folded = [0] * sing.r
+        for i, row in enumerate(rows):
+            folded[i % sing.r] += row[j]
+        assert _local_column(sing, indices, -1, 3) == tuple(folded)
+        assert any(folded) == all(r % sing.r for r in indices if r != sing.r)
 
 
 def test_kernel_walk_per_component():

@@ -326,42 +326,64 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, systems, below_largest",
     [
-        SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
-        SearchConfig(format_name="g2", k=1, n=3, u_max=4),
-        SearchConfig(format_name="g2", k=-7, n=3, u_max=5),
-        SearchConfig(format_name="g2", k=-3, n=3, u_max=6),
-        SearchConfig(format_name="gr25", k=1, n=3, q_max=12),
+        (SearchConfig(format_name="g2", k=-1, n=3, u_max=5), 31, 18),
+        (SearchConfig(format_name="g2", k=1, n=3, u_max=4), 24, 9),
+        (SearchConfig(format_name="g2", k=-7, n=3, u_max=5), 0, 0),
+        (SearchConfig(format_name="g2", k=-3, n=3, u_max=6), 34, 113),
+        (SearchConfig(format_name="gr25", k=1, n=3, q_max=12), 7, 0),
         # at q ≤ 12 the check rejects none of the 11 systems of gr25 k = −1
-        SearchConfig(format_name="gr25", k=-1, n=3, q_max=16),
+        (SearchConfig(format_name="gr25", k=-1, n=3, q_max=16), 21, 15),
     ],
     ids=["g2-k-1-u5", "g2-k1-u4", "g2-k-7-u5", "g2-k-3-u6", "gr25-k1-q12", "gr25-k-1-q16"],
 )
-def test_largest_index_check_matches_the_unfiltered_solve(monkeypatch, config):
-    """The check modulo t^d − 1 against the exact stage without it: the
-    same candidates, and every tuple it rejects has no basket.  At k = −7
-    the shift l is negative."""
-    check = orbifold_module._rejected_at_largest_index
-    rejecting = []
+def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
+    monkeypatch, config, systems, below_largest
+):
+    """The check modulo t^d − 1 at every kept index against the exact stage
+    without it: the same candidates, and every tuple it rejects has no
+    basket.  Pinned: the full systems `decompositions` still builds, and the
+    tuples that the largest index passes and a smaller one rejects.  At
+    k = −7 the shift l is negative."""
+    check = orbifold_module._rejected_modulo_t_d_minus_1
+    integer_system = orbifold_module._integer_system
+    checked = []  # (d, rejected) for each index checked in one call
+    indices = []
+    built = []
 
-    def spy_check(*args):
-        rejecting.append(check(*args))
-        return rejecting[-1]
+    def spy_check(kept, target, d, k, n):
+        indices[:] = sorted({q.r for q in kept}, reverse=True)
+        checked.append((d, check(kept, target, d, k, n)))
+        return checked[-1][1]
+
+    def spy_system(*args):
+        built.append(args)
+        return integer_system(*args)
 
     rejected = []
+    smaller = 0
 
     def spy(*args):
-        rejecting.clear()
+        nonlocal smaller
+        checked.clear()
         found = decompositions(*args)
-        if any(rejecting):
+        # largest index first, stopping at the first rejection
+        assert [d for d, _ in checked] == indices[: len(checked)]
+        assert not any(verdict for _, verdict in checked[:-1])
+        if checked and checked[-1][1]:
             rejected.append(args)
+            smaller += len(checked) > 1
         return found
 
-    monkeypatch.setattr(orbifold_module, "_rejected_at_largest_index", spy_check)
+    monkeypatch.setattr(orbifold_module, "_rejected_modulo_t_d_minus_1", spy_check)
+    monkeypatch.setattr(orbifold_module, "_integer_system", spy_system)
     monkeypatch.setattr(search_module, "decompositions", spy)
     filtered = search(config)
-    monkeypatch.setattr(orbifold_module, "_rejected_at_largest_index", lambda *args: False)
+    # `_emit` builds the zero-sum systems of `basket_kernel` with R = 0
+    assert sum(1 for args in built if args[1]) == systems
+    assert smaller == below_largest
+    monkeypatch.setattr(orbifold_module, "_rejected_modulo_t_d_minus_1", lambda *args: False)
     assert search(config) == filtered
     assert rejected
     for args in rejected:
