@@ -19,9 +19,20 @@ V_Q a polynomial when l < 0.  So P_X − P_I = Σ m_Q·P_Q is the integer system
 V·m = R·t^{−l} with R = (P_X − P_I)·C, built by `_integer_system`:
 `decompositions` solves it for the multiplicities of a basket, and
 `basket_kernel`, with R = 0, for the collections whose contributions sum
-to zero.  Both walk the kernel per independent component
-(`_kernel_components`), and every solution they return passes the
-certificate V·m == R·t^{−l} in integers (`_certified`).
+to zero.
+
+Both find their points by one walk of the kernel (`_kernel_points`).  With
+(D, x, kernel) from `solve`, a coordinate outside the kernel's support is
+the same in every solution and must be a non-negative integer
+(`_fixed_coordinate_rejected`).  The kernel splits into components with
+disjoint supports (`_kernel_components`), each walked on its own, and the
+points are the combinations of one find per component, pairwise distinct.
+`basket_kernel` walks each component's 0/1 patterns (`_zero_sum_patterns`),
+and `decompositions` its vertices (`_vertices`): the solution polytope is
+the product of the components' polytopes, so its vertices are the
+combinations of theirs.  Every point returned passes the certificate
+V·m == R·t^{−l} in integers (`_certified`).  Past one of the `_*_MAX_*`
+bounds, a walk raises DomainError.
 
 `decompositions` builds its target from H in one run of sparse passes
 (`_target`).  With I the indices of all the offered types,
@@ -39,18 +50,16 @@ each d ∈ K, largest first, until one d rejects the tuple
 index carries the factor 1 − t^d, which vanishes there, so a solution
 m ≥ 0 in integers restricts, on the types of index d, to a solution of the
 d folded equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1,
-whose columns are the `_local_column`s.  A coordinate outside the support
-of that system's kernel is the same in all its rational solutions, so when
-the system is inconsistent, or such a coordinate is negative or not an
-integer, the tuple has no basket.
+whose columns are the `_local_column`s.  When that system is inconsistent
+or `_fixed_coordinate_rejected`, the tuple has no basket.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, product, zip_longest
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,6 +68,14 @@ from .linalg import solve
 
 if TYPE_CHECKING:  # `qorb` and `initial_term` import it when called
     from .ratfun import RationalFunction, UniPolynomial
+
+# The bounds of the kernel walks; past one, the search raises DomainError.
+#: kernel vectors of one component in the 0/1 pattern walk (2^24 patterns)
+_PATTERN_WALK_MAX_VECTORS = 24
+#: zero sets of one component in the vertex walk
+_VERTEX_WALK_MAX_ZERO_SETS = 20_000
+#: combinations of the components' vertices in one solve
+_VERTEX_WALK_MAX_COMBINATIONS = 4_096
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -135,7 +152,7 @@ def _inverse_numerator(
     return l, tuple(beta)
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _local_column(
     sing: QuotientSingularity, indices: tuple[int, ...], k: int, n: int
 ) -> tuple[int, ...]:
@@ -342,11 +359,7 @@ def _rejected_modulo_t_d_minus_1(
     folded = [sum(target[i::d]) for i in range(d)]
     cols = [_local_column(q, indices, k, n) for q in kept if q.r == d]
     solved = solve(list(zip(*cols)), folded)
-    if solved is None:
-        return True
-    D, x, kernel = solved
-    support = {i for vec in kernel for i, v in enumerate(vec) if v}
-    return any(v < 0 or v % D for i, v in enumerate(x) if i not in support)
+    return solved is None or _fixed_coordinate_rejected(*solved)
 
 
 def _integer_system(
@@ -392,50 +405,94 @@ def _kernel_components(kernel: Sequence[Sequence[int]]) -> list[tuple[list[int],
     return sorted((sorted(c), [kernel[i] for i in sorted(m)]) for c, m in comps)
 
 
+def _fixed_coordinate_rejected(D: int, x: Sequence[int], kernel) -> bool:
+    """Whether x/D plus the span of the kernel has no point m ≥ 0 in
+    integers because a coordinate outside the kernel's support, the same in
+    every point, is negative or not an integer."""
+    return any((v < 0 or v % D) and not any(vec[i] for vec in kernel) for i, v in enumerate(x))
+
+
+def _kernel_points(D: int, x: Sequence[int], kernel, walk, limit: int | None = None):
+    """The points m of x/D + span(kernel), one per combination of the finds
+    of walk(coords, vecs) on each component, a find being the values of m
+    on coords (see the module docstring); more than limit raise DomainError.
+    """
+    if _fixed_coordinate_rejected(D, x, kernel):
+        return
+    components = _kernel_components(kernel)
+    per_comp = []
+    for coords, vecs in components:
+        finds = walk(coords, vecs)
+        if not finds:
+            return
+        per_comp.append(finds)
+    if limit is not None and prod(map(len, per_comp)) > limit:
+        raise DomainError("kernel search space too large")
+    fixed = [v // D for v in x]
+    for combo in product(*per_comp):
+        m = fixed.copy()
+        for (coords, _), values in zip(components, combo):
+            for i, v in zip(coords, values):
+                m[i] = v
+        yield m
+
+
+def _zero_sum_patterns(D: int, coords, vecs) -> list[tuple[int, ...]]:
+    """The 0/1 finds of one component of a kernel with x = 0: none of its
+    vectors, then each nonempty pattern of them whose sum is 0 or D at every
+    coordinate.  The basis has D in its free coordinates, so these are all
+    its points with values 0 and 1."""
+    if len(vecs) > _PATTERN_WALK_MAX_VECTORS:
+        raise DomainError("kernel search space too large")
+    parts = [[vec[i] for i in coords] for vec in vecs]
+    finds = [(0,) * len(coords)]
+    for mask in range(1, 1 << len(parts)):
+        chosen = (p for b, p in enumerate(parts) if (mask >> b) & 1)
+        total = [sum(col) for col in zip(*chosen)]
+        if all(v in (0, D) for v in total):
+            finds.append(tuple(v // D for v in total))
+    return finds
+
+
+def _vertices(D: int, x: Sequence[int], coords, vecs) -> list[tuple[int, ...]]:
+    """The distinct integer vertices m ≥ 0 of one component, in the order of
+    their first zero set: the points with as many zero coordinates as the
+    component has vectors.  A zero set pins the coefficients lam/E of the
+    vectors, and the coordinate i is then (E·x[i] + Σ lam·vec[i]) / (D·E)."""
+    dim = len(vecs)
+    if comb(len(coords), dim) > _VERTEX_WALK_MAX_ZERO_SETS:
+        raise DomainError("kernel search space too large")
+    found: dict[tuple[int, ...], None] = {}
+    for zero_set in combinations(coords, dim):
+        solved = solve(
+            [[vec[i] for vec in vecs] for i in zero_set], [-x[i] for i in zero_set]
+        )
+        if solved is None or solved[2]:
+            continue
+        E, lam, _ = solved
+        values = [E * x[i] + sum(map(mul, lam, (vec[i] for vec in vecs))) for i in coords]
+        if all(v >= 0 and not v % (D * E) for v in values):
+            found.setdefault(tuple(v // (D * E) for v in values))
+    return list(found)
+
+
 def basket_kernel(
     types, extended_weights, k: int, n: int = 3
 ) -> tuple[tuple[QuotientSingularity, ...], ...]:
     """Admissible collections of at least two distinct types whose
     contributions sum to zero exactly.
 
-    A collection is a 0/1 vector in the nullspace of the contribution
-    vectors, and a kernel vector is fixed by its free coordinates, so only
-    0/1 patterns on the free coordinates need enumerating.  The kernel
-    basis is integral with D in its free coordinates, so a pattern gives a
-    collection when every coordinate of its sum is 0 or D.
-
-    The patterns are walked per component of `_kernel_components`.  Vectors
-    of different components have disjoint supports, so the sum of a
-    pattern, restricted to one component, is the sum of that component's
-    part of the pattern alone; the sum is 0/1 (over D) exactly when every
-    part is.  The 0/1 kernel vectors are therefore exactly the products of
-    one find per component, each possibly "none", and a nonzero part has
-    D at a free coordinate, so each product is one pattern of the whole
-    kernel.  At most Π(finds + 1) ≤ 2^dim products are built.
+    A collection is a 0/1 point of the nullspace of the contribution
+    vectors, walked by `_kernel_points` with `_zero_sum_patterns` on each
+    component, so at most 2^dim points are built.
     """
     types = tuple(types)
-    m = len(types)
-    if m < 2:
+    if len(types) < 2:
         return ()
     rows, rhs = _integer_system(types, [], k, n)
-    D, _, kernel = solve(rows, rhs)
-    per_comp: list[list[tuple[int, ...]]] = []
-    for coords, comp in _kernel_components(kernel):
-        if len(comp) > 24:
-            raise DomainError("kernel search space too large")
-        parts = [[vec[i] for i in coords] for vec in comp]
-        finds: list[tuple[int, ...]] = [()]
-        for mask in range(1, 1 << len(parts)):
-            chosen = (p for b, p in enumerate(parts) if (mask >> b) & 1)
-            total = [sum(col) for col in zip(*chosen)]
-            if all(v in (0, D) for v in total):
-                finds.append(tuple(i for i, v in zip(coords, total) if v))
-        per_comp.append(finds)
+    D, x, kernel = solve(rows, rhs)
     out = []
-    for combo in product(*per_comp):
-        member = [0] * m
-        for i in chain.from_iterable(combo):
-            member[i] = 1
+    for member in _kernel_points(D, x, kernel, partial(_zero_sum_patterns, D)):
         subset = tuple(t for t, used in zip(types, member) if used)
         if len(subset) < 2 or not fits(subset, extended_weights):
             continue
@@ -453,12 +510,11 @@ def decompositions(
     rule.
 
     The baskets are the integer vertices m ≥ 0 of the solutions, pairwise
-    distinct: in each independent component of the kernel, the solutions
-    with as many zero coordinates as the component has dimensions, combined
-    over the components.  The integer solutions between two vertices are
-    not returned.  For table row 2, c×1/2(1,1,1) + (9−c)×(1/4(1,1,3) +
-    1/4(3,3,3)) + 1/5(3,4,4) fits and passes the exact identity for every
-    0 ≤ c ≤ 9, and only c = 9 and c = 0 come back.
+    distinct: `_kernel_points` with the `_vertices` of each component.  The
+    integer solutions between two vertices are not returned.  For table
+    row 2, c×1/2(1,1,1) + (9−c)×(1/4(1,1,3) + 1/4(3,3,3)) + 1/5(3,4,4) fits
+    and passes the exact identity for every 0 ≤ c ≤ 9, and only c = 9 and
+    c = 0 come back.
 
     P_X = P_I gives the one empty basket: a smooth member.  Otherwise a
     type is dropped first when its P_Q has a higher degree than P_X − P_I
@@ -482,75 +538,11 @@ def decompositions(
     indices = sorted({q.r for q in kept}, reverse=True)
     if any(_rejected_modulo_t_d_minus_1(kept, target, d, k, n) for d in indices):
         return []
-    system = _integer_system(kept, target, k, n)
-    solved = solve(*system)
+    rows, rhs = _integer_system(kept, target, k, n)
+    solved = solve(rows, rhs)
     if solved is None:
         return []
-    return _enumerate_kernel_solutions(kept, *solved, *system)
-
-
-def _enumerate_kernel_solutions(kept, D, particular, kernel, rows, rhs):
-    """The solutions are particular/D plus rational combinations of the
-    integer kernel vectors; every test below is one on integers."""
-    # choices within distinct components of the kernel are independent
-    components = _kernel_components(kernel)
-    involved = {i for coords, _ in components for i in coords}
-    # coordinates outside the kernel support agree across all solutions
-    for i, v in enumerate(particular):
-        if i not in involved and (v < 0 or v % D):
-            return []
-
-    # every extreme solution has at least dim-many vanishing coordinates in
-    # each component, so pin the combination coefficients by choosing which
-    # (a combination lam/E of the vectors gives the coordinate
-    # (E·particular[i] + Σ lam·vec[i]) / (D·E))
-    per_comp: list[list[dict[int, int]]] = []
-    for coords, vecs in components:
-        dim = len(vecs)
-        if comb(len(coords), dim) > 20_000:
-            raise DomainError("kernel search space too large")
-        assigns: list[dict[int, int]] = []
-        seen_vals: set[tuple[int, ...]] = set()
-        for zero_set in combinations(coords, dim):
-            solved = solve(
-                [[vec[i] for vec in vecs] for i in zero_set],
-                [-particular[i] for i in zero_set],
-            )
-            if solved is None or solved[2]:
-                continue
-            E, lam, _ = solved
-            vals: dict[int, int] = {}
-            for i in coords:
-                v = E * particular[i] + sum(
-                    lv * vec[i] for lv, vec in zip(lam, vecs)
-                )
-                if v < 0 or v % (D * E):
-                    break
-                vals[i] = v // (D * E)
-            else:
-                key = tuple(vals[i] for i in coords)
-                if key not in seen_vals:
-                    seen_vals.add(key)
-                    assigns.append(vals)
-        if not assigns:
-            return []
-        per_comp.append(assigns)
-
-    total = 1
-    for assigns in per_comp:
-        total *= len(assigns)
-        if total > 4096:
-            raise DomainError("kernel search space too large")
-    # the assignments of a component differ on its coordinates, and the
-    # components' coordinates are disjoint, so the combinations are distinct
-    solutions: list[dict[QuotientSingularity, int]] = []
-    for combo in product(*per_comp):
-        # particular/D is integral outside the kernel support (checked
-        # above), and the components overwrite every involved coordinate
-        m = [v // D for v in particular]
-        for vals in combo:
-            for i, v in vals.items():
-                m[i] = v
-        if _certified(rows, rhs, m):
-            solutions.append({s: v for s, v in zip(kept, m) if v})
-    return solutions
+    D, x, kernel = solved
+    walk = partial(_vertices, D, x)
+    points = _kernel_points(D, x, kernel, walk, _VERTEX_WALK_MAX_COMBINATIONS)
+    return [{q: v for q, v in zip(kept, m) if v} for m in points if _certified(rows, rhs, m)]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import wflag
+import wflag.orbifold as orbifold_module
 import wflag.search as search_module
 from wflag.cli import _normalize_argv, build_parser, main
 from wflag.ratfun import DomainError
@@ -157,6 +158,28 @@ def test_search_error_from_a_worker_is_the_same_error_line(monkeypatch, capsys):
         errors[jobs] = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors["1"]) == 1
     assert errors["2"] == errors["1"]
+
+
+@pytest.mark.parametrize(
+    "cap, value, k, u_max, where",
+    [
+        ("_PATTERN_WALK_MAX_VECTORS", 4, "-3", "6", "mu=(-3,4) u=6 P[1,2,3,4,5^2,6,7,8^2,9,11]"),
+        ("_VERTEX_WALK_MAX_ZERO_SETS", 5, "-1", "3", "mu=(-1,1) u=3 P[1^2,2^3,3^3,4^3,5]"),
+        ("_VERTEX_WALK_MAX_COMBINATIONS", 1, "-1", "3", "mu=(-1,1) u=3 P[1^2,2^3,3^3,4^3,5]"),
+    ],
+)
+def test_search_stops_at_a_kernel_walk_cap_with_one_error_line(
+    monkeypatch, capsys, cap, value, k, u_max, where
+):
+    monkeypatch.setattr(orbifold_module, cap, value)
+    code, _, err = run_cli(
+        capsys, "search", "--format", "g2", "--k", k, "--n", "3", "--u-max", u_max,
+    )
+    assert code == 1
+    # the progress lines start with "# "; the rest is one error line
+    assert [line for line in err.splitlines() if not line.startswith("# ")] == [
+        f"error: g2 {where}: kernel search space too large"
+    ]
 
 
 def test_initial_golden(tmp_path, capsys):
@@ -600,6 +623,93 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, payload, flag):
     assert code == 1
     assert err.startswith(f"error: {bad}: ")
     assert "Traceback" not in err
+
+
+#: (1 − t)⁴(1 − t²), the denominator of X7_SERIES as a raw coefficient list
+X7_DENOMINATOR = [1, -4, 5, 0, -5, 4, -1]
+
+
+def test_a_raw_denominator_decomposes_as_the_weights_do(tmp_path, capsys):
+    basket = write_json(tmp_path / "basket.json", X7_BASKET)
+    outs = []
+    for name, series in [
+        ("weights", X7_SERIES),
+        ("denominator", {"numerator": X7_SERIES["numerator"], "denominator": X7_DENOMINATOR}),
+    ]:
+        path = write_json(tmp_path / f"{name}.json", series)
+        code, out, err = run_cli(
+            capsys, "decompose", "--series", path, "--basket", basket, "--n", "3", "--k", "1"
+        )
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert "identity holds" in outs[0] and outs[1] == outs[0]
+
+
+def test_a_series_without_a_denominator_is_a_polynomial(tmp_path, capsys):
+    outs = []
+    for name, extra in [("bare", {}), ("one", {"denominator": [1]}), ("empty", {"weights": []})]:
+        path = write_json(tmp_path / f"{name}.json", {"numerator": [1, 3, 1], **extra})
+        code, out, err = run_cli(capsys, "initial", "--series", path, "--n", "3", "--k", "1")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--series", '{"numerator": [1], ', "is not valid JSON"),
+        ("--series", json.dumps({**X7_SERIES, "weights": [1, 1, 1, 0, 2]}),
+         "denominator weights must be positive"),
+        ("--series", json.dumps({**X7_SERIES, "weights": [1, 1, 1, -1, 2]}),
+         "denominator weights must be positive"),
+        ("--series", json.dumps({"numerator": [1], "denominator": [0, 0]}), "zero denominator"),
+        ("--series", json.dumps({"numerator": [1], "denominator": []}), "zero denominator"),
+        ("--basket", json.dumps(X7_BASKET[0]), "expected a JSON list of quotient points"),
+        ("--basket", json.dumps([{"type": [1, 1, 1]}]), "each entry needs 'r' and 'type' keys"),
+        ("--basket", json.dumps([{"r": 2}]), "each entry needs 'r' and 'type' keys"),
+        ("--basket", json.dumps([[2, 1, 1, 1]]), "each entry needs 'r' and 'type' keys"),
+    ],
+)
+def test_a_malformed_input_file_is_one_error_line_naming_it(
+    tmp_path, capsys, flag, text, message
+):
+    files = {
+        "--series": write_json(tmp_path / "series.json", X7_SERIES),
+        "--basket": write_json(tmp_path / "basket.json", X7_BASKET),
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files[flag] = str(bad)
+    code, out, err = run_cli(
+        capsys, "decompose", "--series", files["--series"], "--basket", files["--basket"],
+        "--n", "3", "--k", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "malformed record on line 2: not an object"),
+        ('"sweep_done"', "malformed record on line 2: not an object"),
+        (None, "malformed record on line 2: unknown record kind 'bogus'"),
+    ],
+)
+def test_a_record_line_of_the_wrong_shape_names_its_line(tmp_path, capsys, line, message):
+    cache = tmp_path / "records.ndjson"
+    base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
+    code, _, _ = run_cli(capsys, *base, "--out", str(cache))
+    assert code == 0
+    lines = cache.read_text().splitlines(keepends=True)
+    if line is None:
+        line = json.dumps({**json.loads(lines[1]), "record": "bogus"})
+    cache.write_text(lines[0] + line + "\n" + "".join(lines[2:]))
+    code, out, err = run_cli(capsys, "report", "table1", "--from", str(cache))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cache}: {message}\n"
 
 
 def _run_module(*argv):

@@ -234,6 +234,15 @@ def test_enumerate_parameters_gr25():
     assert sums == sorted(sums)
 
 
+def test_enumerate_parameters_gr25_with_both_bounds():
+    both = enumerate_parameters(GR25_FORMAT, 1, 16)
+    alone = enumerate_parameters(GR25_FORMAT, None, 16)
+    assert both and all(p.u <= 1 for p in both)
+    assert any(p.u > 1 for p in alone)
+    weights = {ambient_weights(GR25_FORMAT, p) for p in alone}
+    assert {ambient_weights(GR25_FORMAT, p) for p in both} < weights
+
+
 def test_format_registry():
     assert set(FORMATS) == set(ROOT_DATA) == {"g2", "gr25"}
     for fmt in FORMATS.values():

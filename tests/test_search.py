@@ -636,6 +636,28 @@ def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch):
     assert len(calls) == 23 and found == 3
 
 
+#: Each cap of the kernel walks, lowered to one below the most its walk sees
+#: on an embedding, and the tuple the embedding then stops at: the 0/1
+#: pattern walk of g2 k=−3 (5 vectors in a component at most) and the
+#: vertex walk of table row 2's embedding (6 zero sets and 2 combinations).
+KERNEL_WALK_CAPS = [
+    ("_PATTERN_WALK_MAX_VECTORS", 4, (-3, 4), 6, -3, "1,2,3,4,5^2,6,7,8^2,9,11"),
+    ("_VERTEX_WALK_MAX_ZERO_SETS", 5, (-1, 1), 3, -1, "1^2,2^3,3^3,4^3,5"),
+    ("_VERTEX_WALK_MAX_COMBINATIONS", 1, (-1, 1), 3, -1, "1^2,2^3,3^3,4^3,5"),
+]
+
+
+@pytest.mark.parametrize("cap, value, mu, u, k, parts", KERNEL_WALK_CAPS)
+def test_a_kernel_walk_cap_names_the_tuple(monkeypatch, cap, value, mu, u, k, parts):
+    monkeypatch.setattr(orbifold_module, cap, value)
+    with pytest.raises(DomainError) as info:
+        search_embedding("g2", CocharacterParam(mu, u), k=k)
+    label = ",".join(map(str, mu))
+    assert str(info.value) == (
+        f"g2 mu=({label}) u={u} P[{parts}]: kernel search space too large"
+    )
+
+
 def test_search_dedup_and_order():
     config = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
     merged = search(config)
