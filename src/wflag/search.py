@@ -39,11 +39,12 @@ simple pole at a primitive d-th root of unity ζ_d, d > 1, and P_I has none,
 so an emitted P_X has at most a simple pole there; and as Φ_d is irreducible
 and 1 − t^{p_i} vanishes simply at ζ_d exactly when d | p_i, the pole order
 of P_X = H/∏(1 − t^{p_i}) at ζ_d is #{i : d | p_i} − v_{Φ_d}(H) when that is
-positive.  The tuples ascend and the counts only grow as a prefix gets
-longer, so every completion of a prefix with a count past its bound would
-fail too: the enumeration cuts the prefix, and `tuples_scanned` counts the
-tuples within the bounds.  Each entry also starts high enough for the slots
-left to reach the sum, with at most as many top weights as the ambient has.
+positive.  A count only grows as a prefix gets longer, in whichever order
+the entries are placed, so every completion of a prefix with a count past
+its bound would fail too: the enumeration cuts the prefix, and
+`tuples_scanned` counts the tuples within the bounds.  It places the largest
+entries first, so a prefix is also cut when its last entry times the slots
+left falls short of the rest of the sum; the tuples are sorted at the end.
 """
 from __future__ import annotations
 
@@ -159,40 +160,44 @@ def kernel_flag(kernels: object) -> str:
 
 
 def _iter_pos_wt(ambient: Sequence[int], s: int, w: int, bounds: dict[int, int]):
-    """Yield in ascending lexicographic order the size-s multisets from
-    [1, max(ambient)] summing to w, with #{i : d | p_i} ≤ bounds[d] for each d
-    and no more top weights than the ambient has.  One entry is never well
-    formed (removing it leaves gcd 0), so s < 2 yields nothing."""
+    """The size-s multisets from [1, max(ambient)] summing to w, with
+    #{i : d | p_i} ≤ bounds[d] for each d and no more top weights than the
+    ambient has: ascending tuples, listed in lexicographic order.  The walk
+    places the largest entries first.  One entry is never well formed
+    (removing it leaves gcd 0), so s < 2 gives none."""
     amb = sorted(ambient)
     wmax = amb[-1]
     top_cap = amb.count(wmax)
     divs = [[d for d in bounds if v % d == 0] for v in range(wmax + 1)]
     count = dict.fromkeys(bounds, 0)
     acc: list[int] = []
+    found: list[tuple[int, ...]] = []
 
-    def rec(lo: int, remaining: int, slots: int):
+    def rec(hi: int, remaining: int, slots: int, tops: int) -> None:
         if slots == 0:
-            yield tuple(acc)
+            found.append(tuple(reversed(acc)))
             return
-        # before the first top weight, at most top_cap later slots hold wmax
-        start = max(lo, remaining - (slots - 1) * wmax + max(0, slots - 1 - top_cap))
-        for v in range(start, min(wmax, remaining // slots) + 1):
-            # the tuples ascend, so a top weight fills every slot left
-            if v == wmax and slots > top_cap:
+        for v in range(min(hi, remaining - slots + 1), 0, -1):
+            # every later entry is at most v
+            if v * slots < remaining:
                 break
+            if v == wmax and tops >= top_cap:
+                continue
             ds = divs[v]
             if any(count[d] >= bounds[d] for d in ds):
                 continue
             for d in ds:
                 count[d] += 1
             acc.append(v)
-            yield from rec(v, remaining - v, slots - 1)
+            rec(v, remaining - v, slots - 1, tops + (v == wmax))
             acc.pop()
             for d in ds:
                 count[d] -= 1
 
-    if s >= 2 and w >= s:
-        yield from rec(1, w, s)
+    if s >= 2:
+        rec(wmax, w, s, 0)
+    found.sort()
+    return found
 
 
 def _divisor_bounds(wmax: int, s: int, caps: dict[int, int]) -> dict[int, int]:
@@ -206,8 +211,9 @@ def _divisor_bounds(wmax: int, s: int, caps: dict[int, int]) -> dict[int, int]:
 
 def pos_wt(ambient: Sequence[int], s: int, w: int) -> list[tuple[int, ...]]:
     """All size-s multisets from [1, max(ambient)] summing to w that give a
-    well-formed weighted projective space and respect the top-weight cap."""
-    return list(_iter_pos_wt(ambient, s, w, _divisor_bounds(max(ambient), s, {})))
+    well-formed weighted projective space and respect the top-weight cap,
+    as ascending tuples in ascending lexicographic order."""
+    return _iter_pos_wt(ambient, s, w, _divisor_bounds(max(ambient), s, {}))
 
 
 # ---------------------------------------------------------------------------

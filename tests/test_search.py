@@ -429,18 +429,52 @@ def test_pole_order_filter_matches_unfiltered_search(monkeypatch, format_name, k
     assert cut > 0
 
 
+def _brute_force_enumeration(ambient, s, w, bounds):
+    """`_iter_pos_wt` by filtering every size-s multiset from [1, max(ambient)]
+    by its sum, its number of top weights and each divisor bound."""
+    wmax = max(ambient)
+    return [
+        parts
+        for parts in combinations_with_replacement(range(1, wmax + 1), s)
+        if sum(parts) == w
+        and parts.count(wmax) <= ambient.count(wmax)
+        and all(sum(1 for p in parts if p % d == 0) <= b for d, b in bounds.items())
+    ]
+
+
+def test_enumeration_matches_brute_force_at_the_g2_shape():
+    """On every embedding of g2 k=−1 u≤5 (s = 12, up to C(20, 12) multisets),
+    the enumeration gives the brute-force list in the same order, under the
+    search's bounds and under those of well-formedness alone (`pos_wt`'s)."""
+    k, s = -1, 12
+    for param in sweep_parameters(SearchConfig(k=k, u_max=5)):
+        data = hilbert_series(FORMATS["g2"], param)
+        w = data.adjunction_number - k
+        wmax = max(data.weights)
+        caps = search_module._pole_caps(data.numerator, wmax, s)
+        for bounds in (
+            search_module._divisor_bounds(wmax, s, caps),
+            search_module._divisor_bounds(wmax, s, {}),
+        ):
+            expected = _brute_force_enumeration(data.weights, s, w, bounds)
+            assert search_module._iter_pos_wt(data.weights, s, w, bounds) == expected, param
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.integers(0, 3),
     st.integers(1, 6),
     st.integers(0, 30),
     st.dictionaries(st.integers(2, 8), st.integers(0, 6)),
 )
-def test_bounded_enumeration_matches_filtered_pos_wt(ambient, s, w, caps):
+def test_bounded_enumeration_matches_filtered_pos_wt(ambient, extra_tops, s, w, caps):
     """The incremental divisor counts cut exactly the tuples of `pos_wt`
     with some #{i : d | p_i} above its cap, and keep the order; `pos_wt`
-    itself matches a brute-force scan with the gcd test for well-formedness."""
+    itself matches a brute-force scan with the gcd test for well-formedness.
+    The top weight of the ambient repeats `extra_tops` more times."""
     wmax = max(ambient)
+    ambient = ambient + [wmax] * extra_tops
     brute = [
         parts
         for parts in combinations_with_replacement(range(1, wmax + 1), s)
@@ -455,7 +489,9 @@ def test_bounded_enumeration_matches_filtered_pos_wt(ambient, s, w, caps):
         for parts in pos_wt(ambient, s, w)
         if all(sum(1 for p in parts if p % d == 0) <= cap for d, cap in caps.items())
     ]
-    assert list(search_module._iter_pos_wt(ambient, s, w, bounds)) == expected
+    found = search_module._iter_pos_wt(ambient, s, w, bounds)
+    assert found == expected
+    assert all(a < b for a, b in zip(found, found[1:]))
 
 
 # ---------------------------------------------------------------------------
