@@ -1,7 +1,7 @@
 """Flag variety formats: weighted embeddings, ambient weights, Hilbert series.
 
-A *format* is a rational homogeneous variety together with the compiled root
-datum needed to compute with its coordinate ring.  A *parameter* is a
+A *format* is a rational homogeneous variety, given by the highest weight of
+its defining module and two stored tables (below).  A *parameter* is a
 cocharacter ``mu`` plus a positive central shift ``u``; together they induce
 positive weights on the ambient coordinates and hence a weighted-projective
 embedding of the variety.

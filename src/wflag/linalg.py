@@ -2,8 +2,8 @@
 over ℤ, behind `solve`.
 
 Every linear question the search asks (is P_X − P_I an integer combination
-of orbifold terms, which collections of terms sum to zero, which simple-root
-coordinates a weight has) is a system ``rows · x = rhs`` answered here.
+of orbifold terms, which collections of terms sum to zero) is a system
+``rows · x = rhs`` answered here.
 """
 from __future__ import annotations
 

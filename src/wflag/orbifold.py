@@ -58,7 +58,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain, combinations, product, zip_longest
+from itertools import combinations, product, zip_longest
 from math import comb, gcd, prod
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -232,18 +232,13 @@ def initial_term(series: RationalFunction, n: int, k: int) -> RationalFunction:
 
 
 def gcd_closure(values) -> frozenset[int]:
-    """Closure of a set of positive integers under pairwise gcd."""
-    s = set(values)
-    frontier = set(s)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in s:
-                g = gcd(x, y)
-                if g not in s and g not in fresh:
-                    fresh.add(g)
-        s |= fresh
-        frontier = fresh
+    """The gcds of the nonempty sub-multisets of the values, in one fold over
+    the distinct values: a gcd of a sub-multiset that contains w is gcd(w, g),
+    g the gcd of the rest when there is a rest, so already in the closure."""
+    s: set[int] = set()
+    for w in set(values):
+        s |= {gcd(w, x) for x in s}
+        s.add(w)
     return frozenset(s)
 
 
@@ -270,18 +265,18 @@ def porb_cont(
 
     Returns (types, extended_weights).  The weight list is extended by the new
     values of its gcd-closure (once each): every cyclic isotropy order on the
-    ambient space is a gcd of weights, so those are the candidate indices r.
-    For each index, candidate types are the n-element sub-multisets of the
-    residues of the original weights coprime to r whose weight sum is
-    compatible with the canonical weight k.
+    ambient space is a gcd of weights, so the closure's values above 1 are
+    the candidate indices r.  For each index, candidate types are the
+    n-element sub-multisets of the residues of the original weights coprime
+    to r whose weight sum is compatible with the canonical weight k.
     """
     ws = tuple(sorted(int(w) for w in weights))
     if any(w <= 0 for w in ws):
         raise DomainError("weights must be positive")
     closure = gcd_closure(ws)
-    extended = tuple(sorted(chain(ws, (v for v in closure if v not in set(ws)))))
+    extended = tuple(sorted([*ws, *closure.difference(ws)]))
     types: list[QuotientSingularity] = []
-    for r in sorted({v for v in extended if v > 1}):
+    for r in sorted(closure - {1}):
         residues = tuple(sorted(w % r for w in ws if gcd(w, r) == 1))
         if len(residues) < n:
             continue
@@ -348,14 +343,13 @@ def _target(
 
 
 def _rejected_modulo_t_d_minus_1(
-    kept, target: Sequence[int], d: int, k: int, n: int
+    kept, indices: tuple[int, ...], target: Sequence[int], d: int, k: int, n: int
 ) -> bool:
     """Whether V·m = target, the system of the kept types, has no solution
-    m ≥ 0 in integers by its image modulo t^d − 1, for d a kept index: the
-    types of index d alone, with their `_local_column`s, against the folded
-    target (soundness in the module docstring).
+    m ≥ 0 in integers by its image modulo t^d − 1, for d one of the sorted
+    kept indices: the types of index d alone, with their `_local_column`s,
+    against the folded target (soundness in the module docstring).
     """
-    indices = tuple(sorted({t.r for t in kept}))
     folded = [sum(target[i::d]) for i in range(d)]
     cols = [_local_column(q, indices, k, n) for q in kept if q.r == d]
     solved = solve(list(zip(*cols)), folded)
@@ -535,8 +529,8 @@ def decompositions(
     kept, target = found
     if not target:
         return [{}]
-    indices = sorted({q.r for q in kept}, reverse=True)
-    if any(_rejected_modulo_t_d_minus_1(kept, target, d, k, n) for d in indices):
+    indices = tuple(sorted({q.r for q in kept}))
+    if any(_rejected_modulo_t_d_minus_1(kept, indices, target, d, k, n) for d in indices[::-1]):
         return []
     rows, rhs = _integer_system(kept, target, k, n)
     solved = solve(rows, rhs)

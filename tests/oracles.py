@@ -14,11 +14,13 @@ recomputes something the program computes another way:
   Weyl-character closed form, against the same numerators;
 * `ROOT_DATA` and `weight_multiplicities` — each format's root datum, and
   the weight multiplicities of its degree-d piece by Freudenthal's formula
-  (`wflag.weyl`), against the weight table stored in `wflag.formats`;
+  (`freudenthal_multiplicities`, with its Weyl orbits, dominance and
+  simple-root coordinates), against the weight table stored in
+  `wflag.formats`;
 * `k_polynomial` — each format's K-polynomial from the weight
   multiplicities, against the table stored in `wflag.formats`;
 * `weyl_dimension` — the Weyl dimension formula, against the Freudenthal
-  multiplicities of `wflag.weyl`;
+  multiplicities;
 * `leibniz_det` — a determinant as a sum over permutations, against the
   elimination of `wflag.linalg` and the signs of `wflag.weyl.weyl_elements`;
 * `one_minus_t_product` and `embedding_series` — ∏(1 − t^w) as an integer
@@ -33,16 +35,27 @@ recomputes something the program computes another way:
   function, and `coefficients` pads a polynomial's coefficient list;
 * `common_denominator` — the denominator C of the sweep's integer system,
   from `UniPolynomial` products;
+* `subset_gcds` and `reference_porb_cont` — the gcd of every sub-multiset
+  of the weights by brute force, and the candidate types and extended
+  weights from their definitions, against `wflag.orbifold.gcd_closure`
+  and `porb_cont`;
 * `baskets` — every collection of distinct types that fits;
 * `is_terminal_type` and `terminal_basket` — the terminal classification of
   threefold quotient types.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations, permutations, product
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 from math import gcd, prod
 from operator import mul
 from typing import Sequence
@@ -68,18 +81,169 @@ from wflag.ratfun import (
     series_of,
 )
 from wflag.search import Candidate
-from wflag.weyl import (
-    Matrix,
-    Vector,
-    dot,
-    form_pair,
-    freudenthal_multiplicities,
-    identity_matrix,
-    mat_vec,
-    vadd,
-    vscale,
-    weyl_elements,
-)
+from wflag.weyl import Matrix, identity_matrix, weyl_elements
+
+
+# -- vectors, orbits and Freudenthal's formula --------------------------------
+
+# Two pairings appear: `dot` evaluates a weight against a cocharacter, which
+# turns weights into scalar gradings, and `form_pair` is a Weyl-invariant
+# symmetric form on the weight space, for dominance and Freudenthal's formula.
+
+Vector = tuple[int, ...]
+
+
+def mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+
+
+def vadd(u: Vector, v: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def vsub(u: Vector, v: Vector) -> Vector:
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vscale(c: int, v: Vector) -> Vector:
+    return tuple(c * x for x in v)
+
+
+def dot(u: Vector, v: Vector) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def form_pair(form: Matrix, u: Vector, v: Vector) -> int:
+    return sum(u[i] * form[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+def weyl_orbit(v: Vector, generators: tuple[Matrix, ...]) -> set[Vector]:
+    """The Weyl orbit of v, walked by applying the generating reflections.
+
+    Cheaper than mapping v through every group element: no matrix is
+    multiplied, and each orbit point costs one matrix-vector product per
+    generator.
+    """
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in generators:
+                y = mat_vec(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def to_dominant(
+    v: Vector, simple_roots: tuple[Vector, ...], form: Matrix,
+    generators: tuple[Matrix, ...],
+) -> Vector:
+    """The dominant representative of the Weyl orbit of v."""
+    while True:
+        for i, a in enumerate(simple_roots):
+            if form_pair(form, v, a) < 0:
+                v = mat_vec(generators[i], v)
+                break
+        else:
+            return v
+
+
+def is_dominant(v: Vector, simple_roots: tuple[Vector, ...], form: Matrix) -> bool:
+    return all(form_pair(form, v, a) >= 0 for a in simple_roots)
+
+
+def simple_root_coordinates(
+    v: Vector, simple_roots: tuple[Vector, ...]
+) -> tuple[int, ...] | None:
+    """Integer coordinates of v in the simple-root basis, or None if v is not
+    in the lattice the simple roots span."""
+    rows = [[a[i] for a in simple_roots] for i in range(len(v))]
+    solved = solve(rows, v)
+    if solved is None or solved[2]:
+        return None  # simple roots are independent, so a kernel cannot occur
+    D, x, _ = solved
+    if any(c % D for c in x):
+        return None
+    return tuple(c // D for c in x)
+
+
+def freudenthal_multiplicities(
+    highest: Vector,
+    positive_roots: tuple[Vector, ...],
+    rank: int,
+    form: Matrix,
+    rho: Vector,
+    generators: tuple[Matrix, ...],
+) -> dict[Vector, int]:
+    """Weight multiplicities of the irreducible module, as a full dict.
+
+    Freudenthal's recursion over the dominant weights below the highest one,
+    then expanded over Weyl orbits.
+    """
+    simple = tuple(positive_roots[:rank])
+    root_coords: list[tuple[int, ...]] = []
+    for a in positive_roots:
+        ca = simple_root_coordinates(a, simple)
+        assert ca is not None and all(x >= 0 for x in ca)
+        root_coords.append(ca)
+
+    # the lowest weight bounds the box of candidate dominant weights
+    lowest = next(
+        v
+        for v in weyl_orbit(highest, generators)
+        if all(form_pair(form, v, a) <= 0 for a in simple)
+    )
+    box = simple_root_coordinates(vsub(highest, lowest), simple)
+    assert box is not None and all(x >= 0 for x in box)
+
+    candidates: list[tuple[int, Vector, tuple[int, ...]]] = []
+    for cs in product(*(range(b + 1) for b in box)):
+        mu = highest
+        for c, a in zip(cs, simple):
+            if c:
+                mu = vsub(mu, vscale(c, a))
+        if is_dominant(mu, simple, form):
+            candidates.append((sum(cs), mu, cs))
+    candidates.sort()
+
+    lam_rho = vadd(highest, rho)
+    norm_top = form_pair(form, lam_rho, lam_rho)
+    mults: dict[Vector, int] = {}
+    dom_cache: dict[Vector, Vector] = {}
+    for height, mu, cs in candidates:
+        if height == 0:
+            mults[mu] = 1
+            continue
+        total = 0
+        for a, ca in zip(positive_roots, root_coords):
+            kmax = min(cs[i] // ca[i] for i in range(rank) if ca[i])
+            nu = mu
+            for _ in range(kmax):
+                nu = vadd(nu, a)
+                nd = dom_cache.get(nu)
+                if nd is None:
+                    nd = to_dominant(nu, simple, form, generators)
+                    dom_cache[nu] = nd
+                m = mults.get(nd, 0)
+                if m:
+                    total += m * form_pair(form, nu, a)
+        mu_rho = vadd(mu, rho)
+        denom = norm_top - form_pair(form, mu_rho, mu_rho)
+        assert denom > 0
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0
+        if val:
+            mults[mu] = val
+
+    full: dict[Vector, int] = {}
+    for mu, m in mults.items():
+        for v in weyl_orbit(mu, generators):
+            full[v] = m
+    return full
 
 
 # -- root data ---------------------------------------------------------------
@@ -575,6 +739,37 @@ def baskets(
         if basket:
             out.append(basket)
     return tuple(out)
+
+
+def subset_gcds(values: Sequence[int]) -> set[int]:
+    """The gcd of every nonempty sub-multiset of the values, by brute force."""
+    return {
+        reduce(gcd, sub)
+        for size in range(1, len(values) + 1)
+        for sub in combinations(values, size)
+    }
+
+
+def reference_porb_cont(
+    weights: Sequence[int], n: int, k: int
+) -> tuple[tuple[QuotientSingularity, ...], tuple[int, ...]]:
+    """(types, extended) of `wflag.orbifold.porb_cont` from the definitions.
+
+    The indices are the subset gcds above 1 (of the distinct weights: a
+    repeat does not change a gcd).  The types of index r are the
+    n-multisets of 1 .. r − 1 with sum ≡ −k (mod r) whose value counts fit
+    those of the residues of the weights coprime to r.  The extended
+    weights are the weights plus each new gcd once.
+    """
+    ws = sorted(weights)
+    gcds = subset_gcds(sorted(set(ws)))
+    types = []
+    for r in sorted(gcds - {1}):
+        residues = Counter(w % r for w in ws if gcd(w, r) == 1)
+        for combo in combinations_with_replacement(range(1, r), n):
+            if (sum(combo) + k) % r == 0 and not Counter(combo) - residues:
+                types.append(QuotientSingularity(r, combo))
+    return tuple(types), tuple(sorted(ws + list(gcds - set(ws))))
 
 
 def reference_initial_term(

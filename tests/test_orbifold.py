@@ -14,6 +14,8 @@ from oracles import (
     common_denominator,
     one_minus_t_product,
     reference_initial_term,
+    reference_porb_cont,
+    subset_gcds,
 )
 
 import wflag.search as search_module
@@ -37,7 +39,7 @@ from wflag.ratfun import (
     RationalFunction,
     UniPolynomial,
 )
-from wflag.search import SearchConfig, search
+from wflag.search import SearchConfig, iter_search, search
 
 
 def Q(r, *weights):
@@ -248,6 +250,53 @@ def test_gcd_closure():
     assert gcd_closure([4, 6]) == frozenset({4, 6, 2})
     assert gcd_closure([4, 6, 9]) == frozenset({4, 6, 9, 2, 3, 1})
     assert gcd_closure([5]) == frozenset({5})
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8), st.data())
+def test_gcd_closure_is_every_subset_gcd(values, data):
+    """The fold gives the gcd of every nonempty sub-multiset, and neither
+    the order of the values nor a repeat changes it."""
+    expect = subset_gcds(values)
+    assert gcd_closure(values) == expect
+    repeats = data.draw(st.lists(st.sampled_from(values), max_size=4))
+    assert gcd_closure(data.draw(st.permutations(values + repeats))) == expect
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(1, 24), min_size=1, max_size=10),
+    st.integers(1, 4),
+    st.integers(-4, 2),
+)
+def test_porb_cont_matches_the_reference(weights, n, k):
+    assert porb_cont(weights, n, k) == reference_porb_cont(weights, n, k)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
+        SearchConfig(format_name="gr25", k=1, n=3, q_max=16),
+    ],
+    ids=["g2-k-1-u5", "gr25-k1-q16"],
+)
+def test_porb_cont_matches_the_reference_on_every_scanned_tuple(monkeypatch, config):
+    """The censuses of the two benchmark workloads: every tuple the scan
+    hands to `porb_cont` gets the types and extended weights of the
+    reference."""
+    calls = []
+
+    def spy(parts, n, k):
+        result = porb_cont(parts, n, k)
+        calls.append((parts, n, k, result))
+        return result
+
+    monkeypatch.setattr(search_module, "porb_cont", spy)
+    scanned = sum(result.tuples_scanned for result in iter_search(config))
+    assert len(calls) == scanned > 0
+    for parts, n, k, result in calls:
+        assert result == reference_porb_cont(parts, n, k), parts
 
 
 def test_porb_cont_fano_example():

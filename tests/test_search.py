@@ -352,9 +352,10 @@ def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
     indices = []
     built = []
 
-    def spy_check(kept, target, d, k, n):
+    def spy_check(kept, kept_indices, target, d, k, n):
         indices[:] = sorted({q.r for q in kept}, reverse=True)
-        checked.append((d, check(kept, target, d, k, n)))
+        assert kept_indices == tuple(indices[::-1])
+        checked.append((d, check(kept, kept_indices, target, d, k, n)))
         return checked[-1][1]
 
     def spy_system(*args):

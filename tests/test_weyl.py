@@ -5,25 +5,22 @@ from hypothesis import strategies as st
 from oracles import (
     ROOT_DATA,
     alternating_projection,
-    laurent_divide_2d,
-    leibniz_det,
-    restricted_character,
-    weyl_dimension,
-)
-
-from wflag.formats import G2_FORMAT, GR25_FORMAT
-from wflag.weyl import (
     dot,
     form_pair,
     freudenthal_multiplicities,
-    identity_matrix,
+    laurent_divide_2d,
+    leibniz_det,
     mat_vec,
+    restricted_character,
     simple_root_coordinates,
     to_dominant,
     vscale,
-    weyl_elements,
+    weyl_dimension,
     weyl_orbit,
 )
+
+from wflag.formats import G2_FORMAT, GR25_FORMAT
+from wflag.weyl import identity_matrix, weyl_elements
 
 # rank-2 exceptional root system in simple-root coordinates
 G2 = ROOT_DATA["g2"]
