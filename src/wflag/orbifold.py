@@ -46,12 +46,22 @@ cancels.  When a division fails, no R over a subset of I is a polynomial
 indices K ⊆ I, and R = R′/((1−t)·∏_{I∖K}(1−t^r)) by exact divisions again.
 Before any full column is built, the system is read modulo t^d − 1 for
 each d ∈ K, largest first, until one d rejects the tuple
-(`_rejected_modulo_t_d_minus_1`).  For any d ∈ K, every V_Q of another
-index carries the factor 1 − t^d, which vanishes there, so a solution
-m ≥ 0 in integers restricts, on the types of index d, to a solution of the
-d folded equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1,
-whose columns are the `_local_column`s.  When that system is inconsistent
-or `_fixed_coordinate_rejected`, the tuple has no basket.
+(`_folded_system`).  For any d ∈ K, every V_Q of another index carries the
+factor 1 − t^d, which vanishes there, so a solution m ≥ 0 in integers
+restricts, on the types of index d, to a solution of the d folded
+equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1, whose
+columns are the `_local_column`s.  When that system is inconsistent or
+`_fixed_coordinate_rejected`, the tuple has no basket.
+
+The folded systems that pass make a second cut (`_polytope_empty`): the
+restriction of m ≥ 0 is a real point ≥ 0 of x/D + span(kernel), so every
+kernel component has one.  It has one when x ≥ 0 there; otherwise
+its points ≥ 0 form a pointed polyhedron (each kernel vector has D in its
+own free coordinate), empty unless it has a vertex, a non-singular zero
+set with all values ≥ 0 (`_nonnegative_zero_set_points`, whose integral
+points are the `_vertices`).  The argument needs only m ≥ 0, not the
+vertex or `kept` rules.  A component past `_VERTEX_WALK_MAX_ZERO_SETS` zero
+sets is not cut.
 """
 from __future__ import annotations
 
@@ -243,18 +253,26 @@ def gcd_closure(values) -> frozenset[int]:
 
 
 @cache
+def _quotient_type(r: int, weights: tuple[int, ...]) -> QuotientSingularity:
+    """The one `QuotientSingularity` of each (r, sorted weights) in a sweep."""
+    return QuotientSingularity(r, weights)
+
+
+@cache
 def _types_for_index(
     r: int, residues: tuple[int, ...], k: int, n: int
 ) -> tuple[QuotientSingularity, ...]:
-    """Distinct n-element sub-multisets of the residues compatible with k.
-
-    Cached: the same (index, residue multiset) pair recurs constantly across
-    the weight tuples of a sweep.
+    """Distinct n-element sub-multisets of the sorted residues compatible
+    with k, sorted: each distinct (n−1)-element head with the last weight
+    ≡ −k − Σ head (mod r), if that is at least the head's last entry and the
+    residues hold one more copy of it than the head.  Cached: the same
+    (index, residue multiset) pair recurs constantly across a sweep.
     """
     out = []
-    for combo in sorted(set(combinations(residues, n))):
-        if (sum(combo) + k) % r == 0:
-            out.append(QuotientSingularity(r, combo))
+    for head in sorted(set(combinations(residues, n - 1))):
+        last = (-k - sum(head)) % r
+        if (not head or last >= head[-1]) and residues.count(last) > head.count(last):
+            out.append(_quotient_type(r, (*head, last)))
     return tuple(out)
 
 
@@ -342,18 +360,19 @@ def _target(
     return None if R is None else (kept, R)
 
 
-def _rejected_modulo_t_d_minus_1(
+def _folded_system(
     kept, indices: tuple[int, ...], target: Sequence[int], d: int, k: int, n: int
-) -> bool:
-    """Whether V·m = target, the system of the kept types, has no solution
-    m ≥ 0 in integers by its image modulo t^d − 1, for d one of the sorted
-    kept indices: the types of index d alone, with their `_local_column`s,
-    against the folded target (soundness in the module docstring).
+) -> tuple[int, list[int], list[list[int]]] | None:
+    """The image modulo t^d − 1 of V·m = target, the system of the kept
+    types, for d one of the sorted kept indices: the types of index d alone,
+    with their `_local_column`s, against the folded target, solved as
+    (D, x, kernel); None when it shows that V·m = target has no solution
+    m ≥ 0 in integers (soundness in the module docstring).
     """
     folded = [sum(target[i::d]) for i in range(d)]
     cols = [_local_column(q, indices, k, n) for q in kept if q.r == d]
     solved = solve(list(zip(*cols)), folded)
-    return solved is None or _fixed_coordinate_rejected(*solved)
+    return None if solved is None or _fixed_coordinate_rejected(*solved) else solved
 
 
 def _integer_system(
@@ -448,16 +467,13 @@ def _zero_sum_patterns(D: int, coords, vecs) -> list[tuple[int, ...]]:
     return finds
 
 
-def _vertices(D: int, x: Sequence[int], coords, vecs) -> list[tuple[int, ...]]:
-    """The distinct integer vertices m ≥ 0 of one component, in the order of
-    their first zero set: the points with as many zero coordinates as the
-    component has vectors.  A zero set pins the coefficients lam/E of the
-    vectors, and the coordinate i is then (E·x[i] + Σ lam·vec[i]) / (D·E)."""
-    dim = len(vecs)
-    if comb(len(coords), dim) > _VERTEX_WALK_MAX_ZERO_SETS:
-        raise DomainError("kernel search space too large")
-    found: dict[tuple[int, ...], None] = {}
-    for zero_set in combinations(coords, dim):
+def _nonnegative_zero_set_points(D: int, x: Sequence[int], coords, vecs):
+    """The points m ≥ 0 of one component that zero sets pin, in zero-set
+    order, each as (values, scale) with m = values/scale on coords: a zero
+    set of as many coordinates as the component has vectors, if its
+    equations are non-singular, pins the coefficients lam/E of the vectors,
+    and the coordinate i is then (E·x[i] + Σ lam·vec[i]) / (D·E)."""
+    for zero_set in combinations(coords, len(vecs)):
         solved = solve(
             [[vec[i] for vec in vecs] for i in zero_set], [-x[i] for i in zero_set]
         )
@@ -465,9 +481,33 @@ def _vertices(D: int, x: Sequence[int], coords, vecs) -> list[tuple[int, ...]]:
             continue
         E, lam, _ = solved
         values = [E * x[i] + sum(map(mul, lam, (vec[i] for vec in vecs))) for i in coords]
-        if all(v >= 0 and not v % (D * E) for v in values):
-            found.setdefault(tuple(v // (D * E) for v in values))
+        if all(v >= 0 for v in values):
+            yield values, D * E
+
+
+def _vertices(D: int, x: Sequence[int], coords, vecs) -> list[tuple[int, ...]]:
+    """The distinct integer vertices m ≥ 0 of one component, in the order of
+    their first zero set: the integral `_nonnegative_zero_set_points`."""
+    if comb(len(coords), len(vecs)) > _VERTEX_WALK_MAX_ZERO_SETS:
+        raise DomainError("kernel search space too large")
+    found: dict[tuple[int, ...], None] = {}
+    for values, scale in _nonnegative_zero_set_points(D, x, coords, vecs):
+        if not any(v % scale for v in values):
+            found.setdefault(tuple(v // scale for v in values))
     return list(found)
+
+
+def _polytope_empty(D: int, x: Sequence[int], kernel) -> bool:
+    """Whether x/D + span(kernel), with no fixed coordinate rejected, has
+    no real point m ≥ 0: some component has x < 0 on a coordinate and no
+    `_nonnegative_zero_set_points`.  A component with more than
+    `_VERTEX_WALK_MAX_ZERO_SETS` zero sets is taken to have one."""
+    return any(
+        any(x[i] < 0 for i in coords)
+        and comb(len(coords), len(vecs)) <= _VERTEX_WALK_MAX_ZERO_SETS
+        and next(_nonnegative_zero_set_points(D, x, coords, vecs), None) is None
+        for coords, vecs in _kernel_components(kernel)
+    )
 
 
 def basket_kernel(
@@ -520,8 +560,10 @@ def decompositions(
     every column of another index vanishes: if for some d the d folded
     equations of the types of index d are inconsistent, or fix one of their
     multiplicities at a negative or fractional value, no basket exists.
-    Only then is the full system of `_integer_system` built and solved;
-    every solution passes the certificate V·m == R·t^{−l}.
+    When every d passes, no basket exists either if for some d the folded
+    solutions have no real point m ≥ 0 (`_polytope_empty`).  Only then is
+    the full system of `_integer_system` built and solved; every solution
+    passes the certificate V·m == R·t^{−l}.
     """
     found = _target(types, H, parts, k, n)
     if found is None:
@@ -530,7 +572,13 @@ def decompositions(
     if not target:
         return [{}]
     indices = tuple(sorted({q.r for q in kept}))
-    if any(_rejected_modulo_t_d_minus_1(kept, indices, target, d, k, n) for d in indices[::-1]):
+    folded = []
+    for d in indices[::-1]:
+        solved = _folded_system(kept, indices, target, d, k, n)
+        if solved is None:
+            return []
+        folded.append(solved)
+    if any(_polytope_empty(*solved) for solved in folded):
         return []
     rows, rhs = _integer_system(kept, target, k, n)
     solved = solve(rows, rhs)

@@ -19,11 +19,13 @@ from H in one run of sparse passes (exact divisions by each 1 − t^{p_i}).
 For the survivors it reads the integer system V·m = R·t^{−l} modulo
 t^d − 1 for each kept index d, largest first, where only the types of index
 d remain, and drops the tuple when for some d those d equations have no
-solution or fix a multiplicity at a negative or fractional value.  Only the
-rest are solved in full by fraction-free elimination over ℤ
+solution or fix a multiplicity at a negative or fractional value.  It then
+drops the tuple when for some d the solutions of those equations have no
+real point m ≥ 0, which a vertex of the folded polytope would show.  Only
+the rest are solved in full by fraction-free elimination over ℤ
 (`linalg.solve`).  The scan itself does no polynomial algebra per tuple;
 the `orbifold` module docstring sets out P_I, C, l and V, and why the
-integrality test and the check modulo t^d − 1 are sound.  Every emitted
+integrality test and both cuts modulo t^d − 1 are sound.  Every emitted
 basket m is certified by the identity V·m == R·t^{−l} in integers, so the
 filters cannot produce false positives.  They can miss true ones: before
 the integer system is built, a type is dropped when its P_Q has a higher

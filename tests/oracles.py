@@ -772,6 +772,19 @@ def reference_porb_cont(
     return tuple(types), tuple(sorted(ws + list(gcds - set(ws))))
 
 
+def reference_types_for_index(
+    r: int, residues: Sequence[int], k: int, n: int
+) -> tuple[QuotientSingularity, ...]:
+    """The types of `wflag.orbifold._types_for_index` by brute force: every
+    n-element sub-multiset of the sorted residues, deduplicated and sorted,
+    whose sum is ≡ −k (mod r)."""
+    return tuple(
+        QuotientSingularity(r, combo)
+        for combo in sorted(set(combinations(residues, n)))
+        if (sum(combo) + k) % r == 0
+    )
+
+
 def reference_initial_term(
     series: RationalFunction, n: int, k: int
 ) -> RationalFunction:

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     baskets,
@@ -15,17 +15,22 @@ from oracles import (
     one_minus_t_product,
     reference_initial_term,
     reference_porb_cont,
+    reference_types_for_index,
     subset_gcds,
 )
 
+import wflag.orbifold as orbifold_module
 import wflag.search as search_module
+from wflag.linalg import solve
 from wflag.orbifold import (
     OrbifoldContribution,
     QuotientSingularity,
     _integer_system,
     _kernel_components,
     _local_column,
+    _polytope_empty,
     _shift,
+    _types_for_index,
     basket_kernel,
     gcd_closure,
     initial_term,
@@ -271,6 +276,45 @@ def test_gcd_closure_is_every_subset_gcd(values, data):
 )
 def test_porb_cont_matches_the_reference(weights, n, k):
     assert porb_cont(weights, n, k) == reference_porb_cont(weights, n, k)
+
+
+@st.composite
+def index_residues(draw):
+    """(r, sorted residues): r ≤ 50 and residues coprime to r, drawn from at
+    most four distinct values, so that one value often repeats more than n
+    times."""
+    r = draw(st.integers(2, 50))
+    units = [a for a in range(1, r) if gcd(a, r) == 1]
+    values = draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
+    return r, tuple(sorted(draw(st.lists(st.sampled_from(values), max_size=10))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_residues(), st.integers(1, 4), st.integers(-7, 3), st.integers(1, 49))
+@example((5, (2,) * 7), 3, -1, 2)
+@example((2, (1,) * 9), 4, 0, 1)
+@example((7, (1, 1, 1, 1, 1, 3, 3)), 1, 3, 1)
+def test_types_for_index_matches_the_reference(index, n, k, extra):
+    """The types of one index are the brute-force sub-multisets, in the same
+    order, and a type listed again, here for the residues with one more
+    entry, is the same object."""
+    r, residues = index
+    got = _types_for_index(r, residues, k, n)
+    assert got == reference_types_for_index(r, residues, k, n)
+    if gcd(extra, r) == 1:
+        more = _types_for_index(r, tuple(sorted((*residues, extra % r))), k, n)
+        same = {q: q for q in more}
+        assert all(same[q] is q for q in got)
+
+
+def test_polytope_cut_passes_a_component_past_the_zero_set_cap(monkeypatch):
+    """m_0 + m_1 + m_2 = −1 has no real point m ≥ 0, and the three zero
+    sets of its one component show it; with the cap below three, the cut
+    neither rejects the component nor raises."""
+    D, x, kernel = solve([[1, 1, 1]], [-1])
+    assert _polytope_empty(D, x, kernel)
+    monkeypatch.setattr(orbifold_module, "_VERTEX_WALK_MAX_ZERO_SETS", 2)
+    assert not _polytope_empty(D, x, kernel)
 
 
 @pytest.mark.parametrize(

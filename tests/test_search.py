@@ -325,28 +325,44 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
     assert integral and rejected
 
 
+#: The censuses of the differential tests of the folded systems, by test id.
+FOLDED_CENSUSES = {
+    "g2-k-1-u5": SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
+    "g2-k1-u4": SearchConfig(format_name="g2", k=1, n=3, u_max=4),
+    "g2-k-7-u5": SearchConfig(format_name="g2", k=-7, n=3, u_max=5),
+    "g2-k-3-u6": SearchConfig(format_name="g2", k=-3, n=3, u_max=6),
+    "gr25-k1-q12": SearchConfig(format_name="gr25", k=1, n=3, q_max=12),
+    # at q ≤ 12 the check rejects none of the 11 systems of gr25 k = −1
+    "gr25-k-1-q16": SearchConfig(format_name="gr25", k=-1, n=3, q_max=16),
+}
+
+#: `_folded_system` switched off: a folded system with no unknowns, which
+#: neither folded cut rejects.
+NO_FOLDED_SYSTEM = (1, [], [])
+
+
 @pytest.mark.parametrize(
-    "config, systems, below_largest",
+    "census, systems, below_largest",
     [
-        (SearchConfig(format_name="g2", k=-1, n=3, u_max=5), 31, 18),
-        (SearchConfig(format_name="g2", k=1, n=3, u_max=4), 24, 9),
-        (SearchConfig(format_name="g2", k=-7, n=3, u_max=5), 0, 0),
-        (SearchConfig(format_name="g2", k=-3, n=3, u_max=6), 34, 113),
-        (SearchConfig(format_name="gr25", k=1, n=3, q_max=12), 7, 0),
-        # at q ≤ 12 the check rejects none of the 11 systems of gr25 k = −1
-        (SearchConfig(format_name="gr25", k=-1, n=3, q_max=16), 21, 15),
+        ("g2-k-1-u5", 21, 18),
+        ("g2-k1-u4", 19, 9),
+        ("g2-k-7-u5", 0, 0),
+        ("g2-k-3-u6", 9, 113),
+        ("gr25-k1-q12", 7, 0),
+        ("gr25-k-1-q16", 21, 15),
     ],
-    ids=["g2-k-1-u5", "g2-k1-u4", "g2-k-7-u5", "g2-k-3-u6", "gr25-k1-q12", "gr25-k-1-q16"],
+    ids=list(FOLDED_CENSUSES),
 )
 def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
-    monkeypatch, config, systems, below_largest
+    monkeypatch, census, systems, below_largest
 ):
     """The check modulo t^d − 1 at every kept index against the exact stage
     without it: the same candidates, and every tuple it rejects has no
     basket.  Pinned: the full systems `decompositions` still builds, and the
     tuples that the largest index passes and a smaller one rejects.  At
     k = −7 the shift l is negative."""
-    check = orbifold_module._rejected_modulo_t_d_minus_1
+    config = FOLDED_CENSUSES[census]
+    check = orbifold_module._folded_system
     integer_system = orbifold_module._integer_system
     checked = []  # (d, rejected) for each index checked in one call
     indices = []
@@ -355,8 +371,9 @@ def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
     def spy_check(kept, kept_indices, target, d, k, n):
         indices[:] = sorted({q.r for q in kept}, reverse=True)
         assert kept_indices == tuple(indices[::-1])
-        checked.append((d, check(kept, kept_indices, target, d, k, n)))
-        return checked[-1][1]
+        solved = check(kept, kept_indices, target, d, k, n)
+        checked.append((d, solved is None))
+        return solved
 
     def spy_system(*args):
         built.append(args)
@@ -377,16 +394,61 @@ def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
             smaller += len(checked) > 1
         return found
 
-    monkeypatch.setattr(orbifold_module, "_rejected_modulo_t_d_minus_1", spy_check)
+    monkeypatch.setattr(orbifold_module, "_folded_system", spy_check)
     monkeypatch.setattr(orbifold_module, "_integer_system", spy_system)
     monkeypatch.setattr(search_module, "decompositions", spy)
     filtered = search(config)
     # `_emit` builds the zero-sum systems of `basket_kernel` with R = 0
     assert sum(1 for args in built if args[1]) == systems
     assert smaller == below_largest
-    monkeypatch.setattr(orbifold_module, "_rejected_modulo_t_d_minus_1", lambda *args: False)
+    monkeypatch.setattr(orbifold_module, "_folded_system", lambda *args: NO_FOLDED_SYSTEM)
     assert search(config) == filtered
     assert rejected
+    for args in rejected:
+        assert decompositions(*args) == []
+
+
+@pytest.mark.parametrize(
+    "census, cut",
+    [
+        ("g2-k-1-u5", 10),
+        ("g2-k1-u4", 5),
+        ("g2-k-7-u5", 0),
+        ("g2-k-3-u6", 25),
+        ("gr25-k1-q12", 0),
+        ("gr25-k-1-q16", 0),
+    ],
+    ids=list(FOLDED_CENSUSES),
+)
+def test_polytope_cut_matches_the_unfiltered_solve(monkeypatch, census, cut):
+    """The cut of the folded systems that have no real point m ≥ 0 against
+    the exact stage without it: the same candidates, and every tuple it
+    rejects has no basket without either folded cut.  Pinned: the tuples it
+    rejects, each one full system fewer."""
+    config = FOLDED_CENSUSES[census]
+    empty = orbifold_module._polytope_empty
+    verdicts = []
+    rejected = []
+
+    def spy_cut(*solved):
+        verdicts.append(empty(*solved))
+        return verdicts[-1]
+
+    def spy(*args):
+        verdicts.clear()
+        found = decompositions(*args)
+        if verdicts and verdicts[-1]:
+            assert found == []
+            rejected.append(args)
+        return found
+
+    monkeypatch.setattr(orbifold_module, "_polytope_empty", spy_cut)
+    monkeypatch.setattr(search_module, "decompositions", spy)
+    filtered = search(config)
+    assert len(rejected) == cut
+    monkeypatch.setattr(orbifold_module, "_polytope_empty", lambda *solved: False)
+    assert search(config) == filtered
+    monkeypatch.setattr(orbifold_module, "_folded_system", lambda *args: NO_FOLDED_SYSTEM)
     for args in rejected:
         assert decompositions(*args) == []
 
