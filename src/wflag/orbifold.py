@@ -34,34 +34,9 @@ combinations of theirs.  Every point returned passes the certificate
 V·m == R·t^{−l} in integers (`_certified`).  Past one of the `_*_MAX_*`
 bounds, a walk raises DomainError.
 
-`decompositions` builds its target from H in one run of sparse passes
-(`_target`).  With I the indices of all the offered types,
-
-    R′ = (P_X − P_I)·(1−t)^{n+1}·∏_I(1−t^r)
-       = H·(1−t)^{n+1}·∏_I(1−t^r)/∏(1−t^{p_i}) − A·∏_I(1−t^r),
-
-one sparse exact division per part that no factor of the numerator
-cancels.  When a division fails, no R over a subset of I is a polynomial
-(R′ is R times a polynomial), so there is no basket.  The types kept have
-indices K ⊆ I, and R = R′/((1−t)·∏_{I∖K}(1−t^r)) by exact divisions again.
-Before any full column is built, the system is read modulo t^d − 1 for
-each d ∈ K, largest first, until one d rejects the tuple
-(`_folded_system`).  For any d ∈ K, every V_Q of another index carries the
-factor 1 − t^d, which vanishes there, so a solution m ≥ 0 in integers
-restricts, on the types of index d, to a solution of the d folded
-equations Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1, whose
-columns are the `_local_column`s.  When that system is inconsistent or
-`_fixed_coordinate_rejected`, the tuple has no basket.
-
-The folded systems that pass make a second cut (`_polytope_empty`): the
-restriction of m ≥ 0 is a real point ≥ 0 of x/D + span(kernel), so every
-kernel component has one.  It has one when x ≥ 0 there; otherwise
-its points ≥ 0 form a pointed polyhedron (each kernel vector has D in its
-own free coordinate), empty unless it has a vertex, a non-singular zero
-set with all values ≥ 0 (`_nonnegative_zero_set_points`, whose integral
-points are the `_vertices`).  The argument needs only m ≥ 0, not the
-vertex or `kept` rules.  A component past `_VERTEX_WALK_MAX_ZERO_SETS` zero
-sets is not cut.
+The docstring of `decompositions` lists the stages of the search in order,
+each marked as a sound cut or as part of the spec; every sound cut proves
+itself in the docstring of the function that applies it.
 """
 from __future__ import annotations
 
@@ -303,9 +278,9 @@ def porb_cont(
 
 
 def fits(types, extended_weights) -> bool:
-    """The fitting rule: a collection of distinct types fits on the variety
-    when, for every index r, it uses at most as many types of index r as
-    there are weights equal to r in the extended weight list."""
+    """The fitting rule (spec): a collection of distinct types fits on the
+    variety when, for every index r, it uses at most as many types of index
+    r as there are weights equal to r in the extended weight list."""
     counts = Counter(extended_weights)
     return all(c <= counts[r] for r, c in Counter(t.r for t in types).items())
 
@@ -314,9 +289,20 @@ def _target(
     types, H: Sequence[int], parts: Sequence[int], k: int, n: int
 ) -> tuple[list[QuotientSingularity], list[int]] | None:
     """(kept, R·t^{−l}) for P_X = H/∏(1 − t^{p_i}): the types the `kept`
-    rule keeps and the trimmed target of their system (see the module
-    docstring); ([], []) when P_X = P_I, and None when no type is kept or
-    R·t^{−l} is not a polynomial, so that no basket exists.
+    rule keeps and the trimmed target of their system; ([], []) when
+    P_X = P_I, and None when no type is kept or R·t^{−l} is not a
+    polynomial, so that no basket exists.
+
+    With I the indices of the offered types, one run of sparse passes builds
+    R′ = (P_X − P_I)·(1−t)^{n+1}·∏_I(1−t^r) as
+    H·(1−t)^{n+1}·∏_I(1−t^r)/∏(1−t^{p_i}) − A·∏_I(1−t^r).  The integrality
+    test is an exact equivalence, not a cut: a basket m makes R·t^{−l} = V·m
+    a polynomial, and R′ is the R of any K ⊆ I times (1−t)·∏_{I∖K}(1−t^r),
+    so after a failed division no subset of the types has a basket.
+    The `kept` rule (spec, with no soundness argument, and known to drop
+    certified decompositions) keeps the types whose P_Q has at most the
+    degree deg R′ − (n + 1) − Σ_I r of P_X − P_I; their indices K give
+    R = R′/((1−t)·∏_{I∖K}(1−t^r)), by exact divisions again.
     """
     indices = sorted({t.r for t in types})
     # a factor 1 − t^r of the numerator that is also a part cancels
@@ -366,8 +352,13 @@ def _folded_system(
     """The image modulo t^d − 1 of V·m = target, the system of the kept
     types, for d one of the sorted kept indices: the types of index d alone,
     with their `_local_column`s, against the folded target, solved as
-    (D, x, kernel); None when it shows that V·m = target has no solution
-    m ≥ 0 in integers (soundness in the module docstring).
+    (D, x, kernel); None when it shows that the tuple has no basket.
+
+    A sound cut: every V_Q of another kept index carries the factor 1 − t^d,
+    which vanishes modulo t^d − 1.  So a basket m restricts, on the types
+    of index d, to a solution m ≥ 0 in integers of the d folded equations
+    Σ_{r_Q=d} m_Q·(V_Q mod t^d − 1) = R·t^{−l} mod t^d − 1, which an
+    inconsistent system or a `_fixed_coordinate_rejected` rules out.
     """
     folded = [sum(target[i::d]) for i in range(d)]
     cols = [_local_column(q, indices, k, n) for q in kept if q.r == d]
@@ -379,8 +370,8 @@ def _integer_system(
     types, target: Sequence[int], k: int, n: int
 ) -> tuple[list[list[int]], list[int]]:
     """Σ m_Q·V_Q = target as (rows, rhs), one equation per power of t and
-    one column V_Q per type (see the module docstring); target = [] gives
-    the system of the zero-sum collections."""
+    one column V_Q per type (V_Q as in the module docstring); target = []
+    gives the system of the zero-sum collections."""
     indices = sorted({t.r for t in types})
     vecs = []
     for t in types:
@@ -395,7 +386,8 @@ def _integer_system(
 
 
 def _certified(rows: list[list[int]], rhs: list[int], m: Sequence[int]) -> bool:
-    """The certificate of every solution m: V·m == R·t^{−l} in integers."""
+    """The certificate of every solution m (spec): V·m == R·t^{−l} in
+    integers."""
     return all(sum(map(mul, row, m)) == b for row, b in zip(rows, rhs))
 
 
@@ -498,10 +490,17 @@ def _vertices(D: int, x: Sequence[int], coords, vecs) -> list[tuple[int, ...]]:
 
 
 def _polytope_empty(D: int, x: Sequence[int], kernel) -> bool:
-    """Whether x/D + span(kernel), with no fixed coordinate rejected, has
-    no real point m ≥ 0: some component has x < 0 on a coordinate and no
-    `_nonnegative_zero_set_points`.  A component with more than
-    `_VERTEX_WALK_MAX_ZERO_SETS` zero sets is taken to have one."""
+    """Whether x/D + span(kernel), a folded system with no fixed coordinate
+    rejected, has no real point m ≥ 0: some component has x < 0 on a
+    coordinate and no `_nonnegative_zero_set_points`.
+
+    A sound cut: a basket restricts to a real point ≥ 0 of each folded
+    system, so of each kernel component on its coordinates.  Unless x ≥ 0
+    there, the component's points ≥ 0 form a polyhedron with no line (each
+    kernel vector has D in its own free coordinate), empty without a vertex,
+    a non-singular zero set with all values ≥ 0.  This needs only m ≥ 0,
+    not the vertex or `kept` rules.  A component past
+    `_VERTEX_WALK_MAX_ZERO_SETS` zero sets is not cut."""
     return any(
         any(x[i] < 0 for i in coords)
         and comb(len(coords), len(vecs)) <= _VERTEX_WALK_MAX_ZERO_SETS
@@ -541,7 +540,7 @@ def decompositions(
 ) -> list[dict[QuotientSingularity, int]]:
     """The baskets of P_X = H/∏(1 − t^{p_i}) = P_I + Σ m_Q·P_Q over the
     given types, each a map from type to multiplicity, before the fitting
-    rule.
+    rule.  P_X = P_I gives the one empty basket: a smooth member.
 
     The baskets are the integer vertices m ≥ 0 of the solutions, pairwise
     distinct: `_kernel_points` with the `_vertices` of each component.  The
@@ -550,20 +549,21 @@ def decompositions(
     and passes the exact identity for every 0 ≤ c ≤ 9, and only c = 9 and
     c = 0 come back.
 
-    P_X = P_I gives the one empty basket: a smooth member.  Otherwise a
-    type is dropped first when its P_Q has a higher degree than P_X − P_I
-    (the `kept` rule, which has no soundness argument; see `wflag.search`),
-    with deg(P_X − P_I) = deg R′ − (n + 1) − Σ_I r read off R′ (`_target`,
-    R′ and I as in the module docstring).  The target R·t^{−l} of the kept
-    types, divided exactly out of R′, must be a polynomial.  The system is
-    then read modulo t^d − 1 for each kept index d, largest first, where
-    every column of another index vanishes: if for some d the d folded
-    equations of the types of index d are inconsistent, or fix one of their
-    multiplicities at a negative or fractional value, no basket exists.
-    When every d passes, no basket exists either if for some d the folded
-    solutions have no real point m ≥ 0 (`_polytope_empty`).  Only then is
-    the full system of `_integer_system` built and solved; every solution
-    passes the certificate V·m == R·t^{−l}.
+    The stages of the search, in order, each described in the docstring of
+    the function named:
+
+    1. `search._iter_pos_wt`: the top-weight cap (spec) and the divisor
+       bounds of `search._divisor_bounds`, that is well-formedness (spec)
+       and the pole-order caps of `search._pole_caps` (sound cut);
+    2. `porb_cont`: the candidate types (spec);
+    3. `_target`: the integrality of R (spec, an exact equivalence) and
+       the `kept` rule (spec, with no soundness argument);
+    4. `_folded_system` at each kept index, largest first, stopping at the
+       first rejection (sound cut);
+    5. `_polytope_empty` on every folded system (sound cut);
+    6. `_integer_system`, `solve` and the vertex walk `_vertices` (spec);
+    7. `_certified` (spec);
+    8. `fits`, applied by `search.search_embedding` (spec).
     """
     found = _target(types, H, parts, k, n)
     if found is None:

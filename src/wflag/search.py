@@ -10,43 +10,19 @@ Each success is emitted as a :class:`Candidate` carrying its basket of
 singularities, its degree, and any zero-sum kernels among the potential
 singularity types (which make the basket ambiguous).
 
-The work is arranged as a funnel: a divisor-count bound inside the tuple
-enumeration first, then the candidate types of `orbifold.porb_cont`, then
-the exact stage, to which the scan hands H and the tuple:
-`orbifold.decompositions` builds P_I and tests the integrality of
-R = (P_X − P_I)·C over the common denominator C of the contributions, all
-from H in one run of sparse passes (exact divisions by each 1 − t^{p_i}).
-For the survivors it reads the integer system V·m = R·t^{−l} modulo
-t^d − 1 for each kept index d, largest first, where only the types of index
-d remain, and drops the tuple when for some d those d equations have no
-solution or fix a multiplicity at a negative or fractional value.  It then
-drops the tuple when for some d the solutions of those equations have no
-real point m ≥ 0, which a vertex of the folded polytope would show.  Only
-the rest are solved in full by fraction-free elimination over ℤ
-(`linalg.solve`).  The scan itself does no polynomial algebra per tuple;
-the `orbifold` module docstring sets out P_I, C, l and V, and why the
-integrality test and both cuts modulo t^d − 1 are sound.  Every emitted
-basket m is certified by the identity V·m == R·t^{−l} in integers, so the
-filters cannot produce false positives.  They can miss true ones: before
-the integer system is built, a type is dropped when its P_Q has a higher
-degree than P_X − P_I (the `kept` rule), a rule with no soundness argument
-that drops certified decompositions (g2 (−2,2) u=5 at k = 1, for one).
-
-The bound caps #{i : d | p_i} by bound_d = min(cap_d, s − 2 when d is
-prime) for 2 ≤ d ≤ max(ambient), a table built once per embedding.  For
-s ≥ 2, removing entry i leaves gcd > 1 exactly when a prime divides the
-s − 1 others, so s − 2 on the primes is well-formedness.  cap_d is
-v_{Φ_d}(H) + 1: each orbifold term B_Q/((1−t)ⁿ(1−t^{r_Q})) has at most a
-simple pole at a primitive d-th root of unity ζ_d, d > 1, and P_I has none,
-so an emitted P_X has at most a simple pole there; and as Φ_d is irreducible
-and 1 − t^{p_i} vanishes simply at ζ_d exactly when d | p_i, the pole order
-of P_X = H/∏(1 − t^{p_i}) at ζ_d is #{i : d | p_i} − v_{Φ_d}(H) when that is
-positive.  A count only grows as a prefix gets longer, in whichever order
-the entries are placed, so every completion of a prefix with a count past
-its bound would fail too: the enumeration cuts the prefix, and
-`tuples_scanned` counts the tuples within the bounds.  It places the largest
-entries first, so a prefix is also cut when its last entry times the slots
-left falls short of the rest of the sum; the tuples are sorted at the end.
+The work is arranged as a funnel, whose stages `orbifold.decompositions`
+lists in order.  The enumeration `_iter_pos_wt` caps #{i : d | p_i} by one
+table of `_divisor_bounds` per embedding, from the pole-order caps of
+`_pole_caps` and well-formedness, and `tuples_scanned` counts the tuples
+within those bounds.  Each scanned tuple gets its candidate types from
+`orbifold.porb_cont` and goes with H to the exact stage,
+`orbifold.decompositions`, so the scan itself does no polynomial algebra
+per tuple.  Every emitted basket m is certified by the identity
+V·m == R·t^{−l} in integers (`orbifold._certified`), so the funnel cannot
+produce false positives.  It can miss true ones: `orbifold._target` drops a
+type when its P_Q has a higher degree than P_X − P_I (the `kept` rule), a
+rule with no soundness argument that drops certified decompositions
+(g2 (−2,2) u=5 at k = 1, for one).
 """
 from __future__ import annotations
 
@@ -164,9 +140,16 @@ def kernel_flag(kernels: object) -> str:
 def _iter_pos_wt(ambient: Sequence[int], s: int, w: int, bounds: dict[int, int]):
     """The size-s multisets from [1, max(ambient)] summing to w, with
     #{i : d | p_i} ≤ bounds[d] for each d and no more top weights than the
-    ambient has: ascending tuples, listed in lexicographic order.  The walk
-    places the largest entries first.  One entry is never well formed
-    (removing it leaves gcd 0), so s < 2 gives none."""
+    ambient has (the top-weight cap, spec): ascending tuples, listed in
+    lexicographic order.  One entry is never well formed (removing it
+    leaves gcd 0), so s < 2 gives none.
+
+    The walk places the largest entries first and cuts a prefix whose count
+    passes its bound: a count only grows as a prefix gets longer, in
+    whichever order the entries are placed, so every completion would fail
+    too.  It also cuts a prefix when its last entry times the slots left
+    falls short of the rest of the sum, since no later entry exceeds it; the
+    tuples are sorted at the end."""
     amb = sorted(ambient)
     wmax = amb[-1]
     top_cap = amb.count(wmax)
@@ -203,7 +186,12 @@ def _iter_pos_wt(ambient: Sequence[int], s: int, w: int, bounds: dict[int, int])
 
 
 def _divisor_bounds(wmax: int, s: int, caps: dict[int, int]) -> dict[int, int]:
-    """The caps lowered to s − 2 at each prime d ≤ wmax (well-formedness)."""
+    """The caps lowered to s − 2 at each prime d ≤ wmax: bound_d =
+    min(cap_d, s − 2 when d is prime) for #{i : d | p_i}.
+
+    The prime bounds are well-formedness (spec), exactly: for s ≥ 2,
+    removing entry i leaves gcd > 1 exactly when a prime divides the s − 1
+    others, and a prime above wmax divides no entry."""
     bounds = dict(caps)
     for d in range(2, wmax + 1):
         if all(d % f for f in range(2, d)):
@@ -224,7 +212,15 @@ def pos_wt(ambient: Sequence[int], s: int, w: int) -> list[tuple[int, ...]]:
 
 def _pole_caps(H: Sequence[int], wmax: int, s: int) -> dict[int, int]:
     """The caps cap_d = v_{Φ_d}(H) + 1 for 2 ≤ d ≤ wmax, keeping only the
-    caps below s, the size of a tuple."""
+    caps below s, the size of a tuple.
+
+    The pole-order bound #{i : d | p_i} ≤ cap_d is a sound cut.  Each
+    orbifold term t^l·β_Q/((1−t)ⁿ(1−t^{r_Q})) has at most a simple pole at
+    a primitive d-th root of unity ζ_d, d > 1, and P_I has none, so a P_X
+    with a basket has at most a simple pole there.  As Φ_d is irreducible
+    and 1 − t^{p_i} vanishes simply at ζ_d exactly when d | p_i, the pole
+    order of P_X = H/∏(1 − t^{p_i}) at ζ_d is #{i : d | p_i} − v_{Φ_d}(H)
+    when that is positive."""
     caps = {d: cyclotomic_valuation(H, d) + 1 for d in range(2, wmax + 1)}
     return {d: cap for d, cap in caps.items() if cap < s}
 

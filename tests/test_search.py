@@ -4,10 +4,13 @@ import multiprocessing
 import os
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,6 @@ from hypothesis import strategies as st
 from oracles import (
     common_denominator,
     degree_of,
-    embedding_series,
     is_terminal_type,
     one_minus_t_product,
     reference_initial_term,
@@ -284,8 +286,9 @@ def _rf_degree(f: RationalFunction) -> int:
     ids=["g2-k-1-u3", "g2-k1-u3", "gr25-k1-q12", "g2-k-7-u5"],
 )
 def test_integrality_filter_matches_rational_functions(monkeypatch, format_name, k, params):
-    """The first exact filter against the unfiltered rational-function path,
-    with P_I from the reference `reference_initial_term`: for every tuple,
+    """`_target`, a spec stage (the integrality of R and the `kept` rule),
+    against its independent oracle in rational functions, with P_I from
+    the reference `reference_initial_term`: for every tuple,
     the kept types are those whose P_Q has at most the degree of P_X − P_I,
     and the target is (P_X − P_I)·C·t^{−l} over their C when that product
     is a polynomial, and there is none when it is not.  At k = −7 the shift
@@ -325,171 +328,173 @@ def test_integrality_filter_matches_rational_functions(monkeypatch, format_name,
     assert integral and rejected
 
 
-#: The censuses of the differential tests of the folded systems, by test id.
-FOLDED_CENSUSES = {
+#: The censuses of the differential test of the sound cuts, by test id.
+CENSUSES = {
     "g2-k-1-u5": SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
     "g2-k1-u4": SearchConfig(format_name="g2", k=1, n=3, u_max=4),
     "g2-k-7-u5": SearchConfig(format_name="g2", k=-7, n=3, u_max=5),
     "g2-k-3-u6": SearchConfig(format_name="g2", k=-3, n=3, u_max=6),
     "gr25-k1-q12": SearchConfig(format_name="gr25", k=1, n=3, q_max=12),
-    # at q ≤ 12 the check rejects none of the 11 systems of gr25 k = −1
+    # at q ≤ 12 the folded check rejects none of the 11 systems of gr25 k = −1
     "gr25-k-1-q16": SearchConfig(format_name="gr25", k=-1, n=3, q_max=16),
+    "g2-k0-u4": SearchConfig(format_name="g2", k=0, n=3, u_max=4),
+    "g2-n2-k1-u4": SearchConfig(format_name="g2", k=1, n=2, u_max=4),
+    "g2-k-1-mu-2.2-u5": SearchConfig(
+        format_name="g2", k=-1, n=3, params=(CocharacterParam((-2, 2), 5),)
+    ),
 }
 
-#: `_folded_system` switched off: a folded system with no unknowns, which
-#: neither folded cut rejects.
-NO_FOLDED_SYSTEM = (1, [], [])
+#: The sound cuts as (module, name, pass-through value), each switched off by
+#: `_switch_off`.  A folded system with no unknowns passes `_polytope_empty`
+#: too, so the folded check off lets the polytope cut's rejections through.
+SOUND_CUTS = [
+    (search_module, "_pole_caps", {}),
+    (orbifold_module, "_folded_system", (1, [], [])),
+    (orbifold_module, "_polytope_empty", False),
+]
+
+#: The tuples each cut rejects on each census, one per `decompositions`
+#: call: those that get further with the cut switched off.  With no pole
+#: caps, g2 k=−3 u≤6 scans 24,527 tuples instead of 635, so it is left out.
+CUT_REJECTIONS = {
+    "g2-k-1-u5": {"_pole_caps": 4717, "_folded_system": 100, "_polytope_empty": 10},
+    "g2-k1-u4": {"_pole_caps": 631, "_folded_system": 27, "_polytope_empty": 5},
+    "g2-k-7-u5": {"_pole_caps": 3795, "_folded_system": 1, "_polytope_empty": 0},
+    "g2-k-3-u6": {"_folded_system": 571, "_polytope_empty": 25},
+    "gr25-k1-q12": {"_pole_caps": 8, "_folded_system": 4, "_polytope_empty": 0},
+    "gr25-k-1-q16": {"_pole_caps": 336, "_folded_system": 22, "_polytope_empty": 0},
+    "g2-k0-u4": {"_pole_caps": 679, "_folded_system": 5, "_polytope_empty": 1},
+    "g2-n2-k1-u4": {"_pole_caps": 455, "_folded_system": 6, "_polytope_empty": 0},
+    "g2-k-1-mu-2.2-u5": {"_pole_caps": 2646, "_folded_system": 44, "_polytope_empty": 1},
+}
 
 
-@pytest.mark.parametrize(
-    "census, systems, below_largest",
-    [
-        ("g2-k-1-u5", 21, 18),
-        ("g2-k1-u4", 19, 9),
-        ("g2-k-7-u5", 0, 0),
-        ("g2-k-3-u6", 9, 113),
-        ("gr25-k1-q12", 7, 0),
-        ("gr25-k-1-q16", 21, 15),
-    ],
-    ids=list(FOLDED_CENSUSES),
-)
-def test_modulo_t_d_minus_1_check_matches_the_unfiltered_solve(
-    monkeypatch, census, systems, below_largest
-):
-    """The check modulo t^d − 1 at every kept index against the exact stage
-    without it: the same candidates, and every tuple it rejects has no
-    basket.  Pinned: the full systems `decompositions` still builds, and the
-    tuples that the largest index passes and a smaller one rejects.  At
-    k = −7 the shift l is negative."""
-    config = FOLDED_CENSUSES[census]
-    check = orbifold_module._folded_system
+def _switch_off(monkeypatch, module, name, value) -> None:
+    monkeypatch.setattr(module, name, lambda *args: value)
+
+
+def _funnel(config, monkeypatch) -> SimpleNamespace:
+    """Scan a census embedding by embedding, and record how far each tuple
+    got, keyed by (param, parts): handed to `decompositions` ("scanned") and
+    its full system built ("solved"); with the call's arguments and baskets,
+    and the folded checks made, as (sorted kept indices, d, rejected)."""
+    run = SimpleNamespace(candidates={}, scanned={}, reached=Counter(), calls={}, checks={})
+    folded_system = orbifold_module._folded_system
     integer_system = orbifold_module._integer_system
-    checked = []  # (d, rejected) for each index checked in one call
-    indices = []
-    built = []
+    checks, built = [], []
 
-    def spy_check(kept, kept_indices, target, d, k, n):
-        indices[:] = sorted({q.r for q in kept}, reverse=True)
-        assert kept_indices == tuple(indices[::-1])
-        solved = check(kept, kept_indices, target, d, k, n)
-        checked.append((d, solved is None))
+    def spy_check(kept, indices, target, d, k, n):
+        assert indices == tuple(sorted({q.r for q in kept}))
+        solved = folded_system(kept, indices, target, d, k, n)
+        checks.append((indices, d, solved is None))
         return solved
 
     def spy_system(*args):
         built.append(args)
         return integer_system(*args)
 
-    rejected = []
-    smaller = 0
-
     def spy(*args):
-        nonlocal smaller
-        checked.clear()
+        checks.clear()
+        built.clear()
+        key = (param, args[2])
         found = decompositions(*args)
-        # largest index first, stopping at the first rejection
-        assert [d for d, _ in checked] == indices[: len(checked)]
-        assert not any(verdict for _, verdict in checked[:-1])
-        if checked and checked[-1][1]:
-            rejected.append(args)
-            smaller += len(checked) > 1
+        run.calls[key] = args, found
+        run.checks[key] = checks.copy()
+        run.reached[key, "scanned"] += 1
+        if built:
+            run.reached[key, "solved"] += 1
         return found
 
     monkeypatch.setattr(orbifold_module, "_folded_system", spy_check)
     monkeypatch.setattr(orbifold_module, "_integer_system", spy_system)
     monkeypatch.setattr(search_module, "decompositions", spy)
-    filtered = search(config)
-    # `_emit` builds the zero-sum systems of `basket_kernel` with R = 0
-    assert sum(1 for args in built if args[1]) == systems
-    assert smaller == below_largest
-    monkeypatch.setattr(orbifold_module, "_folded_system", lambda *args: NO_FOLDED_SYSTEM)
-    assert search(config) == filtered
-    assert rejected
-    for args in rejected:
-        assert decompositions(*args) == []
-
-
-@pytest.mark.parametrize(
-    "census, cut",
-    [
-        ("g2-k-1-u5", 10),
-        ("g2-k1-u4", 5),
-        ("g2-k-7-u5", 0),
-        ("g2-k-3-u6", 25),
-        ("gr25-k1-q12", 0),
-        ("gr25-k-1-q16", 0),
-    ],
-    ids=list(FOLDED_CENSUSES),
-)
-def test_polytope_cut_matches_the_unfiltered_solve(monkeypatch, census, cut):
-    """The cut of the folded systems that have no real point m ≥ 0 against
-    the exact stage without it: the same candidates, and every tuple it
-    rejects has no basket without either folded cut.  Pinned: the tuples it
-    rejects, each one full system fewer."""
-    config = FOLDED_CENSUSES[census]
-    empty = orbifold_module._polytope_empty
-    verdicts = []
-    rejected = []
-
-    def spy_cut(*solved):
-        verdicts.append(empty(*solved))
-        return verdicts[-1]
-
-    def spy(*args):
-        verdicts.clear()
-        found = decompositions(*args)
-        if verdicts and verdicts[-1]:
-            assert found == []
-            rejected.append(args)
-        return found
-
-    monkeypatch.setattr(orbifold_module, "_polytope_empty", spy_cut)
-    monkeypatch.setattr(search_module, "decompositions", spy)
-    filtered = search(config)
-    assert len(rejected) == cut
-    monkeypatch.setattr(orbifold_module, "_polytope_empty", lambda *solved: False)
-    assert search(config) == filtered
-    monkeypatch.setattr(orbifold_module, "_folded_system", lambda *args: NO_FOLDED_SYSTEM)
-    for args in rejected:
-        assert decompositions(*args) == []
-
-
-@pytest.mark.parametrize(
-    "format_name, k, n, bounds",
-    [
-        ("g2", -1, 3, {"u_max": 4}),
-        ("g2", 0, 3, {"u_max": 4}),
-        ("g2", 1, 3, {"u_max": 4}),
-        ("g2", -1, 3, {"params": (CocharacterParam((-2, 2), 5),)}),
-        ("g2", 1, 2, {"u_max": 4}),
-        ("gr25", 1, 3, {"q_max": 12}),
-        ("gr25", -1, 3, {"q_max": 12}),
-    ],
-    ids=[
-        "g2-k-1-u4", "g2-k0-u4", "g2-k1-u4", "g2-k-1-mu-2.2-u5",
-        "g2-n2-k1-u4", "gr25-k1-q12", "gr25-k-1-q12",
-    ],
-)
-def test_pole_order_filter_matches_unfiltered_search(monkeypatch, format_name, k, n, bounds):
-    """The pole-order caps against the enumeration bounded by the prime bounds
-    of well-formedness alone: the same candidates on every embedding, never
-    more tuples scanned and fewer somewhere, and the unbounded count equal to
-    the number of tuples `pos_wt` enumerates."""
-    config = SearchConfig(format_name=format_name, k=k, n=n, **bounds)
-    fmt = FORMATS[format_name]
-    s = n + fmt.codimension + 1
-    pole_caps = search_module._pole_caps
-    cut = 0
     for param in sweep_parameters(config):
-        monkeypatch.setattr(search_module, "_pole_caps", pole_caps)
-        cands, scanned = search_embedding(format_name, param, k=k, n=n)
-        monkeypatch.setattr(search_module, "_pole_caps", lambda H, wmax, s: {})
-        unbounded_cands, unbounded = search_embedding(format_name, param, k=k, n=n)
-        assert cands == unbounded_cands, param
-        data = hilbert_series(fmt, param)
-        assert unbounded == len(pos_wt(data.weights, s, data.adjunction_number - k))
-        assert scanned <= unbounded, param
-        cut += unbounded - scanned
-    assert cut > 0
+        run.candidates[param], run.scanned[param] = search_embedding(
+            config.format_name, param, k=config.k, n=config.n
+        )
+    return run
+
+
+@pytest.fixture(scope="module")
+def filtered():
+    """The funnel of a census with every cut on, run once per module."""
+
+    @cache
+    def run(census):
+        with pytest.MonkeyPatch.context() as patch:
+            return _funnel(CENSUSES[census], patch)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "module, name, value, census, rejections",
+    [
+        pytest.param(module, name, value, census, pins[name], id=f"{name[1:]}-{census}")
+        for module, name, value in SOUND_CUTS
+        for census, pins in CUT_REJECTIONS.items()
+        if name in pins
+    ],
+)
+def test_a_sound_cut_switched_off_changes_no_candidate(
+    monkeypatch, filtered, module, name, value, census, rejections
+):
+    """Each sound cut against the funnel without it: the same candidates on
+    every embedding, every tuple at least as far as with the cut, and no
+    basket with every cut off for any tuple the cut rejects.  Pinned: the
+    tuples it rejects.  At k = −7 the shift l is negative."""
+    assert any(pins.get(name) for pins in CUT_REJECTIONS.values()), "an untested cut"
+    config = CENSUSES[census]
+    on = filtered(census)
+    _switch_off(monkeypatch, module, name, value)
+    off = _funnel(config, monkeypatch)
+    assert off.candidates == on.candidates
+    assert not on.reached - off.reached
+    rejected = {key for key, _ in off.reached - on.reached}
+    assert len(rejected) == rejections
+    if name == "_pole_caps":  # with no caps, the scan is `pos_wt`'s
+        fmt = FORMATS[config.format_name]
+        s = config.n + fmt.codimension + 1
+        for param, unbounded in off.scanned.items():
+            data = hilbert_series(fmt, param)
+            assert unbounded == len(pos_wt(data.weights, s, data.adjunction_number - config.k))
+    # the exact cuts act between `_target` and the full system, so a tuple
+    # that did not stop between them has the baskets of every cut off
+    for every_cut in SOUND_CUTS:
+        _switch_off(monkeypatch, *every_cut)
+    for key in rejected:
+        args, found = off.calls[key]
+        if off.checks[key] and (key, "solved") not in off.reached:
+            found = decompositions(*args)
+        assert found == [], key
+
+
+@pytest.mark.parametrize(
+    "census, rejected, below_largest, systems",
+    [
+        ("g2-k-1-u5", 90, 18, 21),
+        ("g2-k1-u4", 22, 9, 19),
+        ("g2-k-7-u5", 1, 0, 0),
+        ("g2-k-3-u6", 546, 113, 9),
+        ("gr25-k1-q12", 4, 0, 7),
+        ("gr25-k-1-q16", 22, 15, 21),
+        ("g2-k0-u4", 4, 0, 5),
+        ("g2-n2-k1-u4", 6, 0, 0),
+        ("g2-k-1-mu-2.2-u5", 43, 6, 3),
+    ],
+)
+def test_folded_check_runs_largest_index_first(filtered, census, rejected, below_largest, systems):
+    """The check modulo t^d − 1 runs the kept indices largest first and stops
+    at the first rejection.  Pinned: the tuples it rejects, those that the
+    largest index passes and a smaller one rejects, and the full systems."""
+    run = filtered(census)
+    stops = [len(checks) for checks in run.checks.values() if checks and checks[-1][2]]
+    for checks in filter(None, run.checks.values()):
+        assert [d for _, d, _ in checks] == list(checks[0][0][::-1][: len(checks)])
+        assert not any(verdict for *_, verdict in checks[:-1])
+    assert len(stops) == rejected
+    assert sum(n > 1 for n in stops) == below_largest
+    assert sum(stage == "solved" for _, stage in run.reached) == systems
 
 
 def _brute_force_enumeration(ambient, s, w, bounds):
@@ -670,18 +675,11 @@ def test_integer_kernel_walk_on_the_k_minus_3_census():
         _assert_identity(c)
 
 
-def test_exact_solutions_are_pairwise_distinct(monkeypatch):
+def test_exact_solutions_are_pairwise_distinct(filtered):
     """The combinations of per-component vertices are distinct solutions, so
     `decompositions` needs no set of those already returned; on g2 k=−3
     u≤6, whose kernels reach dimension 14."""
-    calls = []
-
-    def spy(*args):
-        calls.append(decompositions(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(search_module, "decompositions", spy)
-    search(SearchConfig(format_name="g2", k=-3, n=3, u_max=6))
+    calls = [found for _, found in filtered("g2-k-3-u6").calls.values()]
     for solutions in calls:
         keys = {tuple(sorted(solution.items())) for solution in solutions}
         assert len(keys) == len(solutions)
