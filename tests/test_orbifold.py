@@ -32,6 +32,7 @@ from wflag.orbifold import (
     _shift,
     _types_for_index,
     basket_kernel,
+    decompositions,
     gcd_closure,
     initial_term,
     porb_cont,
@@ -318,29 +319,43 @@ def test_polytope_cut_passes_a_component_past_the_zero_set_cap(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, scanned, distinct",
     [
-        SearchConfig(format_name="g2", k=-1, n=3, u_max=5),
-        SearchConfig(format_name="gr25", k=1, n=3, q_max=16),
+        (SearchConfig(format_name="g2", k=-1, n=3, u_max=5), 134, 132),
+        (SearchConfig(format_name="gr25", k=1, n=3, q_max=16), 101, 40),
     ],
     ids=["g2-k-1-u5", "gr25-k1-q16"],
 )
-def test_porb_cont_matches_the_reference_on_every_scanned_tuple(monkeypatch, config):
-    """The censuses of the two benchmark workloads: every tuple the scan
-    hands to `porb_cont` gets the types and extended weights of the
-    reference."""
-    calls = []
+def test_porb_cont_matches_the_reference_on_every_scanned_tuple(
+    monkeypatch, config, scanned, distinct
+):
+    """The censuses of the two benchmark workloads: every scanned tuple
+    reaches `decompositions` with the types of the reference, and the sweep
+    hands each distinct tuple to `porb_cont` once, which returns the types
+    and extended weights of the reference.  Pinned: the scanned and the
+    distinct tuples."""
+    calls, scans = [], []
 
     def spy(parts, n, k):
         result = porb_cont(parts, n, k)
         calls.append((parts, n, k, result))
         return result
 
+    def spy_decompositions(types, H, parts, k, n):
+        scans.append((parts, n, k, types))
+        return decompositions(types, H, parts, k, n)
+
     monkeypatch.setattr(search_module, "porb_cont", spy)
-    scanned = sum(result.tuples_scanned for result in iter_search(config))
-    assert len(calls) == scanned > 0
+    monkeypatch.setattr(search_module, "decompositions", spy_decompositions)
+    assert sum(result.tuples_scanned for result in iter_search(config)) == scanned
+    assert len(scans) == scanned
+    assert len(calls) == len({parts for parts, *_ in scans}) == distinct
+    reference = {}
     for parts, n, k, result in calls:
-        assert result == reference_porb_cont(parts, n, k), parts
+        reference[parts] = reference_porb_cont(parts, n, k)
+        assert result == reference[parts], parts
+    for parts, n, k, types in scans:
+        assert types == reference[parts][0], parts
 
 
 def test_porb_cont_fano_example():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import re
 import signal
 from collections import Counter
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from oracles import (
 
 import wflag.orbifold as orbifold_module
 import wflag.search as search_module
+from wflag.cli import main
 from wflag.formats import FORMATS, CocharacterParam, enumerate_parameters, hilbert_series
 from wflag.linalg import solve
 from wflag.orbifold import (
@@ -40,6 +42,7 @@ from wflag.orbifold import (
     decompositions,
     fits,
     initial_term,
+    porb_cont,
     qorb,
 )
 from wflag.ratfun import DomainError, RationalFunction, UniPolynomial
@@ -374,11 +377,15 @@ def _switch_off(monkeypatch, module, name, value) -> None:
 
 
 def _funnel(config, monkeypatch) -> SimpleNamespace:
-    """Scan a census embedding by embedding, and record how far each tuple
-    got, keyed by (param, parts): handed to `decompositions` ("scanned") and
-    its full system built ("solved"); with the call's arguments and baskets,
-    and the folded checks made, as (sorted kept indices, d, rejected)."""
-    run = SimpleNamespace(candidates={}, scanned={}, reached=Counter(), calls={}, checks={})
+    """Scan a census embedding by embedding through one tuple front, as a
+    sweep does, and record how far each tuple got, keyed by (param, parts):
+    handed to `decompositions` ("scanned") and its full system built
+    ("solved"); with the call's arguments and baskets, the folded checks
+    made, as (sorted kept indices, d, rejected), and the arguments of each
+    `basket_kernel` call."""
+    run = SimpleNamespace(
+        candidates={}, scanned={}, reached=Counter(), calls={}, checks={}, kernel_calls=[]
+    )
     folded_system = orbifold_module._folded_system
     integer_system = orbifold_module._integer_system
     checks, built = [], []
@@ -405,12 +412,18 @@ def _funnel(config, monkeypatch) -> SimpleNamespace:
             run.reached[key, "solved"] += 1
         return found
 
+    def spy_kernel(*args):
+        run.kernel_calls.append(args)
+        return basket_kernel(*args)
+
     monkeypatch.setattr(orbifold_module, "_folded_system", spy_check)
     monkeypatch.setattr(orbifold_module, "_integer_system", spy_system)
     monkeypatch.setattr(search_module, "decompositions", spy)
+    monkeypatch.setattr(search_module, "basket_kernel", spy_kernel)
+    front = {}
     for param in sweep_parameters(config):
         run.candidates[param], run.scanned[param] = search_embedding(
-            config.format_name, param, k=config.k, n=config.n
+            config.format_name, param, k=config.k, n=config.n, front=front
         )
     return run
 
@@ -661,9 +674,11 @@ G2_K_MINUS_3_CANDIDATES = (
 )
 
 
-def test_integer_kernel_walk_on_the_k_minus_3_census():
+def test_integer_kernel_walk_on_the_k_minus_3_census(filtered):
+    run = filtered("g2-k-3-u6")
+    assert sum(map(len, run.candidates.values())) == len(G2_K_MINUS_3_CANDIDATES)
     params = (CocharacterParam((-2, 3), 5), CocharacterParam((-3, 4), 6))
-    cands = search(SearchConfig(format_name="g2", k=-3, n=3, params=params))
+    cands = merge_candidates(c for param in params for c in run.candidates[param])
     got = tuple(
         (c.mu, c.u, c.x_weights, c.degree,
          tuple((s.r, s.weights, m) for s, m in c.basket))
@@ -712,10 +727,11 @@ def _whole_kernel_walk(types, extended_weights, k, n):
     return tuple(out)
 
 
-def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch):
+def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch, filtered):
     """`basket_kernel` against the whole-kernel walk on the types of every
-    emitting tuple of g2 k=1 u≤5 (3 of 20 calls find collections) and of
-    g2 k=−3 u≤6 (kernels up to dimension 14)."""
+    distinct emitting tuple of g2 k=1 u≤5 (2 of 19 calls find collections)
+    and of g2 k=−3 u≤6 (3 calls; kernels up to dimension 14), each called
+    once."""
     calls = []
 
     def spy(*args):
@@ -724,13 +740,13 @@ def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch):
 
     monkeypatch.setattr(search_module, "basket_kernel", spy)
     search(SearchConfig(format_name="g2", k=1, n=3, u_max=5))
-    search(SearchConfig(format_name="g2", k=-3, n=3, u_max=6))
+    calls += filtered("g2-k-3-u6").kernel_calls
     found = 0
     for args in calls:
         got = basket_kernel(*args)
         assert got == _whole_kernel_walk(*args), args
         found += bool(got)
-    assert len(calls) == 23 and found == 3
+    assert len(calls) == len(set(calls)) == 22 and found == 2
 
 
 #: Each cap of the kernel walks, lowered to one below the most its walk sees
@@ -772,6 +788,83 @@ def test_search_matches_worker_pool():
     assert [candidate_key(c) for c in search(base)] == [
         candidate_key(c) for c in search(parallel)
     ]
+
+
+def _gr25_q16_sweep(capsys, out, k, jobs) -> tuple[list[str], str]:
+    """`wflag search` of gr25 q≤16 at k with `--jobs` and `--out`: the
+    record lines without their `timing_ms`, and the `--emit json` output."""
+    argv = ["search", "--format", "gr25", f"--k={k}", "--n", "3", "--q-max", "16",
+            "--jobs", str(jobs), "--out", str(out), "--emit", "json"]
+    assert main(argv) == 0
+    lines = [re.sub(r',"timing_ms":[^,]*', "", line) for line in out.read_text().splitlines()]
+    return lines, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("k", [1, -1])
+def test_the_tuple_front_changes_no_output(monkeypatch, capsys, tmp_path, k, jobs):
+    """A sweep gives the same record bytes, outside `timing_ms`, and the
+    same `--emit json` output as a sweep whose tuple front never hits, each
+    embedding starting from an empty one.  With one job, the front saves
+    `porb_cont` calls."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return porb_cont(*args)
+
+    monkeypatch.setattr(search_module, "porb_cont", spy)
+    shared = _gr25_q16_sweep(capsys, tmp_path / "shared.ndjson", k, jobs)
+    shared_calls = len(calls)
+    scan = search_module.search_embedding
+
+    def without_hits(format_name, param, **options):
+        return scan(format_name, param, **{**options, "front": {}})
+
+    monkeypatch.setattr(search_module, "search_embedding", without_hits)
+    assert _gr25_q16_sweep(capsys, tmp_path / "unshared.ndjson", k, jobs) == shared
+    assert any('"candidate"' in line for line in shared[0])
+    if jobs == 1:
+        assert 0 < shared_calls < len(calls) - shared_calls
+
+
+def test_each_sweep_has_its_own_front_at_one_sum(monkeypatch):
+    """Each sweep has its own front, keyed by the tuple sum, k and n, and
+    keeps only the tuples of the latest sum.  gr25 k=1 q≤16 and k=−1 q≤14
+    end on the same sum, 15, and share tuples there, but no entry: each
+    holds the types of its own k.  After each sweep, its front holds
+    exactly the tuples that the sweep scanned at that sum."""
+    fronts, scanned = [], set()
+    scan = search_module.search_embedding
+
+    def spy_scan(format_name, param, **options):
+        fronts.append((options["k"], options["front"]))
+        return scan(format_name, param, **options)
+
+    def spy_decompositions(types, H, parts, k, n):
+        scanned.add((k, parts))
+        return decompositions(types, H, parts, k, n)
+
+    monkeypatch.setattr(search_module, "search_embedding", spy_scan)
+    monkeypatch.setattr(search_module, "decompositions", spy_decompositions)
+    search(SearchConfig(format_name="gr25", k=1, n=3, q_max=16))
+    search(SearchConfig(format_name="gr25", k=-1, n=3, q_max=14))
+    front = dict(fronts)
+    assert front[1] is not front[-1]
+    assert all(f is front[k] for k, f in fronts)
+    tuples = {}
+    for k, f in front.items():
+        assert list(f) == [(15, k, 3)]
+        tuples[k] = f[15, k, 3]
+        assert set(tuples[k]) == {parts for j, parts in scanned if j == k and sum(parts) == 15}
+        for parts, (types, extended, _) in tuples[k].items():
+            assert (types, extended) == porb_cont(parts, 3, k)
+    common = tuples[1].keys() & tuples[-1].keys()
+    assert common
+    assert not {id(tuples[1][parts]) for parts in common} & {
+        id(tuples[-1][parts]) for parts in common
+    }
+    assert any(tuples[1][parts][0] != tuples[-1][parts][0] for parts in common)
 
 
 def test_pool_never_exceeds_the_embeddings(monkeypatch):
@@ -903,10 +996,10 @@ def _failing_at(monkeypatch, param: CocharacterParam, fail) -> None:
     """Make the scan of one embedding call `fail()`; the others run as usual."""
     scan = search_module.search_embedding
 
-    def patched(format_name, p, k=-1, n=3):
+    def patched(format_name, p, **options):
         if p == param:
             fail()
-        return scan(format_name, p, k=k, n=n)
+        return scan(format_name, p, **options)
 
     monkeypatch.setattr(search_module, "search_embedding", patched)
 
