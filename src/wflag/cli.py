@@ -31,7 +31,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from typing import IO, TYPE_CHECKING, Sequence
 
@@ -268,43 +268,33 @@ def _run_sweep(
         progress.write(
             f"# resume: {len(completed)} embeddings already done in {resume_path}\n"
         )
-    params = sweep_parameters(config)
     todo = tuple(
         p
-        for p in params
+        for p in sweep_parameters(config)
         if (config.format_name, p.mu, p.u, config.k, config.n) not in completed
     )
     write_path = out_path or resume_path
-    if write_path and os.path.exists(write_path):
-        # a sweep killed mid-write leaves a torn last line; appending after
-        # it would bury it in the middle of the file
-        with _file_errors("write", write_path):
-            records.drop_torn_tail(write_path)
-    writer_stream: IO[str] | None = None
     fresh: list[Candidate] = []
-    try:
+    with ExitStack() as stack:
         if write_path:
             with _file_errors("write", write_path):
-                writer_stream = open(write_path, "a", encoding="utf-8")
-            writer = records.ResultWriter(writer_stream)
-        done = 0
-        if todo:
-            run_config = replace(config, params=todo)
-            for result in iter_search(run_config):
-                done += 1
-                fresh.extend(result.candidates)
-                if write_path:
-                    with _file_errors("write", write_path):
-                        writer.write_result(result)
-                progress.write(
-                    f"# [{done}/{len(todo)}] {embedding_label(result.mu, result.u)}: "
-                    f"{len(result.candidates)} candidates, "
-                    f"{result.tuples_scanned} tuples, {result.elapsed_ms} ms\n"
-                )
-                progress.flush()
-    finally:
-        if writer_stream is not None:
-            writer_stream.close()
+                if os.path.exists(write_path):
+                    # a sweep killed mid-write leaves a torn last line;
+                    # appending after it would bury it in the middle of the file
+                    records.drop_torn_tail(write_path)
+                stream = stack.enter_context(open(write_path, "a", encoding="utf-8"))
+            writer = records.ResultWriter(stream)
+        for done, result in enumerate(iter_search(replace(config, params=todo)), 1):
+            fresh.extend(result.candidates)
+            if write_path:
+                with _file_errors("write", write_path):
+                    writer.write_result(result)
+            progress.write(
+                f"# [{done}/{len(todo)}] {embedding_label(result.mu, result.u)}: "
+                f"{len(result.candidates)} candidates, "
+                f"{result.tuples_scanned} tuples, {result.elapsed_ms} ms\n"
+            )
+            progress.flush()
     return merge_candidates(cached + fresh)
 
 

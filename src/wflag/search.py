@@ -383,8 +383,8 @@ def _work(
     task_r: int, result_w: int,
 ) -> None:
     """Worker i: read a 4-byte index into params at a time until EOF, and
-    answer each with a length-prefixed pickle of (index, SweepResult or
-    exception)."""
+    answer each with a pickle of (index, SweepResult or exception), which
+    is self-delimiting: the parent reads it back with `pickle.load`."""
     import pickle
 
     _place_worker(i)
@@ -396,8 +396,7 @@ def _work(
                 result = _sweep_one(config, params[index], front)
             except Exception as exc:  # raised again in the parent
                 result = exc
-            payload = pickle.dumps((index, result))
-            out.write(len(payload).to_bytes(8, "little") + payload)
+            out.write(pickle.dumps((index, result)))
             out.flush()
 
 
@@ -405,84 +404,85 @@ def _forked_sweep(
     config: SearchConfig, params: Sequence[CocharacterParam], jobs: int
 ) -> Iterator[SweepResult]:
     """Scan the embeddings params on `jobs` forked workers, one at a time
-    each, and yield the results in the order of params."""
+    each, and yield the results in the order of params.  Each worker has a
+    record: pid (0 once reaped), task pipe, result file, index (None: idle)."""
     import pickle
     import select
+    from contextlib import suppress
+    from types import SimpleNamespace
 
-    pids: list[int] = []
-    task_ws: list[int] = []
-    readers = []  # the result pipes, as buffered files
-    busy: dict[int, int] = {}  # worker -> index of its task
+    workers: list[SimpleNamespace] = []
+    indices = iter(range(len(params)))
     done: dict[int, object] = {}
-    handed = 0
 
-    def hand_out(w: int) -> None:
-        nonlocal handed
-        if handed < len(params):
-            busy[w] = handed
-            try:
-                os.write(task_ws[w], handed.to_bytes(4, "little"))
-            except BrokenPipeError:
-                pass  # the worker is dead: its result pipe reaches EOF
-            handed += 1
+    def hand_out(w: SimpleNamespace) -> None:
+        w.index = next(indices, None)
+        if w.index is not None:
+            with suppress(BrokenPipeError):  # dead: its result pipe reaches EOF
+                os.write(w.task_w, w.index.to_bytes(4, "little"))
 
     try:
         for i in range(jobs):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
+            fds: list[int] = []
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise DomainError(
+                    f"cannot start sweep worker {i + 1} of {jobs}: {exc.strerror or exc}"
+                ) from None
+            task_r, task_w, result_r, result_w = fds
             if pid == 0:  # the worker leaves only by os._exit: no stdio flush
                 status = 1
                 try:
-                    for fd in (*task_ws, *(r.fileno() for r in readers), task_w, result_r):
+                    for fd in (task_w, result_r, *(w.task_w for w in workers)):
                         os.close(fd)
+                    for w in workers:
+                        w.results.close()
                     _work(i, config, params, task_r, result_w)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(task_r)
             os.close(result_w)
-            pids.append(pid)
-            task_ws.append(task_w)
-            readers.append(open(result_r, "rb"))
-            hand_out(i)
+            w = SimpleNamespace(pid=pid, task_w=task_w, results=open(result_r, "rb"))
+            workers.append(w)
+            hand_out(w)
         for want in range(len(params)):
             while want not in done:
-                ready, _, _ = select.select([readers[w] for w in busy], [], [])
-                for reader in ready:
-                    w = readers.index(reader)
-                    head = reader.read(8)
-                    size = int.from_bytes(head, "little")
-                    payload = reader.read(size)
-                    if len(head) < 8 or len(payload) < size:
-                        _, status = os.waitpid(pids[w], 0)
-                        pids[w] = -1
-                        param = params[busy[w]]
+                busy = [w.results for w in workers if w.index is not None]
+                ready, _, _ = select.select(busy, [], [])
+                for w in (w for w in workers if w.results in ready):
+                    try:
+                        index, result = pickle.load(w.results)
+                    except (EOFError, pickle.UnpicklingError):
+                        _, status = os.waitpid(w.pid, 0)
+                        w.pid = 0
+                        param = params[w.index]
                         raise DomainError(
                             f"the worker scanning {config.format_name} "
                             f"{embedding_label(param.mu, param.u)} died with "
                             f"exit status {os.waitstatus_to_exitcode(status)}"
-                        )
-                    index, result = pickle.loads(payload)
+                        ) from None
                     done[index] = result
-                    del busy[w]
                     hand_out(w)
             result = done.pop(want)
             if isinstance(result, BaseException):
                 raise result
             yield result
     finally:
-        for fd in task_ws:
-            os.close(fd)  # EOF: an idle worker exits
-        for reader in readers:
-            reader.close()
-        for w, pid in enumerate(pids):
-            if pid > 0:
-                if w in busy:
+        for w in workers:
+            os.close(w.task_w)  # EOF: an idle worker exits
+            w.results.close()
+            if w.pid:
+                if w.index is not None:
                     import signal  # about 1 ms, paid only here
 
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                    os.kill(w.pid, signal.SIGKILL)
+                os.waitpid(w.pid, 0)
 
 
 def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
@@ -490,11 +490,13 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
 
     Results are identical for any worker count.  With jobs > 1 the parent
     forks min(jobs, embeddings) workers and hands each one embedding at a
-    time over a pipe; each answers with a pickled `SweepResult`, or the
-    exception its scan raised, which the parent raises in turn.  A worker
-    that dies before it answers ends the sweep with a `DomainError` naming
-    its embedding.  However the generator ends, the workers still busy are
-    killed and every worker is reaped before it returns.  With two workers
+    time over a pipe; each answers with one pickle (self-delimiting, so no
+    length prefix) of its `SweepResult`, or of the exception its scan
+    raised, which the parent raises in turn.  A worker that cannot start
+    (`os.pipe` or `os.fork` fails) or that dies before it answers ends the
+    sweep with a `DomainError`, naming the worker or its embedding.  However
+    the generator ends, the workers still busy are killed, every worker is
+    reaped and every pipe is closed before it returns.  With two workers
     on two fast gr25 embeddings, the first result came back after about
     8 ms (fresh processes, median of 15, 2-core machine), against 27 ms
     with the `multiprocessing` pool this replaces (its import, `Pool(2)`
