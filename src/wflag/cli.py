@@ -9,7 +9,8 @@ Subcommands (names fixed):
 * ``decompose``  -- verify a series against an initial term plus a basket
 * ``params``     -- list the distinct embeddings a sweep would visit
 * ``search``     -- run a sweep, with resumable line-delimited JSON output
-* ``report``     -- regenerate the six-row Fano reference table
+* ``report``     -- regenerate the six-row Fano reference table, from a record
+  file or from its own g2 k=-1 u<=7 census
 
 Exit codes: 0 on success, 1 on a domain error (invalid parameters, failed
 identity, missing table row, a file that cannot be read or written), 2 on a
@@ -44,6 +45,7 @@ from .search import (
     Candidate,
     SearchConfig,
     candidate_key,
+    compact_weights,
     embedding_label,
     iter_search,
     kernel_flag,
@@ -239,7 +241,7 @@ def _format_param_line(name: str, param: CocharacterParam) -> str:
     data = hilbert_series(FORMATS[name], param)
     return (
         f"{embedding_label(param.mu, param.u)} q={data.adjunction_number} "
-        f"sigma={data.sigma} weights={records.compact_weights(data.weights)}"
+        f"sigma={data.sigma} weights={compact_weights(data.weights)}"
     )
 
 
@@ -347,7 +349,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         cand = by_key.get((row["weights"], basket))
         if cand is None:
             raise DomainError(
-                f"row {idx} (weights {records.compact_weights(row['weights'])}) "
+                f"row {idx} (weights {compact_weights(row['weights'])}) "
                 "not present in the search output"
             )
         if cand.degree != row["degree"] or bool(cand.kernels) != row["kernel"]:
@@ -449,9 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--from",
         dest="from_path",
         default=None,
-        help="use candidates from this record file instead of a fresh sweep",
+        help="use candidates from this record file; without it the report "
+        "runs the g2 k=-1 n=3 u<=7 census itself",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for that census; unused with --from",
+    )
     p.set_defaults(func=cmd_report)
 
     return parser

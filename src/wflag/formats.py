@@ -2,9 +2,10 @@
 
 A *format* is a rational homogeneous variety, given by the highest weight of
 its defining module and two stored tables (below).  A *parameter* is a
-cocharacter ``mu`` plus a positive central shift ``u``; together they induce
-positive weights on the ambient coordinates and hence a weighted-projective
-embedding of the variety.
+cocharacter ``mu`` plus an integer central shift ``u``; together they induce
+weights on the ambient coordinates, and the parameter is valid when every
+one is positive, which gives a weighted-projective embedding of the variety.
+So ``u`` may be zero or negative (gr25 reaches u = -14 at q <= 50).
 
 Each format stores two tables that depend on the format alone.  The weight
 table lists the weights chi of the defining module V(lam) with their
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .intpoly import DomainError, div_one_minus_t_pow
 
@@ -280,51 +282,38 @@ def hilbert_series(fmt: FormatSpec, param: CocharacterParam) -> EmbeddingData:
 
 
 def _params_g2(
-    fmt: FormatSpec, u_max: int, q_max: int | None
-) -> dict[tuple[int, ...], CocharacterParam]:
-    found: dict[tuple[int, ...], CocharacterParam] = {}
+    fmt: FormatSpec, u_max: int | None, q_max: int | None
+) -> Iterator[CocharacterParam]:
+    if u_max is None:
+        raise DomainError("u_max is required for this format")
     chis = [chi for chi, _ in fmt.weight_system]
     for u in range(1, u_max + 1):
         if q_max is not None and fmt.adjunction_coefficients[0] * u > q_max:
             continue
         for a in range(-(u - 1), u):
             for b in range(-(u - 1), u):
-                # most (a, b) give some weight u + <chi, mu> <= 0, which
-                # `ambient_weights` would reject
-                if u + min(x * a + y * b for x, y in chis) <= 0:
-                    continue
-                param = CocharacterParam((a, b), u)
-                ws = ambient_weights(fmt, param)
-                if ws not in found:
-                    found[ws] = param
-    return found
+                # most (a, b) give some weight u + <chi, mu> <= 0
+                if u + min(x * a + y * b for x, y in chis) > 0:
+                    yield CocharacterParam((a, b), u)
 
 
 def _params_gr25(
     fmt: FormatSpec, u_max: int | None, q_max: int | None
-) -> dict[tuple[int, ...], CocharacterParam]:
+) -> Iterator[CocharacterParam]:
     if q_max is None:
         raise DomainError(
             "q_max is required here: ambient weights are unbounded for fixed u"
         )
-    found: dict[tuple[int, ...], CocharacterParam] = {}
-    top = max(q_max - 5, 0)
-    for rest in combinations_with_replacement(range(top + 1), 4):
+    # mu = (0, mu_1 <= ... <= mu_4), so the smallest weight is u + mu_1 and
+    # u >= 1 - mu_1; then q = cu u + cm sum(mu) >= cu + cm mu_4 (as 3 cm >= cu)
+    cu, cm = fmt.adjunction_coefficients
+    for rest in combinations_with_replacement(range((q_max - cu) // cm + 1), 4):
         mu = (0,) + rest
-        s = sum(mu)
-        u_lo = 1 - mu[1]
-        u_hi = (q_max - 2 * s) // 5
+        u_hi = (q_max - cm * sum(mu)) // cu
         if u_max is not None:
             u_hi = min(u_hi, u_max)
-        for u in range(u_lo, u_hi + 1):
-            param = CocharacterParam(mu, u)
-            try:
-                ws = ambient_weights(fmt, param)
-            except DomainError:
-                continue
-            if ws not in found:
-                found[ws] = param
-    return found
+        for u in range(1 - mu[1], u_hi + 1):
+            yield CocharacterParam(mu, u)
 
 
 @cache
@@ -334,15 +323,14 @@ def enumerate_parameters(
     """All valid parameters up to the given bounds, one per weight multiset.
 
     Parameters inducing the same ambient weight multiset are identified; the
-    representative kept is the smallest in iteration order (lexicographically
-    least mu).  Results are sorted by (sum of weights, weights).
+    representative kept is the first the format's generator yields (the
+    lexicographically least mu).  Results are sorted by (sum of weights,
+    weights).
     """
-    if fmt.name == "g2":
-        if u_max is None:
-            raise DomainError("u_max is required for this format")
-        found = _params_g2(fmt, u_max, q_max)
-    elif fmt.name == "gr25":
-        found = _params_gr25(fmt, u_max, q_max)
-    else:
+    generators = {"g2": _params_g2, "gr25": _params_gr25}
+    if fmt.name not in generators:
         raise DomainError(f"unknown format {fmt.name!r}")
+    found: dict[tuple[int, ...], CocharacterParam] = {}
+    for param in generators[fmt.name](fmt, u_max, q_max):
+        found.setdefault(ambient_weights(fmt, param), param)
     return tuple(found[ws] for ws in sorted(found, key=lambda ws: (sum(ws), ws)))

@@ -162,6 +162,11 @@ def _sweep_key_from_json(obj: dict) -> SweepKey:
 # record stream
 
 
+def _json_line(obj: dict) -> str:
+    """One compact JSON line, as the record file and ``--emit json`` write it."""
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 class ResultWriter:
     """Append-only writer of search records; one JSON object per line.
 
@@ -172,31 +177,27 @@ class ResultWriter:
     def __init__(self, stream: IO[str]) -> None:
         self._stream = stream
 
-    def _write(self, obj: dict) -> None:
-        self._stream.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    def _write(self, kind: str, result: SweepResult, **body: object) -> None:
+        """One record: the envelope every kind shares, then its own fields."""
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "record": kind,
+            "sweep_key": _sweep_key_to_json(sweep_key_of(result)),
+            "timing_ms": result.elapsed_ms,
+            **body,
+        }
+        self._stream.write(_json_line(record))
         self._stream.flush()
 
     def write_candidate(self, result: SweepResult, cand: Candidate) -> None:
-        self._write(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "record": "candidate",
-                "sweep_key": _sweep_key_to_json(sweep_key_of(result)),
-                "timing_ms": result.elapsed_ms,
-                "candidate": candidate_to_json(cand),
-            }
-        )
+        self._write("candidate", result, candidate=candidate_to_json(cand))
 
     def write_sweep_done(self, result: SweepResult) -> None:
         self._write(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "record": "sweep_done",
-                "sweep_key": _sweep_key_to_json(sweep_key_of(result)),
-                "timing_ms": result.elapsed_ms,
-                "tuples_scanned": result.tuples_scanned,
-                "candidates": len(result.candidates),
-            }
+            "sweep_done",
+            result,
+            tuples_scanned=result.tuples_scanned,
+            candidates=len(result.candidates),
         )
 
     def write_result(self, result: SweepResult) -> None:
@@ -317,8 +318,7 @@ CSV_COLUMNS = (
 
 def emit_json(candidates: Sequence[Candidate], stream: IO[str]) -> None:
     for cand in candidates:
-        stream.write(json.dumps(candidate_to_json(cand), separators=(",", ":")))
-        stream.write("\n")
+        stream.write(_json_line(candidate_to_json(cand)))
 
 
 def emit_csv(candidates: Sequence[Candidate], stream: IO[str]) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 from oracles import (
@@ -241,6 +242,38 @@ def test_enumerate_parameters_gr25_with_both_bounds():
     assert any(p.u > 1 for p in alone)
     weights = {ambient_weights(GR25_FORMAT, p) for p in alone}
     assert {ambient_weights(GR25_FORMAT, p) for p in both} < weights
+
+
+# (format, u_max, q_max) -> (count, sha256 of repr([(mu, u), ...])): the
+# enumeration order and the representative of each weight multiset are part
+# of every sweep's output, so both are pinned
+ENUMERATION_PINS = {
+    (G2_FORMAT, 9, None): (
+        41, "f7452b00c719e5e30570c235f00df8ceafa679369f5e3e96eea78fd3568035e2"
+    ),
+    (G2_FORMAT, 9, 60): (
+        11, "93f43301f37f7ee983c2bc4815c39d48a47301f9f00a40e8b6b282c936d29c5c"
+    ),
+    (GR25_FORMAT, None, 50): (
+        5942, "cd089effe91aeea5c41731a9c167a2bd2607f26fc4b4cbfc0c649dea667e46f3"
+    ),
+    (GR25_FORMAT, 3, 50): (
+        5337, "3198ed747f746450495836fdbd52c80c9316861668ca7b38b21f8b4eb1360f23"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bounds", ENUMERATION_PINS, ids=lambda b: f"{b[0].name}-u{b[1]}-q{b[2]}"
+)
+def test_enumerate_parameters_pinned(bounds):
+    got = enumerate_parameters(*bounds)
+    digest = hashlib.sha256(repr([(p.mu, p.u) for p in got]).encode()).hexdigest()
+    assert (len(got), digest) == ENUMERATION_PINS[bounds]
+    if bounds[0] is GR25_FORMAT:
+        # mu is sorted with mu_0 = 0, so the smallest weight is u + mu_1
+        for p in got:
+            assert min(ambient_weights(GR25_FORMAT, p)) == p.u + p.mu[1] >= 1
 
 
 def test_format_registry():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
@@ -100,6 +101,24 @@ def test_record_stream_round_trip(small_result):
     cache = RecordCache.from_stream(io.StringIO(buf.getvalue()))
     assert cache.completed == {sweep_key_of(small_result)}
     assert tuple(cache.candidates) == small_result.candidates
+
+
+def test_record_bytes(small_result):
+    # the envelope keys come first, in this order, then the record's own
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    lines = buf.getvalue().splitlines(keepends=True)
+    envelope = (
+        '{"schema_version":1,"record":"%s","sweep_key":{"format":"g2",'
+        '"mu":[-1,1],"u":3,"k":-1,"n":3},"timing_ms":12.345,'
+    )
+    assert len(lines) == 4
+    for line in lines[:3]:
+        assert line.startswith(envelope % "candidate" + '"candidate":{"format":"g2",')
+    assert lines[3] == envelope % "sweep_done" + '"tuples_scanned":6,"candidates":3}\n'
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "4a025397388ed86548ed5b1a91ceefcb5e01cf8eb004231eadf934ca324979a6"
+    )
 
 
 def test_cache_drops_interrupted_keys(small_result):
