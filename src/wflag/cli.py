@@ -28,12 +28,12 @@ File formats accepted by ``initial`` and ``decompose``:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from typing import IO, TYPE_CHECKING, Sequence
 
 from . import records
@@ -260,24 +260,22 @@ def _run_sweep(
     progress: IO[str],
 ) -> list[Candidate]:
     """Execute a sweep with optional record output and resume cache."""
-    cached: list[Candidate] = []
-    completed: set[records.SweepKey] = set()
+    cache = records.RecordCache(completed=set(), candidates=[])
     if resume_path and os.path.exists(resume_path):
         with _file_errors("read", resume_path):
             cache = records.load_cache(resume_path)
-        cached = cache.candidates
-        completed = cache.completed
         progress.write(
-            f"# resume: {len(completed)} embeddings already done in {resume_path}\n"
+            f"# resume: {len(cache.completed)} embeddings already done in {resume_path}\n"
         )
     todo = tuple(
         p
         for p in sweep_parameters(config)
-        if (config.format_name, p.mu, p.u, config.k, config.n) not in completed
+        if (config.format_name, p.mu, p.u, config.k, config.n) not in cache.completed
     )
     write_path = out_path or resume_path
-    fresh: list[Candidate] = []
     with ExitStack() as stack:
+        gc.freeze()  # no collection in the sweep walks the objects of the imports
+        stack.callback(gc.unfreeze)
         if write_path:
             with _file_errors("write", write_path):
                 if os.path.exists(write_path):
@@ -286,8 +284,8 @@ def _run_sweep(
                     records.drop_torn_tail(write_path)
                 stream = stack.enter_context(open(write_path, "a", encoding="utf-8"))
             writer = records.ResultWriter(stream)
-        for done, result in enumerate(iter_search(replace(config, params=todo)), 1):
-            fresh.extend(result.candidates)
+        for done, result in enumerate(iter_search(config._replace(params=todo)), 1):
+            cache.candidates.extend(result.candidates)
             if write_path:
                 with _file_errors("write", write_path):
                     writer.write_result(result)
@@ -297,7 +295,7 @@ def _run_sweep(
                 f"{result.tuples_scanned} tuples, {result.elapsed_ms} ms\n"
             )
             progress.flush()
-    return merge_candidates(cached + fresh)
+    return merge_candidates(cache.candidates)
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -36,18 +36,16 @@ it divides exactly by (1 - t)^codimension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .intpoly import DomainError, div_one_minus_t_pow
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FormatSpec:
+class FormatSpec(NamedTuple):
     """One homogeneous variety, with the two tables that fix its embeddings."""
 
     name: str
@@ -60,22 +58,26 @@ class FormatSpec:
     # highest weight fix both, so they stay out of equality and of the hash:
     # a FormatSpec keys several caches, and hashing the tables on every
     # lookup would cost time
-    weight_system: tuple[tuple[Vector, int], ...] = field(repr=False, compare=False)
-    k_polynomial: tuple[tuple[int, Vector, int], ...] = field(
-        repr=False, compare=False
-    )
+    weight_system: tuple[tuple[Vector, int], ...]
+    k_polynomial: tuple[tuple[int, Vector, int], ...]
+
+    def __eq__(self, other):
+        return self[:5] == other[:5] if isinstance(other, FormatSpec) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, where tuple's compares the tables
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
-@dataclass(frozen=True)
-class CocharacterParam:
+class CocharacterParam(NamedTuple):
     """A weighting of the ambient coordinates: cocharacter mu and shift u."""
 
     mu: tuple[int, ...]
     u: int
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     """Everything the search needs about one weighted embedding."""
 
     format_name: str

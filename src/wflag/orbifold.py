@@ -41,12 +41,11 @@ itself in the docstring of the function that applies it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import combinations, product, zip_longest
 from math import comb, gcd, prod
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .intpoly import DomainError, div_one_minus_t_pow, mul_one_minus_t_pow
 from .linalg import solve
@@ -63,8 +62,9 @@ _VERTEX_WALK_MAX_ZERO_SETS = 20_000
 _VERTEX_WALK_MAX_COMBINATIONS = 4_096
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class QuotientSingularity:
+class QuotientSingularity(
+    NamedTuple("QuotientSingularity", [("r", int), ("weights", tuple[int, ...])])
+):
     """Isolated cyclic quotient point of type 1/r(a_1, ..., a_n).
 
     Weights are reduced representatives in (0, r), stored sorted, so equal
@@ -72,10 +72,9 @@ class QuotientSingularity:
     order of baskets and collections.
     """
 
-    r: int
-    weights: tuple[int, ...]
+    __slots__ = ()  # a NamedTuple takes no __new__ of its own, hence this subclass
 
-    def __init__(self, r: int, weights) -> None:
+    def __new__(cls, r: int, weights) -> QuotientSingularity:
         ws = tuple(sorted(int(a) for a in weights))
         if r < 2:
             raise DomainError("index must be at least 2")
@@ -83,15 +82,13 @@ class QuotientSingularity:
             raise DomainError("a quotient type needs at least one weight")
         if any(not 0 < a < r for a in ws):
             raise DomainError("weights must lie strictly between 0 and the index")
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "weights", ws)
+        return super().__new__(cls, int(r), ws)
 
     def __str__(self) -> str:
         return f"1/{self.r}({','.join(str(a) for a in self.weights)})"
 
 
-@dataclass(frozen=True, slots=True)
-class OrbifoldContribution:
+class OrbifoldContribution(NamedTuple):
     """One singularity's closed-form share of a Hilbert series.
 
     ``numerator`` is B_Q = value·(1−t)ⁿ(1−t^r) when that product is a

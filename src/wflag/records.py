@@ -26,14 +26,16 @@ views over the same candidate set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import IO, Iterator, Sequence
 
 from .orbifold import QuotientSingularity
 from .search import Candidate, SweepResult, compact_weights, kernel_flag
 
 SCHEMA_VERSION = 1
+_TAIL_BLOCK = 1 << 16  # bytes `drop_torn_tail` first reads from the end of a file
 
 SweepKey = tuple[str, tuple[int, ...], int, int, int]
 
@@ -238,12 +240,11 @@ def read_records(stream: IO[str]) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
-@dataclass
-class RecordCache:
+class RecordCache(SimpleNamespace):
     """Parsed content of a record file: completed keys and their candidates."""
 
-    completed: set[SweepKey] = field(default_factory=set)
-    candidates: list[Candidate] = field(default_factory=list)
+    completed: set[SweepKey]
+    candidates: list[Candidate]
 
     @classmethod
     def from_stream(cls, stream: IO[str]) -> RecordCache:
@@ -284,17 +285,21 @@ def drop_torn_tail(path: str) -> None:
 
     A final line without its newline is kept (and given the newline) when it
     parses, and removed otherwise, so appended records start on a line of
-    their own.
+    their own.  It reads back from the end only as far as the last newline.
     """
     with open(path, "rb+") as fh:
-        data = fh.read()
-        if not data or data.endswith(b"\n"):
+        end = fh.seek(0, os.SEEK_END)
+        start, tail, size = end, b"", _TAIL_BLOCK
+        while start and b"\n" not in tail:
+            start = fh.seek(max(end - size, 0))
+            tail, size = fh.read(), 2 * size
+        cut = tail.rfind(b"\n") + 1
+        if cut == len(tail):  # empty, or ends with its newline
             return
-        start = data.rfind(b"\n") + 1
         try:
-            json.loads(data[start:])
+            json.loads(tail[cut:])
         except ValueError:
-            fh.truncate(start)
+            fh.truncate(start + cut)
         else:
             fh.write(b"\n")
 

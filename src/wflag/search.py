@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formats import (
     CocharacterParam,
@@ -58,8 +57,7 @@ from .intpoly import DomainError, cyclotomic_valuation
 # configuration and result types
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Parameters of a sweep over one format.
 
     ``u_max`` bounds the adjunction parameter for formats whose ambient
@@ -77,8 +75,7 @@ class SearchConfig:
     params: tuple[CocharacterParam, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One suggested quasi-smooth n-fold found by the search."""
 
     format_name: str
@@ -101,8 +98,7 @@ class Candidate:
         )
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Outcome of scanning a single embedding."""
 
     format_name: str

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import wflag
+import wflag.cli as cli_module
 import wflag.orbifold as orbifold_module
 import wflag.search as search_module
 from wflag.cli import _normalize_argv, build_parser, main
@@ -376,6 +378,28 @@ def test_search_resume_extends_bounds(tmp_path, capsys):
     assert len(keys) == len(set(keys)) == 4
     cands = [candidate_from_json(json.loads(line)) for line in out.strip().splitlines()]
     assert len(cands) == 4  # full u<=3 candidate set from cache + fresh merge
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_cli_sweep_freezes_the_heap_only_while_it_runs(capsys, monkeypatch, fail):
+    """`wflag search` scans with the objects it held at the start frozen
+    (`gc.freeze`), and unfreezes them when the sweep ends, also by an
+    error, so an in-process caller gets its collector back as it was."""
+    frozen = []
+    iter_search = cli_module.iter_search
+
+    def spy(config):
+        frozen.append(gc.get_freeze_count())
+        if fail:
+            raise DomainError("stop")
+        yield from iter_search(config)
+
+    monkeypatch.setattr(cli_module, "iter_search", spy)
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3")
+    assert code == int(fail)
+    assert frozen and frozen[0] > before
+    assert gc.get_freeze_count() == before
 
 
 def test_search_resume_after_torn_final_line(tmp_path, capsys):

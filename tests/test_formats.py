@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -135,14 +134,14 @@ def _flipped(fmt, i):
     terms = list(fmt.k_polynomial)
     a, nu, c = terms[i]
     terms[i] = (a, nu, -c)
-    return dataclasses.replace(fmt, k_polynomial=tuple(terms))
+    return fmt._replace(k_polynomial=tuple(terms))
 
 
 @pytest.mark.parametrize(
     "fmt,param",
     [
         # H comes out, but of the wrong degree
-        (dataclasses.replace(GR25_FORMAT, adjunction_coefficients=(5, 3)), P((0, 1, 2, 3, 4), 1)),
+        (GR25_FORMAT._replace(adjunction_coefficients=(5, 3)), P((0, 1, 2, 3, 4), 1)),
         # one flipped coefficient of K breaks the Gorenstein antisymmetry
         (_flipped(GR25_FORMAT, 6), P((0, 0, 1, 1, 2), 1)),
     ],

@@ -93,7 +93,7 @@ assert len(list(iter_search(config))) == 4
 import wflag.cli
 argv = ["search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3", "--jobs", "{jobs}"]
 assert wflag.cli.main(argv) == 0
-names = ("multiprocessing", "pickle", "wflag.ratfun", "wflag.weyl", "csv")
+names = ("multiprocessing", "pickle", "wflag.ratfun", "wflag.weyl", "csv", "dataclasses", "inspect")
 print("loaded:", " ".join(name for name in names if name in sys.modules))
 """
 
@@ -103,8 +103,10 @@ def test_a_sweep_imports_no_multiprocessing(jobs, loaded):
     """A pooled sweep forks its workers itself, so it never imports
     `multiprocessing` (about 20 ms); a serial sweep does not import `pickle`
     either.  No sweep, through `iter_search` or `wflag search`, loads the
-    ℚ layer (`ratfun`), Freudenthal's formula (`weyl`) or `csv`: each
-    process would pay to compile and run them for nothing."""
+    ℚ layer (`ratfun`), Freudenthal's formula (`weyl`) or `csv`, nor
+    `dataclasses` with the `inspect` it loads: the sweep's records are
+    tuple types.  Each process would pay to compile and run them for
+    nothing."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SWEEP_IMPORTS.format(jobs=jobs)],

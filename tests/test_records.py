@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wflag.formats import CocharacterParam
+from wflag import records
+from wflag.formats import GR25_FORMAT, CocharacterParam, FormatSpec
+from wflag.intpoly import DomainError
+from wflag.orbifold import QuotientSingularity
 from wflag.records import (
     EMITTERS,
     RecordCache,
@@ -26,6 +30,7 @@ from wflag.records import (
     sweep_key_of,
 )
 from wflag.search import (
+    Candidate,
     SearchConfig,
     SweepResult,
     merge_candidates,
@@ -226,6 +231,92 @@ def test_drop_torn_tail(tmp_path, small_result):
     assert path.read_bytes() == whole
     drop_torn_tail(str(path))
     assert path.read_bytes() == whole
+
+
+def _torn_tail_dropped(data: bytes) -> bytes:
+    """What `drop_torn_tail` leaves of a file, from the whole file at once."""
+    if not data or data.endswith(b"\n"):
+        return data
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        return data[:start]
+    return data + b"\n"
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+def test_drop_torn_tail_reads_back_only_to_the_last_newline(
+    tmp_path, monkeypatch, small_result, block
+):
+    """Reading back from the end in blocks leaves every file as reading it
+    whole did: each cut of a record file, a torn or complete last line
+    longer than a block, and files with no newline at all, torn or
+    complete."""
+    if block is not None:
+        monkeypatch.setattr(records, "_TAIL_BLOCK", block)
+    buf = io.StringIO()
+    ResultWriter(buf).write_result(small_result)
+    whole = buf.getvalue().encode()
+    first = whole[: whole.index(b"\n")]
+    pad = b"x" * (3 * records._TAIL_BLOCK)
+    long_line = b'{"pad": "' + pad + b'"}'
+    cases = [first, first[:-1], long_line, long_line[:-1], b"\n" + long_line[:-2]]
+    cases += [whole + case for case in cases]
+    if block is not None:  # and every cut of a record file
+        cases += [whole[:cut] for cut in range(len(whole) + 1)]
+    path = tmp_path / "records.ndjson"
+    for data in cases:
+        path.write_bytes(data)
+        drop_torn_tail(str(path))
+        assert path.read_bytes() == _torn_tail_dropped(data), data[-40:]
+
+
+def test_the_value_types_keep_their_contract(small_result):
+    """The records of a sweep are tuple types that keep the semantics they
+    had as dataclasses.  A quotient type sorts and checks its weights,
+    hashes as (r, weights), so set and dict orders cannot move, orders by
+    (r, weights), and survives the pickle of a worker's answer.  A format
+    compares and hashes by its five identifying fields, not its tables."""
+    q = QuotientSingularity(5, (3, 1, 2))
+    assert q.r == 5 and q.weights == (1, 2, 3)
+    for r, weights, message in (
+        (1, (1, 1, 1), "index must be at least 2"),
+        (5, (), "a quotient type needs at least one weight"),
+        (5, (1, 2, 5), "weights must lie strictly between 0 and the index"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            QuotientSingularity(r, weights)
+    assert hash(q) == hash((q.r, q.weights))
+    ordered = [
+        QuotientSingularity(2, (1, 1, 1)),
+        QuotientSingularity(5, (1, 1, 4)),
+        q,
+        QuotientSingularity(7, (1, 2, 4)),
+    ]
+    assert sorted(ordered[::-1]) == sorted(ordered[1::2] + ordered[::2]) == ordered
+
+    assert any(cand.basket for cand in small_result.candidates)
+    back = pickle.loads(pickle.dumps(small_result))
+    assert back == small_result and type(back) is SweepResult
+    assert {type(cand) for cand in back.candidates} == {Candidate}
+    assert {type(sing) for cand in back.candidates for sing, _ in cand.basket} == {
+        QuotientSingularity
+    }
+
+    def spec(**changed):
+        names = ("name", "dimension", "codimension", "highest_weight",
+                 "adjunction_coefficients", "weight_system", "k_polynomial")
+        return FormatSpec(**{**{name: getattr(GR25_FORMAT, name) for name in names}, **changed})
+
+    other_k = spec(k_polynomial=GR25_FORMAT.k_polynomial[1:])
+    assert other_k == GR25_FORMAT and not other_k != GR25_FORMAT
+    assert hash(other_k) == hash(GR25_FORMAT)
+    other_q = spec(adjunction_coefficients=(5, 3))
+    assert other_q != GR25_FORMAT and not other_q == GR25_FORMAT
+
+    params = (CocharacterParam((0, 0), 1),)
+    assert SearchConfig()._replace(params=params) == SearchConfig(params=params)
 
 
 def _render(candidates, kind: str) -> str:
