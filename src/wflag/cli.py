@@ -51,6 +51,7 @@ from .search import (
     kernel_flag,
     merge_candidates,
     sweep_parameters,
+    table_row_key,
 )
 
 if TYPE_CHECKING:  # the subcommands that build a rational function import it
@@ -343,8 +344,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows: list[tuple[str, ...]] = []
     footnotes: list[str] = []
     for idx, row in enumerate(G2_FANO_TABLE, start=1):
-        basket = tuple((s.r, s.weights, m) for s, m in sorted(row["basket"]))
-        cand = by_key.get((row["weights"], basket))
+        cand = by_key.get(table_row_key(row))
         if cand is None:
             raise DomainError(
                 f"row {idx} (weights {compact_weights(row['weights'])}) "

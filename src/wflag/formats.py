@@ -54,20 +54,9 @@ class FormatSpec(NamedTuple):
     highest_weight: Vector
     adjunction_coefficients: tuple[int, int]  # q = c_u * u + c_m * sum(mu)
     # the weights chi of V(lam) with their multiplicities, sorted, and the
-    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu.  The name and the
-    # highest weight fix both, so they stay out of equality and of the hash:
-    # a FormatSpec keys several caches, and hashing the tables on every
-    # lookup would cost time
+    # terms (a, nu, c) of K(s, x) = sum c s^a x^nu
     weight_system: tuple[tuple[Vector, int], ...]
     k_polynomial: tuple[tuple[int, Vector, int], ...]
-
-    def __eq__(self, other):
-        return self[:5] == other[:5] if isinstance(other, FormatSpec) else NotImplemented
-
-    __ne__ = object.__ne__  # the negation of __eq__, where tuple's compares the tables
-
-    def __hash__(self):
-        return hash(self[:5])
 
 
 class CocharacterParam(NamedTuple):

@@ -84,6 +84,12 @@ class QuotientSingularity(
             raise DomainError("weights must lie strictly between 0 and the index")
         return super().__new__(cls, int(r), ws)
 
+    @classmethod
+    def _make(cls, iterable) -> QuotientSingularity:
+        """Build through `__new__`, so `_make` and `_replace` (which calls
+        `_make`) sort and check as construction does."""
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"1/{self.r}({','.join(str(a) for a in self.weights)})"
 

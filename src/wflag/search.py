@@ -362,28 +362,14 @@ def sweep_parameters(config: SearchConfig) -> tuple[CocharacterParam, ...]:
     return tuple(params)
 
 
-def _place_worker(i: int) -> None:
-    """Move this worker onto the i-th allowed CPU, round-robin, then allow
-    its inherited set again."""
-    try:
-        allowed = os.sched_getaffinity(0)
-        if len(allowed) >= 2:
-            os.sched_setaffinity(0, {sorted(allowed)[i % len(allowed)]})
-            os.sched_setaffinity(0, allowed)
-    except (AttributeError, OSError):  # no such call here, or refused
-        pass
-
-
 def _work(
-    i: int, config: SearchConfig, params: Sequence[CocharacterParam],
-    task_r: int, result_w: int,
+    config: SearchConfig, params: Sequence[CocharacterParam], task_r: int, result_w: int
 ) -> None:
-    """Worker i: read a 4-byte index into params at a time until EOF, and
+    """A worker: read a 4-byte index into params at a time until EOF, and
     answer each with a pickle of (index, SweepResult or exception), which
     is self-delimiting: the parent reads it back with `pickle.load`."""
     import pickle
 
-    _place_worker(i)
     front: dict = {}
     with open(result_w, "wb") as out:
         while head := os.read(task_r, 4):
@@ -438,7 +424,7 @@ def _forked_sweep(
                         os.close(fd)
                     for w in workers:
                         w.results.close()
-                    _work(i, config, params, task_r, result_w)
+                    _work(config, params, task_r, result_w)
                     status = 0
                 finally:
                     os._exit(status)
@@ -508,11 +494,6 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     a time.  On gr25 k=1 q≤50 the 622,108 scanned tuples are 22,912
     distinct ones, and the sweep took 30.3 s against 45.6 s without the
     front (one run each, 2-core machine).
-
-    Each worker starts on its own allowed CPU, then gets its inherited set
-    back so the kernel can still rebalance.  Linux otherwise left both forked
-    workers on the parent's CPU for about 0.5 s on a 2-core machine, longer
-    than the g2 k=−1 u≤5 sweep, so `--jobs 2` ran no faster than one job.
     """
     params = sweep_parameters(config)
     if config.jobs <= 1 or len(params) <= 1:
@@ -523,12 +504,18 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     yield from _forked_sweep(config, params, min(config.jobs, len(params)))
 
 
+def _key(weights: tuple[int, ...], basket: Iterable) -> tuple:
+    return (weights, tuple((s.r, s.weights, m) for s, m in basket))
+
+
 def candidate_key(cand: Candidate) -> tuple:
     """The identity a sweep deduplicates on: (weights, basket with counts)."""
-    return (
-        cand.x_weights,
-        tuple((s.r, s.weights, m) for s, m in cand.basket),
-    )
+    return _key(cand.x_weights, cand.basket)
+
+
+def table_row_key(row: dict) -> tuple:
+    """The `candidate_key` of the candidate a `G2_FANO_TABLE` row describes."""
+    return _key(row["weights"], sorted(row["basket"]))
 
 
 def merge_candidates(candidates: Iterable[Candidate]) -> list[Candidate]:

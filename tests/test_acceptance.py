@@ -46,6 +46,7 @@ from wflag.search import (
     iter_search,
     merge_candidates,
     sweep_parameters,
+    table_row_key,
 )
 
 X7 = RationalFunction(one_minus_t_product([7]), one_minus_t_product([1, 1, 1, 1, 2]))
@@ -162,18 +163,13 @@ def test_criterion_04_ambient_weight_adjunction():
     _passed(4, "weights of (-1,1,3) and 20 random params with sum=14u, q=11u")
 
 
-def _table_key(row: dict) -> tuple:
-    basket = tuple(sorted(row["basket"]))
-    return (row["weights"], tuple((s.r, s.weights, m) for s, m in basket))
-
-
 def test_criterion_05_fano_table_reproduction(fano_results, fano_candidates, tmp_path, capsys):
     by_key = {candidate_key(c): c for c in fano_candidates}
     computed_degrees = set()
     published_degrees = set()
     deviation_rows = []
     for row in G2_FANO_TABLE:
-        cand = by_key.get(_table_key(row))
+        cand = by_key.get(table_row_key(row))
         assert cand is not None, f"table row {row['weights']} not found"
         assert cand.degree == row["degree"], row["weights"]
         assert bool(cand.kernels) == row["kernel"], row["weights"]
@@ -268,7 +264,7 @@ def test_criterion_08_sweep_census(fano_results, fano_candidates):
     assert len({cand.x_weights for cand in fano_candidates}) == 19
     by_key = {candidate_key(c): c for c in fano_candidates}
     for row in G2_FANO_TABLE:
-        assert _table_key(row) in by_key
+        assert table_row_key(row) in by_key
     # the quasilinear-cone candidate over the u=6 embedding that is known not
     # to exist as a variety still appears in the numerical census
     cone = by_key.get(

@@ -274,10 +274,11 @@ def test_drop_torn_tail_reads_back_only_to_the_last_newline(
 
 def test_the_value_types_keep_their_contract(small_result):
     """The records of a sweep are tuple types that keep the semantics they
-    had as dataclasses.  A quotient type sorts and checks its weights,
-    hashes as (r, weights), so set and dict orders cannot move, orders by
-    (r, weights), and survives the pickle of a worker's answer.  A format
-    compares and hashes by its five identifying fields, not its tables."""
+    had as dataclasses.  A quotient type sorts and checks its weights, also
+    when built by `_make` or `_replace`, hashes as (r, weights), so set and
+    dict orders cannot move, orders by (r, weights), and survives the pickle
+    of a worker's answer.  A format compares and hashes by all its fields,
+    its tables included."""
     q = QuotientSingularity(5, (3, 1, 2))
     assert q.r == 5 and q.weights == (1, 2, 3)
     for r, weights, message in (
@@ -287,6 +288,12 @@ def test_the_value_types_keep_their_contract(small_result):
     ):
         with pytest.raises(DomainError, match=message):
             QuotientSingularity(r, weights)
+    with pytest.raises(DomainError, match="index must be at least 2"):
+        q._replace(r=1)
+    with pytest.raises(DomainError, match="index must be at least 2"):
+        q._make((1, (3, 2, 1)))
+    made = q._make((7, (3, 2, 1)))
+    assert type(made) is QuotientSingularity and str(made) == "1/7(1,2,3)"
     assert hash(q) == hash((q.r, q.weights))
     ordered = [
         QuotientSingularity(2, (1, 1, 1)),
@@ -309,9 +316,9 @@ def test_the_value_types_keep_their_contract(small_result):
                  "adjunction_coefficients", "weight_system", "k_polynomial")
         return FormatSpec(**{**{name: getattr(GR25_FORMAT, name) for name in names}, **changed})
 
+    assert spec() == GR25_FORMAT and hash(spec()) == hash(GR25_FORMAT)
     other_k = spec(k_polynomial=GR25_FORMAT.k_polynomial[1:])
-    assert other_k == GR25_FORMAT and not other_k != GR25_FORMAT
-    assert hash(other_k) == hash(GR25_FORMAT)
+    assert other_k != GR25_FORMAT and not other_k == GR25_FORMAT
     other_q = spec(adjunction_coefficients=(5, 3))
     assert other_q != GR25_FORMAT and not other_q == GR25_FORMAT
 

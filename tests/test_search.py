@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import errno
-import multiprocessing
 import os
 import pickle
 import random
@@ -58,6 +57,7 @@ from wflag.search import (
     search,
     search_embedding,
     sweep_parameters,
+    table_row_key,
 )
 
 X7 = RationalFunction(one_minus_t_product([7]), one_minus_t_product([1, 1, 1, 1, 2]))
@@ -786,10 +786,12 @@ def test_search_dedup_and_order():
 
 def test_search_matches_worker_pool():
     base = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
-    parallel = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs=2)
-    with _no_fd_left():
-        merged = search(parallel)
-    assert [candidate_key(c) for c in search(base)] == [candidate_key(c) for c in merged]
+    serial = [candidate_key(c) for c in search(base)]
+    assert serial
+    for jobs in (2, 3):
+        with _no_fd_left():
+            merged = search(base._replace(jobs=jobs))
+        assert [candidate_key(c) for c in merged] == serial, jobs
 
 
 def _gr25_q16_sweep(capsys, out, k, jobs) -> tuple[list[str], str]:
@@ -886,93 +888,6 @@ def test_pool_never_exceeds_the_embeddings(monkeypatch):
     assert [(r.mu, r.u) for r in results] == [(p.mu, p.u) for p in params]
 
 
-def _last_cpu() -> int:
-    """Field 39 of /proc/self/stat: the CPU this process last ran on."""
-    with open("/proc/self/stat", encoding="ascii") as fh:
-        return int(fh.read().rsplit(")", 1)[1].split()[36])
-
-
-def _placement_report(conn) -> None:
-    """In a forked child: start as a sweep worker would, given an allowed CPU
-    other than the one the child runs on, and report where it ran next and
-    which CPUs it may use."""
-    cpus = sorted(os.sched_getaffinity(0))
-    i = next(i for i, cpu in enumerate(cpus) if cpu != _last_cpu())
-    search_module._place_worker(i)
-    conn.send((cpus[i], _last_cpu(), sorted(os.sched_getaffinity(0))))
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="placement needs sched_setaffinity and two allowed CPUs",
-)
-def test_worker_starts_on_the_cpu_it_was_given():
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_placement_report, args=(send,))
-    child.start()
-    assert receive.poll(30), "the child sent no report"
-    given, ran_on, allowed = receive.recv()
-    child.join(30)
-    assert not child.is_alive() and child.exitcode == 0
-    assert ran_on == given
-    # the inherited set is restored: the worker is not left pinned
-    assert allowed == sorted(os.sched_getaffinity(0))
-
-
-def _drain(q) -> list:
-    items = []
-    while not q.empty():
-        items.append(q.get())
-    return items
-
-
-def test_refused_placement_does_not_break_a_sweep(monkeypatch):
-    refused = multiprocessing.get_context("fork").SimpleQueue()
-
-    def refuse(pid, cpus):
-        refused.put(sorted(cpus))
-        raise OSError(1, "Operation not permitted")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    # first in this process: a refused move must not raise
-    search_module._place_worker(0)
-    _drain(refused)
-    base = SearchConfig(format_name="g2", k=-1, n=3, u_max=3)
-    serial = [candidate_key(c) for c in search(base)]
-    assert serial
-    parallel = SearchConfig(format_name="g2", k=-1, n=3, u_max=3, jobs=2)
-    assert [candidate_key(c) for c in search(parallel)] == serial
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        assert len(_drain(refused)) == 2  # each worker tried once, and went on
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
-def test_more_workers_than_cpus_wrap_round_robin(monkeypatch):
-    placed = multiprocessing.get_context("fork").SimpleQueue()
-    place = os.sched_setaffinity
-
-    def spy(pid, cpus):
-        placed.put(sorted(cpus))
-        place(pid, cpus)
-
-    monkeypatch.setattr(os, "sched_setaffinity", spy)
-    params = sweep_parameters(SearchConfig(format_name="g2", u_max=3))[:3]
-    assert len(params) == 3
-    base = SearchConfig(format_name="g2", k=-1, n=3, params=params)
-    serial = [candidate_key(c) for c in search(base)]
-    parallel = SearchConfig(format_name="g2", k=-1, n=3, params=params, jobs=3)
-    assert [candidate_key(c) for c in search(parallel)] == serial
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) >= 2:
-        # each worker moves onto one CPU, then gets the whole set back
-        calls = _drain(placed)
-        assert sorted(c for c in calls if len(c) == 1) == sorted(
-            [cpus[i % len(cpus)]] for i in range(3)
-        )
-        assert [c for c in calls if len(c) > 1] == [cpus] * 3
-
-
 @contextmanager
 def _deadline(seconds: int):
     """Fail instead of hanging: SIGALRM interrupts the block after `seconds`."""
@@ -1042,14 +957,21 @@ def test_a_worker_that_dies_mid_answer_is_an_error(monkeypatch):
     answered."""
     work = search_module._work
     victim = sweep_parameters(U3)[1]  # the first task of the second worker
+    forks = []
+    fork = os.fork
 
-    def torn(i, config, params, task_r, result_w):
-        if i == 0:
-            return work(i, config, params, task_r, result_w)
+    def counted():
+        forks.append(None)  # before the fork: the n-th worker sees n entries
+        return fork()
+
+    def torn(config, params, task_r, result_w):
+        if len(forks) == 1:
+            return work(config, params, task_r, result_w)
         frame = pickle.dumps((int.from_bytes(os.read(task_r, 4), "little"), None))
         os.write(result_w, frame[: len(frame) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
 
+    monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(search_module, "_work", torn)
     mu = ",".join(str(a) for a in victim.mu)
     with _deadline(60), _no_fd_left(), pytest.raises(DomainError) as info:
@@ -1191,8 +1113,7 @@ def test_search_finds_early_table_rows():
     for row in G2_FANO_TABLE:
         if row["u"] > 4:
             continue
-        basket = tuple(sorted(row["basket"]))
-        key = (row["weights"], tuple((s.r, s.weights, m) for s, m in basket))
+        key = table_row_key(row)
         assert key in by_key, f"missing table row {row['weights']}"
         cand = by_key[key]
         assert cand.degree == row["degree"]
