@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -402,6 +403,47 @@ def test_a_cli_sweep_freezes_the_heap_only_while_it_runs(capsys, monkeypatch, fa
     assert gc.get_freeze_count() == before
 
 
+def test_a_failed_cli_sweep_stops_its_workers_before_main_returns(tmp_path, capsys, monkeypatch):
+    """`wflag search` closes its sweep on the way out: when writing the
+    second result fails, the `--jobs 2` workers are killed and reaped by the
+    time `main` returns, even while something still holds the generator
+    (as a frozen heap at exit may)."""
+    events = []
+    held = []
+    iter_search = cli_module.iter_search
+
+    def spied(config):
+        try:
+            yield from iter_search(config)
+        finally:
+            events.append("closed")
+
+    def spy(config):
+        held.append(spied(config))
+        return held[-1]
+
+    write_result = ResultWriter.write_result
+
+    def failing_write_result(self, result):
+        events.append("write")
+        if events.count("write") == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_result(self, result)
+
+    monkeypatch.setattr(cli_module, "iter_search", spy)
+    monkeypatch.setattr(ResultWriter, "write_result", failing_write_result)
+    out = tmp_path / "records.ndjson"
+    code, stdout, err = run_cli(
+        capsys, "search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3",
+        "--jobs", "2", "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert err.endswith(f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+    assert events == ["write", "write", "closed"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_search_resume_after_torn_final_line(tmp_path, capsys):
     cache = tmp_path / "records.ndjson"
     base = ["search", "--format", "g2", "--k=-1", "--n", "3", "--u-max", "2"]
@@ -764,6 +806,43 @@ def test_search_output_is_independent_of_jobs(tmp_path):
         assert text.count('"timing_ms":') == 4 + text.count('"record":"candidate"')
         runs.append((proc.stdout, re.sub(r'"timing_ms":[^,]*,', "", text)))
     assert runs[0][0] and runs[1] == runs[0]
+
+
+def test_the_cli_process_exits_with_its_heap_frozen():
+    """`main` registers `gc.freeze` to run at exit, once however often it is
+    called.  Handlers run last in, first out, so one registered before the
+    first `main` sees the heap frozen, after exactly one freeze."""
+    src = os.path.dirname(os.path.dirname(wflag.__file__))
+    script = (
+        "import atexit, gc, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "freezes = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: freezes.append(freeze())\n"
+        "atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0))\n"
+        "import wflag.cli\n"
+        "argv = ['weights', '--format', 'g2', '--mu', '-1,1', '--u', '3']\n"
+        "sys.exit(max(wflag.cli.main(argv) for _ in range(2)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1 2 2 2 2 3 3 3 3 4 4 4 4 5\n" * 2 + "1 True\n"
+
+
+def test_a_frozen_exit_loses_no_output(tmp_path, capsys):
+    """A `--jobs 2` sweep run as its own process prints the same stdout, and
+    writes the same record file outside `timing_ms`, as the same sweep run in
+    process: nothing buffered is lost when the process exits frozen."""
+    argv = ["search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3", "--jobs", "2"]
+    child, here = tmp_path / "child.ndjson", tmp_path / "here.ndjson"
+    proc = _run_module(*argv, "--out", str(child))
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv, "--out", str(here))
+    assert code == 0 and out and proc.stdout == out
+    records = [re.sub(r'"timing_ms":[^,]*,', "", f.read_text(encoding="utf-8")) for f in (child, here)]
+    assert records[0] and records[0] == records[1]
 
 
 def test_cli_via_module_invocation():
