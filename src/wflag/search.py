@@ -396,6 +396,8 @@ def _forked_sweep(
     workers: list[SimpleNamespace] = []
     indices = iter(range(len(params)))
     done: dict[int, object] = {}
+    # not Linux: no placement call, and the workers run unpinned
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
     def hand_out(w: SimpleNamespace) -> None:
         w.index = next(indices, None)
@@ -424,6 +426,9 @@ def _forked_sweep(
                         os.close(fd)
                     for w in workers:
                         w.results.close()
+                    if cpus:  # worker i keeps CPU i, round-robin, for its lifetime
+                        with suppress(OSError):  # refused: run unpinned
+                            os.sched_setaffinity(0, {cpus[i % len(cpus)]})
                     _work(config, params, task_r, result_w)
                     status = 0
                 finally:
@@ -494,6 +499,11 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     a time.  On gr25 k=1 q≤50 the 622,108 scanned tuples are 22,912
     distinct ones, and the sweep took 30.3 s against 45.6 s without the
     front (one run each, 2-core machine).
+
+    Worker i is pinned, for its lifetime, to the i-th CPU of the parent's
+    allowed set, round-robin; where that is refused or unsupported it runs
+    unpinned.  Linux 6.18 otherwise often kept both forked workers on one
+    CPU of a 2-core machine, so `--jobs 2` ran no faster than one job.
     """
     params = sweep_parameters(config)
     if config.jobs <= 1 or len(params) <= 1:

@@ -999,6 +999,100 @@ def test_closing_the_sweep_early_reaps_every_worker():
     assert (first.mu, first.u) == (head.mu, head.u)
 
 
+def _placed_sweep(monkeypatch, tmp_path, config) -> tuple[list, list[list[int]]]:
+    """Run a pooled sweep whose workers log the CPUs they may use before each
+    scan.  Return its candidate keys and, by worker number, each worker's
+    CPUs, which must not change over the worker's lifetime.  Worker i is
+    the one whose first embedding is the i-th."""
+    log = tmp_path / "placements"
+    params = sweep_parameters(config)
+    scan = search_module._sweep_one
+
+    def logged(config, param, front):
+        allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()} {params.index(param)} {','.join(map(str, allowed))}\n")
+        return scan(config, param, front)
+
+    monkeypatch.setattr(search_module, "_sweep_one", logged)
+    with _deadline(60), _no_fd_left():
+        keys = [candidate_key(c) for c in search(config)]
+    by_pid: dict[int, tuple[int, set]] = {}
+    for line in log.read_text(encoding="ascii").splitlines():
+        pid, index, allowed = line.split(" ")
+        first, seen = by_pid.get(int(pid), (int(index), set()))
+        by_pid[int(pid)] = (min(first, int(index)), seen | {allowed})
+    assert os.getpid() not in by_pid  # every scan ran in a worker
+    workers = sorted(by_pid.values(), key=lambda worker: worker[0])
+    assert [first for first, _ in workers] == list(range(config.jobs))
+    assert all(len(seen) == 1 for _, seen in workers)
+    return keys, [[int(c) for c in seen.pop().split(",") if c] for _, seen in workers]
+
+
+_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placement needs sched_setaffinity and two allowed CPUs",
+)
+
+
+@_TWO_CPUS
+def test_each_worker_runs_on_its_own_cpu(monkeypatch, tmp_path):
+    """Two workers are pinned, for their lifetime, to two distinct CPUs of
+    the parent's allowed set: the kernel may otherwise keep both on one
+    CPU, and `--jobs 2` runs no faster than one job."""
+    serial = [candidate_key(c) for c in search(U3._replace(jobs=1))]
+    keys, placed = _placed_sweep(monkeypatch, tmp_path, U3)
+    assert keys == serial
+    allowed = os.sched_getaffinity(0)
+    assert all(len(cpus) == 1 and cpus[0] in allowed for cpus in placed)
+    assert placed[0] != placed[1]
+
+
+@_TWO_CPUS
+def test_more_workers_than_cpus_wrap_round_robin(monkeypatch, tmp_path):
+    allowed = os.sched_getaffinity(0)
+    two = sorted(allowed)[:2]
+    config = U3._replace(jobs=3)
+    assert len(sweep_parameters(config)) >= 3
+    serial = [candidate_key(c) for c in search(config._replace(jobs=1))]
+    os.sched_setaffinity(0, two)  # the parent may use exactly two CPUs
+    try:
+        keys, placed = _placed_sweep(monkeypatch, tmp_path, config)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert keys == serial
+    assert placed == [[two[0]], [two[1]], [two[0]]]
+
+
+@pytest.mark.parametrize("placement", ["refused", "missing"])
+def test_a_worker_that_cannot_be_pinned_runs_unpinned(monkeypatch, tmp_path, placement):
+    """A refused `sched_setaffinity` (say, by a container), or none at all
+    (not Linux), leaves each worker on the parent's CPUs, with no error."""
+    serial = [candidate_key(c) for c in search(U3._replace(jobs=1))]
+    tries = tmp_path / "tries"
+    if placement == "refused":
+
+        def refuse(pid, cpus):
+            with open(tries, "a", encoding="ascii") as fh:
+                fh.write(f"{sorted(cpus)}\n")
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    keys, placed = _placed_sweep(monkeypatch, tmp_path, U3)
+    assert keys == serial
+    if hasattr(os, "sched_getaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        assert placed == [allowed, allowed]
+        # each worker asked once for its own CPU, and went on
+        asked = sorted(tries.read_text(encoding="ascii").splitlines())
+        assert asked == sorted(f"{[allowed[i % len(allowed)]]}" for i in range(2))
+    else:
+        assert placed == [[], []] and not tries.exists()
+
+
 @pytest.mark.parametrize(
     "call, failing_call, code",
     [("fork", 2, errno.EAGAIN), ("pipe", 4, errno.EMFILE)],
