@@ -1017,11 +1017,10 @@ def _placed_sweep(monkeypatch, tmp_path, config) -> tuple[list, list[list[int]]]
     monkeypatch.setattr(search_module, "_sweep_one", logged)
     with _deadline(60), _no_fd_left():
         keys = [candidate_key(c) for c in search(config)]
-    by_pid: dict[int, tuple[int, set]] = {}
+    by_pid: dict[int, tuple[int, set]] = {}  # pid: (first embedding, CPU sets)
     for line in log.read_text(encoding="ascii").splitlines():
         pid, index, allowed = line.split(" ")
-        first, seen = by_pid.get(int(pid), (int(index), set()))
-        by_pid[int(pid)] = (min(first, int(index)), seen | {allowed})
+        by_pid.setdefault(int(pid), (int(index), set()))[1].add(allowed)
     assert os.getpid() not in by_pid  # every scan ran in a worker
     workers = sorted(by_pid.values(), key=lambda worker: worker[0])
     assert [first for first, _ in workers] == list(range(config.jobs))
