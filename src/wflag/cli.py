@@ -76,17 +76,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _read_input(path: str, parse):
     """parse(JSON content of the file at path); every failure, a bad entry
     included, is a DomainError that names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
+        try:
             return parse(json.load(fh))
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path} is not valid JSON: {exc}")
-    except (DomainError, records.RecordError) as exc:
-        raise DomainError(f"{path}: {exc}") from None
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-        raise DomainError(f"{path}: malformed entry ({exc!r})") from None
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}")
+        except (DomainError, records.RecordError) as exc:
+            raise DomainError(f"{path}: {exc}") from None
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+            raise DomainError(f"{path}: malformed entry ({exc!r})") from None
 
 
 @contextmanager
@@ -272,7 +270,7 @@ def _run_sweep(
     todo = tuple(
         p
         for p in sweep_parameters(config)
-        if (config.format_name, p.mu, p.u, config.k, config.n) not in cache.completed
+        if records.sweep_key(config.format_name, p, config.k, config.n) not in cache.completed
     )
     write_path = out_path or resume_path
     with ExitStack() as stack:

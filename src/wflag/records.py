@@ -31,6 +31,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import IO, Iterator, Sequence
 
+from .formats import CocharacterParam
 from .orbifold import QuotientSingularity
 from .search import Candidate, SweepResult, compact_weights, kernel_flag
 
@@ -141,8 +142,14 @@ def candidate_from_json(obj: dict) -> Candidate:
     )
 
 
+def sweep_key(format_name: str, param: CocharacterParam, k: int, n: int) -> SweepKey:
+    """The sweep key of one embedding's scan, as records carry it and
+    `--resume` skips it."""
+    return (format_name, param.mu, param.u, k, n)
+
+
 def sweep_key_of(result: SweepResult) -> SweepKey:
-    return (result.format_name, result.mu, result.u, result.k, result.n)
+    return sweep_key(result.format_name, CocharacterParam(result.mu, result.u), result.k, result.n)
 
 
 def _sweep_key_to_json(key: SweepKey) -> dict:

@@ -17,15 +17,15 @@ table of `_divisor_bounds` per embedding, from the pole-order caps of
 within those bounds.  Each scanned tuple gets its candidate types from
 `orbifold.porb_cont` and goes with H to the exact stage,
 `orbifold.decompositions`, so the scan itself does no polynomial algebra
-per tuple.  A tuple's types, and the `orbifold.basket_kernel` kernels of a
-tuple with solutions, do not depend on H, and a sweep computes them once
-per adjunction number q (once per worker with ``jobs`` > 1) in its tuple
-front.  Every emitted basket m is certified by the identity
-V·m == R·t^{−l} in integers (`orbifold._certified`), so the funnel cannot
-produce false positives.  It can miss true ones: `orbifold._target` drops a
-type when its P_Q has a higher degree than P_X − P_I (the `kept` rule), a
-rule with no soundness argument that drops certified decompositions
-(g2 (−2,2) u=5 at k = 1, for one).
+per tuple.  A tuple's types do not depend on H, and a sweep computes them
+once per adjunction number q (once per worker with ``jobs`` > 1) in its
+tuple front; a tuple with solutions gets its `orbifold.basket_kernel`
+kernels each time it emits.  Every emitted basket m is certified by the
+identity V·m == R·t^{−l} in integers (`orbifold._certified`), so the funnel
+cannot produce false positives.  It can miss true ones: `orbifold._target`
+drops a type when its P_Q has a higher degree than P_X − P_I (the `kept`
+rule), a rule with no soundness argument that drops certified
+decompositions (g2 (−2,2) u=5 at k = 1, for one).
 """
 from __future__ import annotations
 
@@ -238,10 +238,9 @@ def search_embedding(
     """Scan one embedding; returns (candidates, number of tuples scanned).
 
     ``front`` is the tuple front of a sweep (`iter_search` makes one), so
-    that a sweep computes each tuple's `porb_cont` types, and its
-    `basket_kernel` kernels once it has a solution, once per adjunction
-    number.  It maps (q − k, k, n) to {tuple: [types, extended weights,
-    kernels or None]} for the latest key only, as a tuple cannot recur
+    that a sweep computes each tuple's `porb_cont` types once per adjunction
+    number.  It maps (q − k, k, n) to {tuple: `porb_cont`'s (types,
+    extended weights)} for the latest key only, as a tuple cannot recur
     under another sum.  Without a front, each tuple is computed here once:
     the enumeration yields no tuple twice."""
     fmt = FORMATS[format_name]
@@ -272,17 +271,15 @@ def search_embedding(
             scanned += 1
             entry = tuples.get(parts)
             if entry is None:
-                entry = tuples[parts] = [*porb_cont(parts, n, k), None]
-            types, extended, kernels = entry
+                entry = tuples[parts] = porb_cont(parts, n, k)
+            types, extended = entry
             solutions = [
                 solution
                 for solution in decompositions(types, H, parts, k, n)
                 if fits(solution, extended)
             ]
             if solutions:
-                if kernels is None:
-                    kernels = basket_kernel(types, extended, k, n) if types else ()
-                    entry[2] = kernels
+                kernels = basket_kernel(types, extended, k, n) if types else ()
                 _emit(candidates, data, parts, solutions, kernels, k, n)
     except DomainError as exc:
         # a cap of the kernel searches: say which tuple the sweep stopped at
@@ -490,8 +487,8 @@ def iter_search(config: SearchConfig) -> Iterator[SweepResult]:
     and the first round trip).
 
     The serial loop, and each worker, keeps one tuple front for the sweep
-    (see `search_embedding`), so a tuple's types and kernels are computed
-    once per adjunction number, not once per embedding.
+    (see `search_embedding`), so a tuple's types are computed once per
+    adjunction number, not once per embedding.
     `enumerate_parameters` sorts the embeddings by the sum of their ambient
     weights, of which q is a fixed multiple (1/2 for gr25, 11/14 for g2),
     and the workers take them in that order, so each q's embeddings come

@@ -631,6 +631,24 @@ def test_unusable_file_is_an_error(tmp_path, monkeypatch, capsys, argv, message)
 
 
 @pytest.mark.parametrize(
+    "argv, path, code",
+    [
+        (("initial", "--series", "missing.json", "--n", "3", "--k", "0"), "missing.json", errno.ENOENT),
+        (
+            ("decompose", "--series", "series.json", "--basket", ".", "--n", "3", "--k", "0"),
+            ".",
+            errno.EISDIR,
+        ),
+    ],
+    ids=["initial-missing-series", "decompose-directory-basket"],
+)
+def test_an_unreadable_input_file_is_named_once(tmp_path, monkeypatch, capsys, argv, path, code):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "series.json", X7_SERIES)
+    assert run_cli(capsys, *argv) == (1, "", f"error: cannot read {path}: {os.strerror(code)}\n")
+
+
+@pytest.mark.parametrize(
     "command, payload, flag",
     [
         ("initial", {"numerator": ["x"], "weights": [1]}, "--series"),
@@ -843,6 +861,22 @@ def test_a_frozen_exit_loses_no_output(tmp_path, capsys):
     assert code == 0 and out and proc.stdout == out
     records = [re.sub(r'"timing_ms":[^,]*,', "", f.read_text(encoding="utf-8")) for f in (child, here)]
     assert records[0] and records[0] == records[1]
+
+
+def test_the_record_file_does_not_depend_on_jobs(tmp_path, capsys):
+    """`--jobs 1` and `--jobs 3` print the same stdout and write the same
+    record lines outside `timing_ms`, although each worker computes the
+    kernels of its own embeddings."""
+    argv = ["search", "--format", "g2", "--k", "-1", "--n", "3", "--u-max", "3"]
+    runs = []
+    for jobs in (1, 3):
+        path = tmp_path / f"jobs{jobs}.ndjson"
+        code, out, _ = run_cli(capsys, *argv, "--jobs", str(jobs), "--out", str(path))
+        assert code == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        runs.append((out, [re.sub(r'"timing_ms":[^,]*,', "", line) for line in lines]))
+    assert runs[0] == runs[1]
+    assert any('"record":"candidate"' in line for line in runs[0][1])
 
 
 def test_cli_via_module_invocation():

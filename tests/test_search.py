@@ -731,9 +731,10 @@ def _whole_kernel_walk(types, extended_weights, k, n):
 
 def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch, filtered):
     """`basket_kernel` against the whole-kernel walk on the types of every
-    distinct emitting tuple of g2 k=1 u≤5 (2 of 19 calls find collections)
-    and of g2 k=−3 u≤6 (3 calls; kernels up to dimension 14), each called
-    once."""
+    emitting tuple of g2 k=1 u≤5 (2 of 19 distinct systems find
+    collections) and of g2 k=−3 u≤6 (3 calls; kernels up to dimension 14):
+    23 calls on 22 distinct systems, as one tuple that finds a collection
+    emits at two embeddings and is asked at each."""
     calls = []
 
     def spy(*args):
@@ -743,12 +744,11 @@ def test_component_kernel_walk_matches_the_whole_kernel_walk(monkeypatch, filter
     monkeypatch.setattr(search_module, "basket_kernel", spy)
     search(SearchConfig(format_name="g2", k=1, n=3, u_max=5))
     calls += filtered("g2-k-3-u6").kernel_calls
-    found = 0
+    found = {}
     for args in calls:
-        got = basket_kernel(*args)
-        assert got == _whole_kernel_walk(*args), args
-        found += bool(got)
-    assert len(calls) == len(set(calls)) == 22 and found == 2
+        found[args] = basket_kernel(*args)
+        assert found[args] == _whole_kernel_walk(*args), args
+    assert len(calls) == 23 and len(found) == 22 and sum(map(bool, found.values())) == 2
 
 
 #: Each cap of the kernel walks, lowered to one below the most its walk sees
@@ -861,8 +861,8 @@ def test_each_sweep_has_its_own_front_at_one_sum(monkeypatch):
         assert list(f) == [(15, k, 3)]
         tuples[k] = f[15, k, 3]
         assert set(tuples[k]) == {parts for j, parts in scanned if j == k and sum(parts) == 15}
-        for parts, (types, extended, _) in tuples[k].items():
-            assert (types, extended) == porb_cont(parts, 3, k)
+        for parts, entry in tuples[k].items():
+            assert entry == porb_cont(parts, 3, k)
     common = tuples[1].keys() & tuples[-1].keys()
     assert common
     assert not {id(tuples[1][parts]) for parts in common} & {
